@@ -52,6 +52,13 @@
 # and under TSan on every gate run. `ctest -L restart` / `ctest -L periodic` /
 # `ctest -L mpmc` / `ctest -L lawn` / `ctest -L layout` / `ctest -L facade` /
 # `ctest -L cluster` in any build directory runs just them.
+#
+# The `clock`-labelled tests (ticker_test, ticker_stress_test, tsan_stress_test,
+# dispatch_pool_test) are the suites whose threads pace themselves off the wall
+# clock, so an interleaving bug there shows up as a rare flake rather than a
+# steady failure. The plain leg (not --quick) therefore reruns them after the
+# full suite with `ctest -L clock --repeat until-fail:50`: each clock test must
+# pass 50 consecutive runs. CTEST_ARGS applies to the rerun too.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -105,7 +112,14 @@ run_config() {
 for config in "${CONFIGS[@]}"; do
   case "$config" in
     plain)
-      run_config plain build 50 ;;
+      run_config plain build 50
+      if [ "$QUICK" = 0 ]; then
+        echo "=== [plain] clock repeat ==="
+        # shellcheck disable=SC2086
+        ctest --test-dir build --output-on-failure -j "$JOBS" -L clock \
+          --repeat until-fail:50 ${CTEST_ARGS:-}
+        echo "=== [plain] clock repeat OK ==="
+      fi ;;
     asan)
       # halt_on_error: the first report fails the test instead of scrolling by.
       ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \

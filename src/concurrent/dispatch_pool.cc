@@ -1,6 +1,7 @@
 #include "src/concurrent/dispatch_pool.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "src/base/assert.h"
 
@@ -10,7 +11,6 @@ DispatchPool::DispatchPool(ShardedWheel& wheel, DispatchOptions options)
     : wheel_(wheel), options_(options) {
   TWHEEL_ASSERT_MSG(options_.drainers >= 1, "pool needs at least one drainer");
   TWHEEL_ASSERT_MSG(options_.max_chunk_ticks >= 1, "chunk must cover >= 1 tick");
-  epoch_ = std::chrono::steady_clock::now();
   threads_.reserve(options_.drainers);
   for (std::size_t i = 0; i < options_.drainers; ++i) {
     threads_.emplace_back([this, i] { DrainerLoop(i); });
@@ -48,8 +48,6 @@ void DispatchPool::Stop() {
 }
 
 std::size_t DispatchPool::AdvanceTo(Tick target) {
-  TWHEEL_ASSERT_MSG(options_.tick_period.count() == 0,
-                    "manual AdvanceTo on a ticker-mode pool");
   const std::uint64_t before = fires_dispatched_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -77,42 +75,9 @@ std::size_t DispatchPool::AdvanceTo(Tick target) {
 }
 
 void DispatchPool::DrainerLoop(std::size_t index) {
-  if (options_.tick_period.count() > 0) {
-    // Ticker mode: self-paced per-shard tickers. Each drainer is the wall
-    // clock for its own shards, exactly like TickerThread is for a whole
-    // service: it delivers as many ticks as full periods have elapsed,
-    // catching up through bounded chunks, then sleeps until the next period
-    // boundary. Different drainers' shards advance independently — that is
-    // the point — and the wheel's now() tracks the slowest shard.
-    using Clock = std::chrono::steady_clock;
-    Tick delivered = 0;
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stopping_.load(std::memory_order_relaxed)) {
-      const auto due = static_cast<Tick>((Clock::now() - epoch_) /
-                                         options_.tick_period);
-      if (delivered < due) {
-        lock.unlock();
-        if (AdvanceOwned(index, due)) {
-          delivered = due;
-          // Opportunistic stealing before going back to sleep: deliver other
-          // shards' published batches while this drainer would otherwise idle.
-          while (StealSweep(index) > 0) {
-          }
-          CommitCompletedClock();
-        }
-        lock.lock();
-        continue;
-      }
-      wakeup_.wait_until(
-          lock, epoch_ + (delivered + 1) * options_.tick_period,
-          [this] { return stopping_.load(std::memory_order_relaxed); });
-    }
-    return;
-  }
-
-  // Manual mode: advance to each published target, then keep stealing until
-  // the whole epoch is delivered (an idle drainer lending its core to a
-  // burst-hit shard is exactly the scaling mechanism under test).
+  // Advance to each published target, then keep stealing until the whole
+  // epoch is delivered (an idle drainer lending its core to a burst-hit shard
+  // is exactly the scaling mechanism under test).
   Tick completed = 0;
   std::unique_lock<std::mutex> lock(mutex_);
   while (!stopping_.load(std::memory_order_relaxed)) {

@@ -9,11 +9,11 @@
 // across drainers (shard s belongs to drainer s % N), and each drainer runs
 // ShardedWheel's split tick protocol for its shards:
 //
-//   AdvanceShard(s, t)   owner-only — drain s's submission ring, advance s's
-//                        inner wheel to the absolute tick t, claim the
-//                        collected expiries against the registration words
-//                        (all under s's mutex), publish the survivors as one
-//                        FireBatch on s's lock-free batch stack.
+//   AdvanceShard(s, t)   owner-only — run s's tick step to the absolute tick t
+//                        (drain the submission ring, advance the inner wheel,
+//                        claim the collected expiries against the registration
+//                        words, all under s's mutex) and publish the survivors
+//                        as one FireBatch on s's lock-free batch stack.
 //   DispatchShard(s)     anyone — take s's dispatch rights with one CAS,
 //                        deliver the published batches oldest-first, release.
 //
@@ -26,26 +26,23 @@
 // advancement itself is never stolen — the drain-under-mutex contract keeps a
 // single advancer per shard at a time.
 //
-// Two driving modes:
-//   * manual  (tick_period == 0): the owner thread calls AdvanceTo(target) and
-//     blocks until every shard reached the target and every batch was
-//     delivered. This is the mode benchmarks and lockstep tests use.
-//   * ticker  (tick_period > 0): every drainer self-paces against the wall
-//     clock like TickerThread — each delivers its own shards' ticks as the
-//     periods elapse, with bounded catch-up chunks so Stop() stays prompt —
-//     making the pool a true "per-shard tickers" deployment. Shard cursors may
-//     transiently diverge; the wheel's now() is the committed minimum, and
-//     Stop() re-converges nothing: driving the wheel afterwards (absolute-
-//     target AdvanceTo) realigns every shard.
+// The pool never reads a wall clock: one caller drives it with
+// AdvanceTo(target), which blocks until every shard reached the target and
+// every batch was delivered. Benchmarks and lockstep tests call it directly;
+// a wall-clock deployment puts a TickerThread (ticker.h, the library's only
+// wall-clock reader) in front of it:
 //
-// The pool assumes it is the service's only clock driver while running (other
-// threads may start/stop/restart timers freely — that is the point).
+//   DispatchPool pool(wheel, {.drainers = 4});
+//   TickerThread ticker(pool, std::chrono::microseconds(100));
+//
+// Declared in that order, the ticker stops before the pool. The pool assumes
+// its driver is the service's only clock driver while running (other threads
+// may start/stop/restart timers freely — that is the point).
 
 #ifndef TWHEEL_SRC_CONCURRENT_DISPATCH_POOL_H_
 #define TWHEEL_SRC_CONCURRENT_DISPATCH_POOL_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -63,19 +60,16 @@ struct DispatchOptions {
   std::size_t drainers = 2;
   // Allow drainers to deliver batches of shards they do not own.
   bool steal = true;
-  // 0 = manual mode (AdvanceTo-driven); > 0 = every drainer self-paces its
-  // shards at this wall-clock period per tick.
-  std::chrono::microseconds tick_period{0};
-  // Catch-up granularity: the most ticks one AdvanceShard call may cover.
-  // Stop() can only interrupt between calls, so this bounds shutdown latency
-  // to one chunk's worth of expiry work per drainer.
+  // The most ticks one AdvanceShard call may cover. Stop() can only interrupt
+  // between calls, so this bounds shutdown latency to one chunk's worth of
+  // expiry work per drainer.
   std::uint64_t max_chunk_ticks = 1024;
 };
 
 class DispatchPool {
  public:
   // Does not take ownership; `wheel` must outlive the pool. Threads start
-  // immediately (in ticker mode, tick 1 is due one period after construction).
+  // immediately and wait for the first AdvanceTo.
   DispatchPool(ShardedWheel& wheel, DispatchOptions options);
 
   DispatchPool(const DispatchPool&) = delete;
@@ -83,9 +77,9 @@ class DispatchPool {
 
   ~DispatchPool();
 
-  // Manual mode only: publish `target`, wake the drainers, and block until
-  // every shard's cursor reached it, every published batch was delivered, and
-  // the wheel's now() committed. Returns the number of fires dispatched by the
+  // Publish `target`, wake the drainers, and block until every shard's cursor
+  // reached it, every published batch was delivered, and the wheel's now()
+  // committed. Returns the number of fires dispatched by the
   // pool during the wait (all epochs' worth since the previous call). Must not
   // be called concurrently with itself; returns early (with the fires so far)
   // if Stop() is called mid-advance.
@@ -93,10 +87,13 @@ class DispatchPool {
 
   // Idempotent; blocks until every drainer exited, then delivers any batches
   // still sitting on the stacks (serially, on this thread) and commits now()
-  // to the minimum shard cursor. No bookkeeping runs after Stop returns. A
-  // catch-up burst is abandoned between chunks, never waited out.
+  // to the minimum shard cursor. No bookkeeping runs after Stop returns. An
+  // advance in flight is abandoned between chunks, never waited out.
   void Stop();
 
+  // The wheel's committed clock; with AdvanceTo this makes the pool a clock a
+  // TickerThread can drive.
+  Tick now() const { return wheel_.now(); }
   std::size_t drainers() const { return threads_.size(); }
   bool owns(std::size_t drainer, std::uint32_t shard) const {
     return shard % threads_.size() == drainer;
@@ -120,13 +117,11 @@ class DispatchPool {
 
   ShardedWheel& wheel_;
   const DispatchOptions options_;
-  // Ticker mode: the shared wall-clock origin every drainer paces against.
-  std::chrono::steady_clock::time_point epoch_;
 
   std::mutex mutex_;
-  std::condition_variable wakeup_;   // drainers wait here (manual mode / pacing)
+  std::condition_variable wakeup_;   // drainers wait here for a new target
   std::condition_variable done_;     // AdvanceTo's barrier wait
-  std::atomic<Tick> target_{0};      // manual mode: latest requested target
+  std::atomic<Tick> target_{0};      // latest requested target
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> fires_dispatched_{0};
 

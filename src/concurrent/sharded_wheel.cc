@@ -188,189 +188,98 @@ std::size_t ShardedWheel::DrainSubmissions() {
   return total;
 }
 
-std::size_t ShardedWheel::PerTickBookkeeping() {
-  // Collect under each shard's lock, dispatch outside all locks. The permanent
-  // per-shard collector (installed in the constructor) stages expiries in
-  // Shard::collected; we drain each shard's stage while still holding its lock.
-  // MPSC mode drains the shard's submission ring first — same lock acquisition —
-  // so every command enqueued before this call is registered before its shard
-  // advances.
-  const bool mpsc = deferred();
-  const Tick target = now_.load(std::memory_order_relaxed) + 1;
-  std::vector<PendingExpiry> pending;
-  std::vector<std::pair<RequestId, Tick>> fires;
-  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (mpsc) {
-      shard.submit->Drain(*shard.wheel);
-    }
-    // Shard clocks normally tick in lockstep with now_; a shard a DispatchPool
-    // already carried past `target` (a stopped ticker-mode pool leaves shards
-    // at unequal cursors) has covered this tick and must not tick twice.
-    const Tick inner_now = shard.wheel->now();
-    if (inner_now + 1 == target) {
-      shard.wheel->PerTickBookkeeping();
-    } else if (inner_now < target) {
-      shard.wheel->AdvanceTo(target);
-    }
-    shard.cursor.store(shard.wheel->now(), std::memory_order_release);
-    if (mpsc) {
-      for (const auto& [id, when] : shard.collected) {
-        pending.push_back(PendingExpiry{s, id, when});
-      }
-    } else {
-      fires.insert(fires.end(), shard.collected.begin(), shard.collected.end());
-    }
-    shard.collected.clear();
-  }
-  now_.fetch_add(1, std::memory_order_release);
-
-  if (mpsc) {
-    ClaimFires(pending, fires);
-  }
-  return Dispatch(fires);
-}
-
 std::size_t ShardedWheel::AdvanceTo(Tick target) {
   const Tick base = now_.load(std::memory_order_relaxed);
   TWHEEL_ASSERT_MSG(target >= base, "AdvanceTo target is in the past");
-  const Duration delta = target - base;
-  if (delta == 0) {
+  if (target == base) {
     return 0;
   }
-  // One lock acquisition per shard for the whole batch: drain the shard's
-  // submission ring (MPSC mode), then advance. Targets are absolute (not
-  // now()+delta per shard): shard clocks normally tick in lockstep, but a
-  // DispatchPool in ticker mode advances shards independently, so a shard
-  // whose cursor already passed `target` is skipped rather than over-advanced
-  // — driving the wheel globally after a pool stopped re-converges every shard
-  // onto `target`. The drain-then-advance order is what makes the
-  // NextExpiryHint contract sound for callers that jump: a start whose enqueue
-  // completed before this call is registered here, before any slot it could
-  // land in is crossed.
-  const bool mpsc = deferred();
-  std::vector<PendingExpiry> pending;
+  // One lock acquisition per shard for the whole batch. Targets are absolute
+  // (not now()+delta per shard): shard clocks normally tick in lockstep, but a
+  // DispatchPool stopped mid-advance leaves shards at unequal cursors, so a
+  // shard whose cursor already passed `target` is skipped rather than
+  // over-advanced — driving the wheel afterwards re-converges every shard onto
+  // `target`.
   std::vector<std::pair<RequestId, Tick>> fires;
-  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
+  for (const auto& shard_ptr : shards_) {
+    Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mutex);
-    if (mpsc) {
-      shard.submit->Drain(*shard.wheel);
-    }
-    if (shard.wheel->now() < target) {
-      shard.wheel->AdvanceTo(target);
-    }
+    StepShard(shard, target, fires);
     shard.cursor.store(shard.wheel->now(), std::memory_order_release);
-    if (mpsc) {
-      for (const auto& [id, when] : shard.collected) {
-        pending.push_back(PendingExpiry{s, id, when});
-      }
-    } else {
-      fires.insert(fires.end(), shard.collected.begin(), shard.collected.end());
-    }
-    shard.collected.clear();
   }
   CommitNow(target);
 
-  // Each shard's stage is already chronological; the stable merge re-establishes
-  // cross-shard tick order while keeping FIFO order within a tick (shards are
-  // visited in the same order PerTickBookkeeping would visit them).
-  if (mpsc) {
-    std::stable_sort(pending.begin(), pending.end(),
-                     [](const auto& a, const auto& b) { return a.when < b.when; });
-    ClaimFires(pending, fires);
-  } else {
+  // Each shard's stage is already chronological; for a multi-tick batch the
+  // stable merge re-establishes cross-shard tick order while keeping FIFO order
+  // within a tick (shards are visited in index order). A one-tick step's fires
+  // all carry `target` and need no merge.
+  if (target - base > 1) {
     std::stable_sort(fires.begin(), fires.end(),
                      [](const auto& a, const auto& b) { return a.second < b.second; });
   }
   return Dispatch(fires);
 }
 
-bool ShardedWheel::ResolveClaim(std::uint32_t shard_index,
-                                const RequestId& inner_id, Tick when,
-                                std::vector<std::pair<RequestId, Tick>>& fires) {
-  RequestId client_id = 0;
-  switch (shards_[shard_index]->submit->ClaimFire(
-      ShardSubmitQueue::InnerIdIndex(inner_id),
-      ShardSubmitQueue::InnerIdGeneration(inner_id), &client_id)) {
-    case ShardSubmitQueue::FireResolution::kDeliver:
-      fires.emplace_back(client_id, when);
-      client_fired_laps_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case ShardSubmitQueue::FireResolution::kDeliverFinal:
-      fires.emplace_back(client_id, when);
-      client_expiries_.fetch_add(1, std::memory_order_relaxed);
-      live_.fetch_sub(1, std::memory_order_relaxed);
-      break;
-    case ShardSubmitQueue::FireResolution::kStopInner:
-      return true;
-    case ShardSubmitQueue::FireResolution::kSuppress:
-      break;
+void ShardedWheel::StepShard(Shard& shard, Tick target,
+                             std::vector<std::pair<RequestId, Tick>>& fires) {
+  // Drain before advancing: a start whose enqueue completed before this step
+  // is registered before any slot it could land in is crossed, which is what
+  // makes the NextExpiryHint contract sound for callers that jump.
+  if (shard.submit != nullptr) {
+    shard.submit->Drain(*shard.wheel);
   }
-  return false;
-}
-
-void ShardedWheel::ClaimFires(const std::vector<PendingExpiry>& expired,
-                              std::vector<std::pair<RequestId, Tick>>& fires) {
-  // Two-pass commit: claim every collected expiry (one-shots and final
-  // periodic fires bump their entry's generation, so StopTimer on them now
-  // returns kNoSuchTimer; non-final periodic fires bump the word's fire epoch,
-  // keeping the handle live) before the caller dispatches any handler. Entries
-  // whose cancel won the race are suppressed and reclaimed inside ClaimFire —
-  // except cancelled periodic entries whose re-armed inner record is still
-  // live, which need the shard mutex and are resolved in a third pass below.
-  fires.reserve(fires.size() + expired.size());
-  std::vector<PendingExpiry> stop_inner;
-  for (const PendingExpiry& e : expired) {
-    if (ResolveClaim(e.shard, e.id, e.when, fires)) {
-      stop_inner.push_back(e);
+  const Tick inner_now = shard.wheel->now();
+  if (inner_now + 1 == target) {
+    shard.wheel->PerTickBookkeeping();
+  } else if (inner_now < target) {
+    shard.wheel->AdvanceTo(target);
+  }
+  if (shard.submit == nullptr) {
+    fires.insert(fires.end(), shard.collected.begin(), shard.collected.end());
+    shard.collected.clear();
+    return;
+  }
+  // Claim while still holding the shard mutex: every fire is committed against
+  // its registration word before any handler runs or the batch becomes visible
+  // to a dispatcher, so a thief can only ever claim a fully-drained,
+  // fully-claimed bucket. One-shots and final periodic fires bump their entry's
+  // generation (StopTimer on them now returns kNoSuchTimer); non-final periodic
+  // fires bump the word's fire epoch, keeping the handle live; entries whose
+  // cancel won the race are suppressed and reclaimed inside ClaimFire.
+  for (const auto& [id, when] : shard.collected) {
+    const std::uint32_t index = ShardSubmitQueue::InnerIdIndex(id);
+    const std::uint32_t generation = ShardSubmitQueue::InnerIdGeneration(id);
+    RequestId client_id = 0;
+    switch (shard.submit->ClaimFire(index, generation, &client_id)) {
+      case ShardSubmitQueue::FireResolution::kDeliver:
+        fires.emplace_back(client_id, when);
+        client_fired_laps_.fetch_add(1, std::memory_order_relaxed);
+        break;
+      case ShardSubmitQueue::FireResolution::kDeliverFinal:
+        fires.emplace_back(client_id, when);
+        client_expiries_.fetch_add(1, std::memory_order_relaxed);
+        live_.fetch_sub(1, std::memory_order_relaxed);
+        break;
+      case ShardSubmitQueue::FireResolution::kStopInner:
+        // Rare path (a cancel whose prompt-removal command was dropped, caught
+        // at the cancelled periodic's next fire): stop the ghost inner record
+        // under the mutex this step holds. live_ was already decremented by
+        // the cancel's commit.
+        shard.submit->ReclaimCancelledPeriodic(index, generation, *shard.wheel);
+        break;
+      case ShardSubmitQueue::FireResolution::kSuppress:
+        break;
     }
   }
-  // Rare path (a cancel whose prompt-removal command was dropped, caught here
-  // at the cancelled periodic's next fire): stop the ghost inner record under
-  // its shard's mutex and reclaim the entry. live_ was already decremented by
-  // the cancel's commit.
-  for (const PendingExpiry& e : stop_inner) {
-    Shard& shard = *shards_[e.shard];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.submit->ReclaimCancelledPeriodic(
-        ShardSubmitQueue::InnerIdIndex(e.id),
-        ShardSubmitQueue::InnerIdGeneration(e.id), *shard.wheel);
-  }
+  shard.collected.clear();
 }
 
 std::size_t ShardedWheel::AdvanceShard(std::uint32_t shard_index, Tick target) {
   TWHEEL_ASSERT_MSG(shard_index < shards_.size(), "AdvanceShard: no such shard");
   Shard& shard = *shards_[shard_index];
-  const bool mpsc = shard.submit != nullptr;
   std::vector<std::pair<RequestId, Tick>> fires;
   std::lock_guard<std::mutex> lock(shard.mutex);
-  if (mpsc) {
-    shard.submit->Drain(*shard.wheel);
-  }
-  if (shard.wheel->now() < target) {
-    shard.wheel->AdvanceTo(target);
-  }
-  if (mpsc) {
-    // Claim while still holding the shard mutex: every fire is committed
-    // against its registration word before the batch can become visible to any
-    // dispatcher, so a thief can only ever claim a fully-drained, fully-claimed
-    // bucket — never a half-drained one.
-    fires.reserve(shard.collected.size());
-    for (const auto& [id, when] : shard.collected) {
-      if (ResolveClaim(shard_index, id, when, fires)) {
-        // Ghost periodic record whose cancel won: the reclaim needs the shard
-        // mutex, which this path already holds.
-        shard.submit->ReclaimCancelledPeriodic(
-            ShardSubmitQueue::InnerIdIndex(id),
-            ShardSubmitQueue::InnerIdGeneration(id), *shard.wheel);
-      }
-    }
-  } else {
-    fires = std::move(shard.collected);
-  }
-  shard.collected.clear();
+  StepShard(shard, target, fires);
   const std::size_t claimed = fires.size();
   if (claimed != 0) {
     auto* batch = new FireBatch{++shard.published_seq, std::move(fires), nullptr};

@@ -10,7 +10,9 @@
 //
 // PER_TICK_BOOKKEEPING ticks every shard, collecting expiries under each shard's
 // lock but dispatching the client's ExpiryHandler after release, so handlers may
-// freely start and stop timers.
+// freely start and stop timers. Every entry point — PerTickBookkeeping, AdvanceTo
+// and the DispatchPool's AdvanceShard — runs the same per-shard step, so one tick
+// costs the same counted work whichever of them delivers it.
 //
 // Deferred-registration (MPSC) mode — the three-argument constructor — removes
 // the shard mutex from the producer path entirely: StartTimer/StopTimer become
@@ -83,14 +85,17 @@ class ShardedWheel final : public TimerService {
   // restart-vs-fire resolves exactly once. A restart whose start command has
   // not drained yet coalesces onto the same registration entry.
   TimerError RestartTimer(TimerHandle handle, Duration new_interval) final;
-  std::size_t PerTickBookkeeping() final;
+  // One tick is a one-tick AdvanceTo: the shard step ticks each inner wheel
+  // with its own PerTickBookkeeping, so the counts match a per-tick loop.
+  std::size_t PerTickBookkeeping() final { return AdvanceTo(now() + 1); }
   // Batched tick advancement: one lock acquisition per shard per *batch* instead
   // of per tick, with each shard's inner wheel jumping its dead slots via the
   // occupancy bitmap. In MPSC mode each shard's submission ring is drained
   // under that same lock acquisition, before the shard advances — so no start
-  // whose enqueue completed before this call can be skipped past. Expiries from
-  // all shards are re-merged into chronological order (FIFO within a tick)
-  // before dispatch outside the locks.
+  // whose enqueue completed before this call can be skipped past. Every
+  // shard's expiries are claimed before any handler runs; a multi-tick batch
+  // is re-merged into chronological order (FIFO within a tick) before
+  // dispatch outside the locks.
   std::size_t AdvanceTo(Tick target) final;
   // Minimum of the shards' hints; in MPSC mode also folds in each shard's
   // pending-submission deadline minimum, so a hint taken after a completed
@@ -120,9 +125,10 @@ class ShardedWheel final : public TimerService {
   // A multi-drainer driver replaces the global AdvanceTo with two per-shard
   // halves that different threads may run for different shards at once:
   //
-  //   AdvanceShard(s, target)   advance shard s's clock to the absolute tick
-  //                             `target`, claim its expiries, and publish them
-  //                             as a FireBatch on the shard's batch stack.
+  //   AdvanceShard(s, target)   run shard s's tick step to the absolute tick
+  //                             `target` (drain, advance, claim — the step
+  //                             AdvanceTo runs for every shard) and publish the
+  //                             survivors as a FireBatch on the shard's stack.
   //                             Serialized per shard by the shard mutex;
   //                             concurrent calls for distinct shards never
   //                             contend. Never dispatches handlers.
@@ -139,7 +145,7 @@ class ShardedWheel final : public TimerService {
   //                             (monotone max; DispatchPool's barrier).
   //
   // Exactly-once across stealing: expiries are claimed against the
-  // registration word inside AdvanceShard (under the shard mutex), before the
+  // registration word inside the shard step (under the shard mutex), before the
   // batch becomes visible; dispatch rights make batch delivery per-shard
   // serial; and the batch pointer itself transfers via an atomic exchange, so
   // each fire is delivered by exactly one drainer no matter who wins.
@@ -193,10 +199,10 @@ class ShardedWheel final : public TimerService {
   // shards never interleave within one line.
   struct alignas(kSlabCacheLine) Shard {
     std::mutex mutex;
-    // Expiries the inner wheel reported, staged under `mutex` until the next
-    // PerTickBookkeeping drains them for dispatch outside all locks. Declared
-    // before `wheel` so it outlives the wheel (whose permanently installed
-    // expiry handler appends here) during shard destruction.
+    // Expiries the inner wheel reported, staged under `mutex` until the shard
+    // step claims them for dispatch outside all locks. Declared before `wheel`
+    // so it outlives the wheel (whose permanently installed expiry handler
+    // appends here) during shard destruction.
     std::vector<std::pair<RequestId, Tick>> collected;
     std::unique_ptr<HashedWheelUnsorted> wheel;
     // Deferred-registration runtime; nullptr in locked mode.
@@ -222,30 +228,19 @@ class ShardedWheel final : public TimerService {
     ~Shard();  // frees batches left on the stack (defensive; Stop() drains)
   };
 
-  // An expiry collected from a shard but not yet resolved against the shard's
-  // registration table (MPSC mode). `id` is the inner packed {generation,
-  // entry index}, not the client cookie.
-  struct PendingExpiry {
-    std::uint32_t shard;
-    RequestId id;
-    Tick when;
-  };
-
   void Construct(std::size_t shards, std::size_t table_size,
                  const SubmitOptions* submit);
-  // MPSC mode: resolve collected expiries against the registration tables —
-  // claiming ALL fires before the caller dispatches ANY handler, so a tick's
-  // expiry set is committed when the tick begins (a handler stopping a
-  // same-tick sibling gets kNoSuchTimer, matching the oracle and the locked
-  // mode) — and append the surviving {client cookie, tick} pairs to `fires`.
-  void ClaimFires(const std::vector<PendingExpiry>& expired,
-                  std::vector<std::pair<RequestId, Tick>>& fires);
-  // Resolve one collected expiry against its registration word, appending to
-  // `fires` when it survives. Returns true when the inner record needs a
-  // mutex-guarded ghost stop (FireResolution::kStopInner); shared by the
-  // global ClaimFires pass and the per-shard AdvanceShard claim.
-  bool ResolveClaim(std::uint32_t shard_index, const RequestId& inner_id,
-                    Tick when, std::vector<std::pair<RequestId, Tick>>& fires);
+  // The one per-shard tick step, run with the shard's mutex held: drain the
+  // submission ring (MPSC mode), advance the inner wheel to the absolute tick
+  // `target` (PerTickBookkeeping for one tick, AdvanceTo for more, nothing if
+  // the shard is already there), then claim the collected expiries against
+  // their registration words in place and append the survivors to `fires`.
+  // Claiming before the caller dispatches ANY handler commits a tick's expiry
+  // set when the tick begins (a handler stopping a same-tick sibling gets
+  // kNoSuchTimer, matching the oracle and the locked mode). Never dispatches;
+  // the caller publishes the shard cursor.
+  void StepShard(Shard& shard, Tick target,
+                 std::vector<std::pair<RequestId, Tick>>& fires);
   std::size_t Dispatch(const std::vector<std::pair<RequestId, Tick>>& fires);
 
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -2,26 +2,24 @@
 //
 // Everything in twheel is driven by explicit PerTickBookkeeping() calls (the
 // paper's hardware-clock interrupt). Production users need something to *be* that
-// clock: TickerThread runs a background thread that calls the service's bookkeeping
-// at a fixed wall-clock period, which is the paper's deployment model ("the
-// algorithm is implemented by a processor that is interrupted each time a hardware
-// clock ticks").
+// clock: TickerThread runs a background thread that advances the service at a
+// fixed wall-clock period, which is the paper's deployment model ("the algorithm
+// is implemented by a processor that is interrupted each time a hardware clock
+// ticks"). This file is the only place on the library's tick path that reads a
+// wall clock (src/workload/ reads one only to time benchmark runs).
 //
-// The driven service must be thread-safe (LockedService or ShardedWheel) if any
-// other thread starts/stops timers concurrently. Scheduling delays are absorbed by
-// catch-up: the ticker delivers as many simulated ticks as full periods have
-// elapsed, so simulated time tracks wall time without drift (ticks are never
-// skipped, matching the model where every tick's bookkeeping must run). Backlogs
-// are delivered through batched AdvanceTo calls in wall-time-bounded chunks — see
-// Loop(). The ticker assumes it is the only clock driver for the service (other
-// threads may start/stop timers, but must not advance the clock).
-//
-// TickerThread is the ONE-core clock: a single thread sweeping every shard.
-// When expiry dispatch itself must scale across cores, use DispatchPool
-// (dispatch_pool.h) in ticker mode instead — it is N of these loops, one per
-// shard group, with work stealing over the published expiry batches. This file
-// and dispatch_pool.cc are the only places in the library that read a wall
-// clock.
+// The driven service is anything with `now()` and `AdvanceTo(Tick)`: a
+// TimerService (LockedService, ShardedWheel in either mode), a DispatchPool —
+// whose drainers then deliver each catch-up chunk on N cores — or a
+// net::TimerServer. It must be thread-safe if any other thread starts/stops
+// timers concurrently. Scheduling delays are absorbed by catch-up: the ticker
+// delivers as many simulated ticks as full periods have elapsed, so simulated
+// time tracks wall time without drift (ticks are never skipped, matching the
+// model where every tick's bookkeeping must run). Backlogs are delivered through
+// batched AdvanceTo calls in wall-time-bounded chunks — see Loop(). The ticker
+// assumes it is the only clock driver for the service (other threads may
+// start/stop timers, but must not advance the clock): stop it before driving
+// the service by hand.
 
 #ifndef TWHEEL_SRC_CONCURRENT_TICKER_H_
 #define TWHEEL_SRC_CONCURRENT_TICKER_H_
@@ -34,15 +32,16 @@
 #include <mutex>
 #include <thread>
 
-#include "src/core/timer_service.h"
+#include "src/base/types.h"
 
 namespace twheel::concurrent {
 
+template <typename Service>
 class TickerThread {
  public:
   // Does not take ownership; `service` must outlive the ticker. The thread starts
   // immediately.
-  TickerThread(TimerService& service, std::chrono::microseconds period)
+  TickerThread(Service& service, std::chrono::microseconds period)
       : service_(service), period_(period), thread_([this] { Loop(); }) {}
 
   TickerThread(const TickerThread&) = delete;
@@ -121,7 +120,7 @@ class TickerThread {
     }
   }
 
-  TimerService& service_;
+  Service& service_;
   const std::chrono::microseconds period_;
 
   std::mutex mutex_;

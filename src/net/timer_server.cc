@@ -136,13 +136,14 @@ void TimerServer::OnExpiry(RequestId cookie, twheel::Tick now) {
 
 void TimerServer::Tick() {
   if (pool_ != nullptr) {
-    if (!pool_is_ticker_) {
-      pool_->AdvanceTo(host_->now() + 1);
-    }
-    // Ticker-mode pool: it is the clock; an external Tick() has nothing to do.
+    pool_->AdvanceTo(host_->now() + 1);
     return;
   }
   host_->PerTickBookkeeping();
+}
+
+std::size_t TimerServer::AdvanceTo(twheel::Tick target) {
+  return pool_ != nullptr ? pool_->AdvanceTo(target) : host_->AdvanceTo(target);
 }
 
 bool TimerServer::StartDispatchPool(const concurrent::DispatchOptions& options) {
@@ -153,7 +154,6 @@ bool TimerServer::StartDispatchPool(const concurrent::DispatchOptions& options) 
   if (sharded == nullptr) {
     return false;
   }
-  pool_is_ticker_ = options.tick_period.count() > 0;
   pool_ = std::make_unique<concurrent::DispatchPool>(*sharded, options);
   return true;
 }
@@ -162,7 +162,6 @@ void TimerServer::StopDispatchPool() {
   if (pool_ != nullptr) {
     pool_->Stop();
     pool_.reset();
-    pool_is_ticker_ = false;
   }
 }
 

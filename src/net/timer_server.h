@@ -26,7 +26,9 @@
 // hash, so drainers touching different sessions never contend), the stats are
 // lock-free atomics, and callback sends are serialized behind a send mutex —
 // the Channel itself is single-threaded by contract. Requests still arrive on
-// one thread (the harness's uplink), racing only the drainers.
+// one thread (the harness's uplink), racing only the drainers. now() and
+// AdvanceTo() let a concurrent::TickerThread drive the server, and so its pool,
+// from the wall clock.
 
 #ifndef TWHEEL_SRC_NET_TIMER_SERVER_H_
 #define TWHEEL_SRC_NET_TIMER_SERVER_H_
@@ -89,16 +91,20 @@ class TimerServer {
   bool OnWire(const std::uint8_t* data, std::size_t size);
 
   // Advance the host timer module one tick, dispatching expiry callbacks.
-  // With a manual-mode dispatch pool attached, the tick is delivered through
-  // the pool (all drainers participate); with a ticker-mode pool the pool IS
-  // the clock and Tick() is a no-op.
+  // With a dispatch pool attached, the tick is delivered through the pool (all
+  // drainers participate).
   void Tick();
+  // The host's clock, and a batched advance to the absolute tick `target`
+  // (through the pool when one is attached). Together they let a
+  // concurrent::TickerThread drive the server from the wall clock.
+  twheel::Tick now() const { return host_->now(); }
+  std::size_t AdvanceTo(twheel::Tick target);
 
   // Hand the host's clock to a DispatchPool: expiry callbacks then arrive on
   // `options.drainers` threads concurrently. Returns false (and attaches
   // nothing) if the host is not a concurrent::ShardedWheel or a pool is
-  // already attached. The pool assumes it is the sole clock driver: don't mix
-  // with direct host advancement while attached.
+  // already attached. While attached, advance the clock only through Tick()
+  // or AdvanceTo() (or one TickerThread over the server), never the host.
   bool StartDispatchPool(const concurrent::DispatchOptions& options);
   // Stops and detaches the pool (idempotent). After return the server is
   // single-threaded again and Tick() drives the host directly.
@@ -161,7 +167,6 @@ class TimerServer {
   AtomicStats stats_;
 
   std::unique_ptr<concurrent::DispatchPool> pool_;
-  bool pool_is_ticker_ = false;
 };
 
 }  // namespace twheel::net

@@ -388,30 +388,30 @@ TortureReport RunRace(TimerService& sut, const TortureOptions& options) {
       // the quiesce below is the sole clock driver.
     }
   } else if (options.mode == TortureMode::kMultiTicker) {
-    // N per-shard tickers: every drainer self-paces its own shards against the
-    // wall clock and delivers (plus steals) concurrently with the producers.
+    // A wall-clock ticker over the pool: every catch-up chunk is advanced and
+    // delivered (plus stolen) by the drainers concurrently with the producers.
     concurrent::DispatchPool pool(
         *sharded,
         {.drainers = options.drainers,
          .steal = options.steal,
-         .tick_period = std::chrono::microseconds(options.pool_period_us),
          .max_chunk_ticks = options.pool_chunk_ticks});
+    concurrent::TickerThread ticker(
+        pool, std::chrono::microseconds(options.ticker_period_us));
     while (running.load(std::memory_order_acquire) != 0) {
       std::this_thread::yield();
     }
-    // Joins every drainer and delivers any batches still published; the
-    // quiesce below is then the sole clock driver (its absolute-target
-    // AdvanceTo re-converges the shard cursors the ticker left unequal).
+    // Stop the clock first, then join every drainer and deliver any batches
+    // still published; the quiesce below is then the sole clock driver.
+    ticker.Stop();
     pool.Stop();
   } else if (options.mode == TortureMode::kStealStorm) {
-    // Manual-mode pool slammed with bursty jumps: each AdvanceTo publishes
-    // whole slot-ranges of expiry batches at once across every shard, so idle
+    // A pool slammed with bursty jumps: each AdvanceTo publishes whole
+    // slot-ranges of expiry batches at once across every shard, so idle
     // drainers race to steal them while the owners are still advancing.
     concurrent::DispatchPool pool(
         *sharded,
         {.drainers = options.drainers,
          .steal = options.steal,
-         .tick_period = std::chrono::microseconds(0),
          .max_chunk_ticks = options.pool_chunk_ticks});
     rng::Xoshiro256 rng(options.seed ^ 0xda3e39cb94b95bdbULL);
     std::size_t delivered = 0;

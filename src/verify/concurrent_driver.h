@@ -36,11 +36,11 @@
 //     expiry multisets, call results, now(), and outstanding() *exactly* — the
 //     full differential guarantee, with genuine MPSC contention inside each
 //     enqueue phase;
-//   * kMultiTicker — the SUT must be a concurrent::ShardedWheel: a
-//     DispatchPool in ticker mode is the clock, i.e. N drainer threads
-//     self-pace their own shards against the wall clock and deliver expiries
-//     concurrently (with stealing), while producers race the full alphabet;
-//   * kStealStorm — same pool, manual mode: the driver thread slams bursty
+//   * kMultiTicker — the SUT must be a concurrent::ShardedWheel: a TickerThread
+//     drives a DispatchPool from the wall clock, so every catch-up chunk is
+//     advanced and delivered by N drainer threads concurrently (with
+//     stealing), while producers race the full alphabet;
+//   * kStealStorm — same pool, no ticker: the driver thread slams bursty
 //     AdvanceTo jumps through the pool so whole slot-ranges of expiries are
 //     published at once and idle drainers fight to steal the batches.
 //
@@ -126,8 +126,8 @@ struct TortureOptions {
   double jump_probability = 0.25;
   Duration max_jump = 32;
 
-  // kTickerRace: the ticker period. Small enough that a slow CI machine still
-  // delivers real start/expiry races within the episode.
+  // kTickerRace / kMultiTicker: the TickerThread period. Small enough that a
+  // slow CI machine still delivers real start/expiry races within the episode.
   std::uint64_t ticker_period_us = 50;
 
   // kLockstepOracle: barrier-synchronized {enqueue, replay, advance} rounds.
@@ -135,15 +135,14 @@ struct TortureOptions {
 
   // kMultiTicker / kStealStorm: DispatchPool shape. `drainers` threads own the
   // SUT's shards round-robin; `steal` lets an idle drainer deliver other
-  // shards' published batches. kMultiTicker paces every drainer at
-  // `pool_period_us` per tick; kStealStorm ignores the period and instead has
-  // the driver thread push bursty AdvanceTo jumps (reusing race_ticks /
-  // jump_probability / max_jump) so batch stacks pile up for the thieves.
-  // `pool_chunk_ticks` bounds one AdvanceShard catch-up chunk, keeping
-  // Stop() prompt even when an episode ends mid-burst.
+  // shards' published batches. kMultiTicker's pool is driven by a TickerThread
+  // at `ticker_period_us` per tick; kStealStorm instead has the driver thread
+  // push bursty AdvanceTo jumps (reusing race_ticks / jump_probability /
+  // max_jump) so batch stacks pile up for the thieves. `pool_chunk_ticks`
+  // bounds one AdvanceShard catch-up chunk, keeping Stop() prompt even when an
+  // episode ends mid-burst.
   std::size_t drainers = 2;
   bool steal = true;
-  std::uint64_t pool_period_us = 200;
   std::uint64_t pool_chunk_ticks = 64;
 };
 

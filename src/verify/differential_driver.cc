@@ -372,7 +372,7 @@ class Episode {
     fired_handles_.clear();
     pending_.clear();
     claimed_siblings_.clear();
-    tick_periodic_refires_ = 0;
+    periodic_refires_this_tick_ = 0;
 
     const std::size_t ns = sut_.PerTickBookkeeping();
     const std::size_t no = oracle_.PerTickBookkeeping();
@@ -404,8 +404,8 @@ class Episode {
     }
     // Non-final periodic dispatches are fires, not expiries: the registration
     // is still outstanding, so conservation must not count them as resolved.
-    report_.expiries += ns - tick_periodic_refires_;
-    report_.periodic_fires += tick_periodic_refires_;
+    report_.expiries += ns - periodic_refires_this_tick_;
+    report_.periodic_fires += periodic_refires_this_tick_;
 
     // Both sides have now invalidated the fired handles; only now are they stale
     // on *both* sides and safe to use as stale-poke ammunition.
@@ -487,7 +487,7 @@ class Episode {
     sut_jump_fired_.clear();
     oracle_jump_fired_.clear();
     fired_handles_.clear();
-    tick_periodic_refires_ = 0;
+    periodic_refires_this_tick_ = 0;
 
     jumping_ = true;
     const std::size_t ns = sut_.AdvanceTo(jump_target_);
@@ -536,8 +536,8 @@ class Episode {
       Diverge(jump_target_, os.str());
       return;
     }
-    report_.expiries += ns - tick_periodic_refires_;
-    report_.periodic_fires += tick_periodic_refires_;
+    report_.expiries += ns - periodic_refires_this_tick_;
+    report_.periodic_fires += periodic_refires_this_tick_;
 
     for (const auto& [sut_h, oracle_h] : fired_handles_) {
       Retire(sut_h, oracle_h);
@@ -600,7 +600,7 @@ class Episode {
         if (it->second.repeats > 1) {
           --it->second.repeats;
         }
-        ++tick_periodic_refires_;
+        ++periodic_refires_this_tick_;
         return;
       }
       RemoveLive(it);
@@ -636,7 +636,7 @@ class Episode {
         --it->second.repeats;
       }
       claimed_siblings_.push_back(id);
-      ++tick_periodic_refires_;
+      ++periodic_refires_this_tick_;
       if (draining_) {
         return;
       }
@@ -980,7 +980,7 @@ class Episode {
   std::vector<RequestId> claimed_siblings_;
   // Non-final periodic dispatches seen in the current Step()/Jump(): subtracted
   // from the tick's dispatch total when crediting report_.expiries.
-  std::size_t tick_periodic_refires_ = 0;
+  std::size_t periodic_refires_this_tick_ = 0;
   std::vector<std::pair<TimerHandle, TimerHandle>> fired_handles_;
   std::vector<Pending> pending_;
   // Per-jump scratch: (tick, id) so set comparison covers *which tick inside the

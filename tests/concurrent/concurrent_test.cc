@@ -164,12 +164,14 @@ TEST(ConcurrencyChurnTest, StartsDuringTicks) {
   for (auto& s : starters) {
     s.join();
   }
+  // Hand the clock over before draining: two overlapping drivers could each
+  // target a tick the other has already passed.
+  stop_ticking.store(true);
+  ticker.join();
   // Drain what remains.
   for (int i = 0; i < 100; ++i) {
     wheel.PerTickBookkeeping();
   }
-  stop_ticking.store(true);
-  ticker.join();
   EXPECT_EQ(fired.load() + cancelled.load(), started.load());
   EXPECT_EQ(wheel.outstanding(), 0u);
 }

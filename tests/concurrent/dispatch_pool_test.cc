@@ -1,13 +1,16 @@
 // DispatchPool and the split tick protocol (AdvanceShard / DispatchShard /
 // CommitNow): deterministic single-threaded protocol tests (including a
 // directly-driven steal), the counts() coherence regression under N concurrent
-// drainers, and the shutdown-promptness contract mid catch-up burst.
+// drainers, and the shutdown-promptness contract — mid catch-up burst with a
+// TickerThread driving the pool from the wall clock, and mid-advance without.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -15,6 +18,7 @@
 
 #include "src/concurrent/dispatch_pool.h"
 #include "src/concurrent/sharded_wheel.h"
+#include "src/concurrent/ticker.h"
 
 namespace twheel::concurrent {
 namespace {
@@ -246,7 +250,7 @@ TEST(DispatchPoolTest, CountsConservationHoldsUnderConcurrentDrainers) {
   EXPECT_EQ(wheel.dispatch_order_violations(), 0u);
 }
 
-// --- DispatchPool, ticker mode ---------------------------------------------
+// --- DispatchPool driven by a TickerThread ---------------------------------
 
 TEST(DispatchPoolTest, TickerModeFiresWithoutExternalDriving) {
   ShardedWheel wheel(2, 64, Generous());
@@ -257,8 +261,8 @@ TEST(DispatchPoolTest, TickerModeFiresWithoutExternalDriving) {
   }
   DispatchOptions options;
   options.drainers = 2;
-  options.tick_period = std::chrono::microseconds(100);
   DispatchPool pool(wheel, options);
+  TickerThread ticker(pool, std::chrono::microseconds(100));
   // 8 ticks owed after ~1ms; spin until the pool delivered all 8 fires.
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(10);
@@ -266,17 +270,18 @@ TEST(DispatchPoolTest, TickerModeFiresWithoutExternalDriving) {
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  ticker.Stop();
   pool.Stop();
   EXPECT_EQ(wheel.outstanding(), 0u) << "ticker pool never delivered";
   EXPECT_EQ(log.fires.size(), 8u);
   EXPECT_EQ(wheel.dispatch_order_violations(), 0u);
 }
 
-// Satellite: shutdown promptness. N per-shard tickers mid catch-up burst —
-// a microscopic period plus a bounded chunk size means the drainers are
-// permanently behind schedule, always inside a catch-up burst. Stop() must
-// abandon the burst between chunks (never wait out the accumulated debt) and
-// run no bookkeeping after it returns.
+// Shutdown promptness mid catch-up burst: a microscopic ticker period means
+// the ticker is permanently behind schedule, always handing the pool another
+// catch-up chunk that the drainers advance in bounded AdvanceShard chunks.
+// Stopping the ticker and then the pool must abandon the burst between chunks
+// (never wait out the accumulated debt) and run no bookkeeping afterwards.
 TEST(DispatchPoolTest, StopIsPromptMidCatchUpBurstAndFinal) {
   ShardedWheel wheel(4, 64, Generous());
   SafeLog log;
@@ -290,9 +295,9 @@ TEST(DispatchPoolTest, StopIsPromptMidCatchUpBurstAndFinal) {
   }
   DispatchOptions options;
   options.drainers = 4;
-  options.tick_period = std::chrono::microseconds(1);  // unmeetable pace
   options.max_chunk_ticks = 32;
   DispatchPool pool(wheel, options);
+  TickerThread ticker(pool, std::chrono::microseconds(1));  // unmeetable pace
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   {
     // The burst is real: laps were delivered while we slept (an infinite
@@ -302,10 +307,11 @@ TEST(DispatchPoolTest, StopIsPromptMidCatchUpBurstAndFinal) {
   }
 
   const auto stop_begin = std::chrono::steady_clock::now();
+  ticker.Stop();
   pool.Stop();
   const auto stop_elapsed = std::chrono::steady_clock::now() - stop_begin;
-  // ~50ms at 1µs/tick leaves ~50k ticks of debt per drainer; a prompt Stop
-  // abandons it within a few chunks. The bound is deliberately loose for slow
+  // ~50ms at 1µs/tick leaves ~50k ticks of debt; a prompt Stop abandons it
+  // after the one wall-time-bounded chunk in flight. The bound is deliberately loose for slow
   // CI, but far below the many seconds the full debt would cost.
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(stop_elapsed)
                 .count(),
@@ -333,12 +339,71 @@ TEST(DispatchPoolTest, StopIsPromptMidCatchUpBurstAndFinal) {
     EXPECT_FALSE(wheel.HasPendingBatches(s)) << "shard " << s;
   }
 
-  // The wheel is still a valid single-driver service afterwards: the absolute-
-  // target advance re-converges the unequal shard cursors and keeps firing.
+  // The wheel is still a valid single-driver service afterwards: driving it
+  // directly keeps firing.
   const std::uint64_t before = wheel.counts().periodic_fires;
   wheel.AdvanceTo(wheel.now() + 16);
   EXPECT_GT(wheel.counts().periodic_fires, before)
       << "periodic load must keep firing under post-pool manual driving";
+}
+
+// The pool's own abort path, which a ticker stopped first never reaches: Stop()
+// while an AdvanceTo is still far from its target must abandon the advance
+// between chunks and deliver what was published. The shards may be left at
+// unequal cursors, which a later absolute-target AdvanceTo re-converges
+// without skipping or re-running any shard's tick.
+TEST(DispatchPoolTest, StopAbandonsAnAdvanceInFlight) {
+  ShardedWheel wheel(4, 64, Generous());
+  SafeLog log;
+  log.Install(wheel);
+  for (int i = 0; i < 32; ++i) {
+    ASSERT_TRUE(
+        wheel.StartPeriodic(1 + (i % 8), 9000 + i, TimerService::kRepeatForever)
+            .has_value());
+  }
+  DispatchOptions options;
+  options.drainers = 4;
+  options.max_chunk_ticks = 32;
+  DispatchPool pool(wheel, options);
+  const Tick target = wheel.now() + 100'000'000;
+  std::thread advancer([&] { pool.AdvanceTo(target); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  const auto stop_begin = std::chrono::steady_clock::now();
+  pool.Stop();
+  const auto stop_elapsed = std::chrono::steady_clock::now() - stop_begin;
+  advancer.join();  // AdvanceTo returned early
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(stop_elapsed)
+                .count(),
+            2000)
+      << "Stop() waited out the advance instead of abandoning it";
+  EXPECT_LT(wheel.now(), target);
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    EXPECT_FALSE(wheel.HasPendingBatches(s)) << "shard " << s;
+  }
+
+  Tick ahead = 0;
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    ahead = std::max(ahead, wheel.ShardCursor(s));
+  }
+  wheel.AdvanceTo(ahead + 16);
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(wheel.ShardCursor(s), wheel.now()) << "shard " << s;
+  }
+  // No tick was skipped or run twice on any shard: every cookie's laps are
+  // exactly one period apart from the first to the last.
+  std::map<RequestId, std::vector<Tick>> laps;
+  for (const auto& [id, when] : log.fires) {
+    laps[id].push_back(when);
+  }
+  ASSERT_EQ(laps.size(), 32u);
+  for (const auto& [id, ticks] : laps) {
+    const Tick period = 1 + (id - 9000) % 8;
+    for (std::size_t i = 0; i < ticks.size(); ++i) {
+      ASSERT_EQ(ticks[i], (i + 1) * period) << "cookie " << id << " lap " << i;
+    }
+    EXPECT_EQ(ticks.size(), wheel.now() / period) << "cookie " << id;
+  }
 }
 
 TEST(DispatchPoolTest, StopIsIdempotentAndDestructorSafe) {
@@ -348,13 +413,14 @@ TEST(DispatchPoolTest, StopIsIdempotentAndDestructorSafe) {
   ASSERT_TRUE(wheel.StartTimer(4, 1).has_value());
   DispatchOptions options;
   options.drainers = 2;
-  options.tick_period = std::chrono::microseconds(50);
   {
     DispatchPool pool(wheel, options);
+    TickerThread ticker(pool, std::chrono::microseconds(50));
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ticker.Stop();
     pool.Stop();
     pool.Stop();  // idempotent
-  }  // destructor calls Stop again
+  }  // destructors call Stop again, ticker first
   SUCCEED();
 }
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/concurrent/sharded_wheel.h"
+#include "src/concurrent/ticker.h"
 #include "src/core/timer_facility.h"
 #include "src/net/timer_server.h"
 #include "src/net/timer_workload.h"
@@ -343,7 +344,9 @@ TEST(TimerServerPoolTest, ManualPoolPreservesProtocolSemantics) {
 }
 
 TEST(TimerServerPoolTest, TickerPoolDeliversWithoutExternalTicks) {
-  // Ticker-mode pool: the drainers are the clock. The main thread must not
+  // A TickerThread over the server is the clock: its catch-up chunks reach the
+  // attached pool through TimerServer::AdvanceTo, so the drainers deliver
+  // every callback with no Tick() from this thread. The main thread must not
   // touch the simulator while drainers may call Channel::Send (the send mutex
   // serializes senders, not Send vs Step), so callbacks are flushed after
   // Stop. fires_sent counts what the drainers handed to the channel.
@@ -358,8 +361,8 @@ TEST(TimerServerPoolTest, TickerPoolDeliversWithoutExternalTicks) {
 
   concurrent::DispatchOptions options;
   options.drainers = 4;
-  options.tick_period = std::chrono::microseconds(50);
   ASSERT_TRUE(server.StartDispatchPool(options));
+  concurrent::TickerThread ticker(server, std::chrono::microseconds(50));
   constexpr std::uint32_t kSessions = 24;
   for (std::uint32_t s = 0; s < kSessions; ++s) {
     server.OnRequest(
@@ -369,9 +372,9 @@ TEST(TimerServerPoolTest, TickerPoolDeliversWithoutExternalTicks) {
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (server.stats().fires_sent < kSessions &&
          std::chrono::steady_clock::now() < deadline) {
-    server.Tick();  // no-op under a ticker pool; must not disturb the clock
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  ticker.Stop();  // the clock stops before the pool it drives
   server.StopDispatchPool();
   EXPECT_EQ(server.stats().fires_sent, kSessions);
   EXPECT_EQ(server.registrations(), 0u);

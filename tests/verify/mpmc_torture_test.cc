@@ -62,10 +62,10 @@ TortureOptions BaseOptions(std::uint64_t seed, std::size_t drainers) {
 }
 
 TEST(MpmcTortureTest, MultiTickerMpsc) {
-  // N per-shard tickers: wall-clock-driven, so cap the episode count the way
-  // TickerRaceMpsc does, but sweep the drainer counts — 1 drainer degenerates
-  // to the single-ticker deployment (a soundness baseline for the checker),
-  // 4 drainers on 4 shards is one ticker per shard.
+  // A TickerThread driving the pool: wall-clock-driven, so cap the episode
+  // count the way TickerRaceMpsc does, but sweep the drainer counts — 1
+  // drainer degenerates to the single-ticker deployment (a soundness baseline
+  // for the checker), 4 drainers on 4 shards is one drainer per shard.
   const std::size_t episodes = std::min<std::size_t>(Episodes(5), 10);
   for (std::size_t drainers : kDrainerCounts) {
     for (std::size_t ep = 0; ep < episodes; ++ep) {
@@ -73,7 +73,7 @@ TEST(MpmcTortureTest, MultiTickerMpsc) {
           4, 64, Submit(8192, 8192, concurrent::SubmitPolicy::kSpin));
       TortureOptions options = BaseOptions(11000 + ep, drainers);
       options.mode = TortureMode::kMultiTicker;
-      options.pool_period_us = 20;
+      options.ticker_period_us = 20;
       options.ops_per_producer = 2048;
       const TortureReport report = RunTorture(wheel, options);
       ASSERT_TRUE(report.ok) << "drainers=" << drainers << " episode=" << ep

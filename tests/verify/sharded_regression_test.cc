@@ -14,14 +14,24 @@
 // reference to a shared merged_counts_ member that the next caller rewrites;
 // two concurrent callers raced reader-vs-rewriter. Now it returns a snapshot by
 // value. ConcurrentCountsReaders fails under TSan against the old signature.
+//
+// Bug 3 (a tick's cost depended on its entry point): a one-tick AdvanceTo
+// advanced each shard with the inner wheel's batched AdvanceTo — counting
+// batch_advances / slots_skipped — while PerTickBookkeeping ran the inner
+// per-tick loop and counted empty_slot_checks, so the same tick showed two
+// different costs in the paper's currency. Both now run one shard step.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/concurrent/sharded_wheel.h"
+#include "src/rng/rng.h"
 
 namespace twheel::concurrent {
 namespace {
@@ -122,6 +132,77 @@ TEST(ShardedWheelRegressionTest, ConcurrentCountsReaders) {
   stop.store(true);
   mutator.join();
   EXPECT_FALSE(failed.load()) << "counts() snapshot went backwards";
+}
+
+// Twin wheels fed the same seeded churn; one is ticked with PerTickBookkeeping,
+// the other with AdvanceTo(now() + 1). Everything observable must agree,
+// including the op counts byte for byte.
+void ExpectOneTickIsOneTick(bool deferred) {
+  SubmitOptions submit;
+  submit.ring_capacity = 1024;
+  submit.registration_capacity = 1024;
+  auto make = [&] {
+    return deferred ? std::make_unique<ShardedWheel>(4, 16, submit)
+                    : std::make_unique<ShardedWheel>(4, 16);
+  };
+  std::unique_ptr<ShardedWheel> per_tick = make();
+  std::unique_ptr<ShardedWheel> advance = make();
+  std::vector<std::pair<RequestId, Tick>> per_tick_fires;
+  std::vector<std::pair<RequestId, Tick>> advance_fires;
+  per_tick->set_expiry_handler(
+      [&](RequestId id, Tick when) { per_tick_fires.emplace_back(id, when); });
+  advance->set_expiry_handler(
+      [&](RequestId id, Tick when) { advance_fires.emplace_back(id, when); });
+
+  rng::Xoshiro256 rng(deferred ? 7 : 3);
+  std::vector<TimerHandle> handles;  // fired and stopped ones stay: stale-handle churn
+  // 1200 ticks of churn, then ticks until both drain (bounded).
+  for (int tick = 0; tick < 1200 || (per_tick->outstanding() != 0 && tick < 4000);
+       ++tick) {
+    for (int op = 0; op < 3 && tick < 1200; ++op) {
+      const Duration interval = 1 + rng.NextBounded(100);
+      const RequestId id = static_cast<RequestId>(tick) * 8 + op;
+      const std::uint64_t kind = rng.NextBounded(8);
+      if (kind < 4 || handles.empty()) {
+        const bool periodic = kind == 3;
+        const std::uint64_t repeats = 1 + rng.NextBounded(4);
+        const StartResult a = periodic ? per_tick->StartPeriodic(interval, id, repeats)
+                                       : per_tick->StartTimer(interval, id);
+        const StartResult b = periodic ? advance->StartPeriodic(interval, id, repeats)
+                                       : advance->StartTimer(interval, id);
+        ASSERT_TRUE(a.has_value() && b.has_value());
+        ASSERT_EQ(a.value(), b.value());
+        handles.push_back(a.value());
+      } else {
+        const TimerHandle h = handles[rng.NextBounded(handles.size())];
+        if (kind < 6) {
+          ASSERT_EQ(per_tick->StopTimer(h), advance->StopTimer(h));
+        } else {
+          ASSERT_EQ(per_tick->RestartTimer(h, interval), advance->RestartTimer(h, interval));
+        }
+      }
+    }
+    ASSERT_EQ(per_tick->PerTickBookkeeping(), advance->AdvanceTo(advance->now() + 1));
+    ASSERT_EQ(per_tick->now(), advance->now());
+    ASSERT_EQ(per_tick->outstanding(), advance->outstanding());
+  }
+  EXPECT_EQ(per_tick->outstanding(), 0u) << "churn never quiesced";
+  EXPECT_FALSE(per_tick_fires.empty());
+  EXPECT_EQ(per_tick_fires, advance_fires);
+  const metrics::OpCounts a = per_tick->counts();
+  const metrics::OpCounts b = advance->counts();
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof(metrics::OpCounts)), 0)
+      << "empty_slot_checks " << a.empty_slot_checks << " vs " << b.empty_slot_checks
+      << ", slots_skipped " << a.slots_skipped << " vs " << b.slots_skipped
+      << ", batch_advances " << a.batch_advances << " vs " << b.batch_advances;
+}
+
+TEST(ShardedWheelRegressionTest, OneTickIsOneTickWhateverTheEntryPointLocked) {
+  ExpectOneTickIsOneTick(/*deferred=*/false);
+}
+
+TEST(ShardedWheelRegressionTest, OneTickIsOneTickWhateverTheEntryPointMpsc) {
+  ExpectOneTickIsOneTick(/*deferred=*/true);
 }
 
 }  // namespace

@@ -4,11 +4,15 @@
 //
 // The hot configuration is the one Appendix A.2 recommends: a ShardedWheel
 // driven by a wall-clock TickerThread while several mutator threads start and
-// stop timers, observer threads snapshot counts()/outstanding()/now(), and an
-// extra thread issues overlapping PerTickBookkeeping calls of its own (two
-// simultaneous tickers are legal: shard locks serialize per-shard sweeps and
-// expiry dispatch happens outside all locks). Every timer started must be
-// accounted for as exactly one of {fired, cancelled} by the end.
+// stop timers and observer threads snapshot counts()/outstanding()/now(). Every
+// timer started must be accounted for as exactly one of {fired, cancelled} by
+// the end.
+//
+// The clock has exactly one driver at a time: the ticker while the mutators
+// run, then — after ticker.Stop() — the test thread's manual drain. Two
+// overlapping drivers are not a legal configuration (ticker.h): each computes
+// its target from its own read of now(), so a driver whose read went stale
+// behind the other's advance asks for a tick in the past.
 
 #include <gtest/gtest.h>
 
@@ -37,14 +41,6 @@ TEST(TsanStressTest, ShardedWheelUnderTickerAndMutators) {
   std::atomic<bool> stop{false};
 
   TickerThread ticker(wheel, std::chrono::microseconds(200));
-
-  // A second, manual ticker: overlapping bookkeeping calls must stay safe.
-  std::thread second_ticker([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      wheel.PerTickBookkeeping();
-      std::this_thread::sleep_for(std::chrono::microseconds(500));
-    }
-  });
 
   std::vector<std::thread> mutators;
   for (int t = 0; t < 4; ++t) {
@@ -81,6 +77,8 @@ TEST(TsanStressTest, ShardedWheelUnderTickerAndMutators) {
   for (auto& m : mutators) {
     m.join();
   }
+  // Hand the clock over: the manual drain below must be the only driver.
+  ticker.Stop();
   // Drain: everything still live is at most 60 ticks out.
   for (int i = 0; i < 200; ++i) {
     wheel.PerTickBookkeeping();
@@ -89,8 +87,6 @@ TEST(TsanStressTest, ShardedWheelUnderTickerAndMutators) {
   for (auto& o : observers) {
     o.join();
   }
-  second_ticker.join();
-  ticker.Stop();
 
   EXPECT_EQ(fired.load() + cancelled.load(), started.load());
   EXPECT_EQ(wheel.outstanding(), 0u);
@@ -128,10 +124,11 @@ TEST(TsanStressTest, LockedServiceUnderTickerAndMutators) {
     for (auto& m : mutators) {
       m.join();
     }
+    // Hand the clock over: the manual drain below must be the only driver.
+    ticker.Stop();
     for (int i = 0; i < 100; ++i) {
       service.PerTickBookkeeping();
     }
-    ticker.Stop();
   }
 
   EXPECT_EQ(fired.load() + cancelled.load(), started.load());
