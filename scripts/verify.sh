@@ -59,6 +59,13 @@
 # steady failure. The plain leg (not --quick) therefore reruns them after the
 # full suite with `ctest -L clock --repeat until-fail:50`: each clock test must
 # pass 50 consecutive runs. CTEST_ARGS applies to the rerun too.
+#
+# The plain leg (not --quick) then runs the end-to-end benchmark briefly on
+# each workload: `python3 e2ebench/run.py --workload <w> --seed 1 --seconds 2
+# --trace 0` for retransmit, periodic and cluster. It builds Release (NDEBUG)
+# into .bench_build/ and the gate fails unless the result line says
+# "correct": true with "failed": 0 — so the benchmark's exact client model and
+# its ClusterOracle replay of the cluster trace run on an optimized build too.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -85,6 +92,23 @@ fi
 # per-config defaults and the --quick reduction.
 USER_TORTURE_EPISODES="${TWHEEL_TORTURE_EPISODES:-}"
 USER_CLUSTER_EPISODES="${TWHEEL_CLUSTER_EPISODES:-}"
+
+e2e_smoke() {
+  local workload result
+  for workload in retransmit periodic cluster; do
+    echo "=== [plain] e2ebench $workload ==="
+    result="$(python3 e2ebench/run.py --workload "$workload" --seed 1 \
+      --seconds 2 --trace 0 | tail -n 1)"
+    echo "$result"
+    if ! python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result"; then
+      echo "e2ebench $workload: incorrect result or failed operations" >&2
+      exit 1
+    fi
+  done
+  echo "=== [plain] e2ebench OK ==="
+}
 
 run_config() {
   local name="$1" build_dir="$2" episodes="$3"
@@ -119,6 +143,7 @@ for config in "${CONFIGS[@]}"; do
         ctest --test-dir build --output-on-failure -j "$JOBS" -L clock \
           --repeat until-fail:50 ${CTEST_ARGS:-}
         echo "=== [plain] clock repeat OK ==="
+        e2e_smoke
       fi ;;
     asan)
       # halt_on_error: the first report fails the test instead of scrolling by.

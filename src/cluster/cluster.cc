@@ -1,8 +1,8 @@
 #include "src/cluster/cluster.h"
 
 #include <algorithm>
-#include <cassert>
 
+#include "src/base/assert.h"
 #include "src/rng/rng.h"
 
 namespace twheel::cluster {
@@ -21,20 +21,14 @@ std::uint64_t ArmPayload(std::uint32_t gen, std::uint32_t rank,
 
 TimerCluster::TimerCluster(const ClusterConfig& config, FaultSchedule schedule)
     : config_(config), schedule_(std::move(schedule)) {
-  assert(config_.nodes > 0);
-  assert(config_.failover_delay >= 1);
-  assert(config_.retry_every >= 1);
-  // Simulator::After needs delay >= 1; clamp rather than silently losing
-  // deliveries.
-  if (config_.link.delay_lo < 1) {
-    config_.link.delay_lo = 1;
-  }
-  if (config_.link.delay_hi < config_.link.delay_lo) {
-    config_.link.delay_hi = config_.link.delay_lo;
-  }
+  TWHEEL_ASSERT_MSG(config_.nodes > 0, "a cluster needs at least one node");
+  TWHEEL_ASSERT_MSG(config_.failover_delay >= 1, "failover_delay must be >= 1");
+  // A zero cadence would re-queue every retry at now() forever.
+  TWHEEL_ASSERT_MSG(config_.retry_every >= 1, "retry_every must be >= 1");
   // Synchronous transport is the zero-fault torture mode; a schedule would
   // have nothing to act on (and nothing gates direct calls).
-  assert(!config_.synchronous_transport || schedule_.empty());
+  TWHEEL_ASSERT_MSG(!config_.synchronous_transport || schedule_.empty(),
+                    "synchronous transport takes no fault schedule");
 
   nodes_.resize(config_.nodes);
   node_epoch_seen_.assign(config_.nodes, 0);
@@ -43,9 +37,8 @@ TimerCluster::TimerCluster(const ClusterConfig& config, FaultSchedule schedule)
   }
 
   if (!config_.synchronous_transport) {
-    FacilityConfig net_config;
-    net_config.scheme = SchemeId::kScheme3Heap;
-    network_ = std::make_unique<sim::Simulator>(MakeTimerService(net_config));
+    network_ =
+        std::make_unique<sim::Simulator>(net::MakeNetworkClock(config_.link));
     rng::SplitMix64 seeder(config_.seed ^ 0x5EEDC4A77E1DULL);
     up_.resize(config_.nodes);
     down_.resize(config_.nodes);
@@ -150,18 +143,25 @@ void TimerCluster::SendNodeToNode(NodeId from, NodeId to, net::Packet packet) {
 
 // --- client ops --------------------------------------------------------------
 
-std::vector<NodeId> TimerCluster::ReplicaSetFor(
-    std::uint64_t key, std::uint32_t replication) const {
-  const std::size_t n = nodes_.size();
+NodeId TimerCluster::ReplicaStart(std::uint64_t key) const {
+  rng::SplitMix64 hash(key ^ (config_.seed * 0x9E3779B97F4A7C15ULL));
+  return static_cast<NodeId>(hash.Next() % nodes_.size());
+}
+
+std::uint32_t TimerCluster::ReplicaCount(std::uint32_t replication) const {
   std::uint32_t r = std::max<std::uint32_t>(1, replication);
   r = std::min<std::uint32_t>(r, kMaxReplication);
-  r = std::min<std::uint32_t>(r, static_cast<std::uint32_t>(n));
-  rng::SplitMix64 hash(key ^ (config_.seed * 0x9E3779B97F4A7C15ULL));
-  const NodeId start = static_cast<NodeId>(hash.Next() % n);
+  return std::min<std::uint32_t>(r, static_cast<std::uint32_t>(nodes_.size()));
+}
+
+std::vector<NodeId> TimerCluster::ReplicaSetFor(
+    std::uint64_t key, std::uint32_t replication) const {
+  const NodeId start = ReplicaStart(key);
+  const std::uint32_t count = ReplicaCount(replication);
   std::vector<NodeId> set;
-  set.reserve(r);
-  for (std::uint32_t i = 0; i < r; ++i) {
-    set.push_back(static_cast<NodeId>((start + i) % n));
+  set.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    set.push_back(static_cast<NodeId>((start + i) % nodes_.size()));
   }
   return set;
 }
@@ -175,7 +175,6 @@ bool TimerCluster::Set(std::uint64_t key, Duration interval,
   if (interval == 0) {
     return false;
   }
-  const std::vector<NodeId> set = ReplicaSetFor(key, replication);
   PendingTimer& entry = timers_[key];
   const bool was_live =
       entry.gen != 0 && entry.state == PendingTimer::State::kLive;
@@ -187,9 +186,10 @@ bool TimerCluster::Set(std::uint64_t key, Duration interval,
   }
   ++entry.gen;
   entry.deadline = now_ + interval;
-  entry.replication = static_cast<std::uint32_t>(set.size());
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    entry.replicas[i] = set[i];
+  entry.replication = ReplicaCount(replication);
+  const NodeId start = ReplicaStart(key);
+  for (std::uint32_t rank = 0; rank < entry.replication; ++rank) {
+    entry.replicas[rank] = static_cast<NodeId>((start + rank) % nodes_.size());
   }
   entry.arm_acked = 0;
   entry.disarm_acked = 0;
@@ -298,17 +298,23 @@ void TimerCluster::SendDisarms(std::uint64_t key, PendingTimer& entry) {
   }
 }
 
+void TimerCluster::PushRetry(RetryQueue& queue, Retry retry) {
+  TWHEEL_ASSERT_MSG(queue.empty() || queue.back().due <= retry.due,
+                    "retry queued out of deadline order");
+  queue.push_back(retry);
+}
+
 void TimerCluster::QueueRetry(std::uint64_t key, PendingTimer& entry) {
   if (!entry.retry_queued) {
-    retry_queue_.emplace(now_ + config_.retry_every, key);
+    PushRetry(retry_queue_, {now_ + config_.retry_every, key});
     entry.retry_queued = true;
   }
 }
 
 void TimerCluster::CoordRetryScan() {
-  while (!retry_queue_.empty() && retry_queue_.begin()->first <= now_) {
-    const std::uint64_t key = retry_queue_.begin()->second;
-    retry_queue_.erase(retry_queue_.begin());
+  while (!retry_queue_.empty() && retry_queue_.front().due <= now_) {
+    const std::uint64_t key = retry_queue_.front().key;
+    retry_queue_.pop_front();
     auto it = timers_.find(key);
     if (it == timers_.end()) {
       continue;
@@ -479,11 +485,14 @@ void TimerCluster::OnHostPop(NodeId node, std::uint64_t key) {
   const std::uint32_t gen = replica.gen;
   const std::uint32_t rank = replica.rank;
   const std::uint32_t replication = replica.replication;
-  n.notify_retry.emplace(now_ + config_.retry_every, std::make_pair(key, gen));
+  PushRetry(n.notify_retry, {now_ + config_.retry_every, key, gen});
   SendFireNotify(node, key, gen, rank, now_);
   // Best-effort lease-extension hints: peers push their takeover lease out
   // rather than cancelling it, so a lost hint can only cost a duplicate pop.
-  for (NodeId peer : ReplicaSetFor(key, replication)) {
+  const NodeId start = ReplicaStart(key);
+  const std::uint32_t count = ReplicaCount(replication);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const NodeId peer = static_cast<NodeId>((start + i) % nodes_.size());
     if (peer == node) {
       continue;
     }
@@ -632,17 +641,19 @@ void TimerCluster::NodeRetryScan(NodeId node) {
     SendToCoord(node, up);
     n.next_up_retry = now_ + config_.retry_every;
   }
-  while (!n.notify_retry.empty() && n.notify_retry.begin()->first <= now_) {
-    const auto [key, gen] = n.notify_retry.begin()->second;
-    n.notify_retry.erase(n.notify_retry.begin());
-    auto it = n.local.find(key);
-    if (it == n.local.end() || !it->second.popped || it->second.gen != gen) {
+  while (!n.notify_retry.empty() && n.notify_retry.front().due <= now_) {
+    const Retry retry = n.notify_retry.front();
+    n.notify_retry.pop_front();
+    auto it = n.local.find(retry.key);
+    if (it == n.local.end() || !it->second.popped ||
+        it->second.gen != retry.gen) {
       continue;  // resolved or superseded since the retry was queued
     }
     ++stats_.notify_retries;
-    SendFireNotify(node, key, gen, it->second.rank, it->second.pop_tick);
-    n.notify_retry.emplace(now_ + config_.retry_every,
-                           std::make_pair(key, gen));
+    SendFireNotify(node, retry.key, retry.gen, it->second.rank,
+                   it->second.pop_tick);
+    PushRetry(n.notify_retry,
+              {now_ + config_.retry_every, retry.key, retry.gen});
   }
 }
 

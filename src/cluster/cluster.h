@@ -43,11 +43,11 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
-#include <utility>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/base/types.h"
@@ -185,8 +185,10 @@ class TimerCluster {
   const ClusterStats& stats() const { return stats_; }
   std::size_t live_timers() const { return live_count_; }
 
-  // The R distinct nodes holding `key`, rank order. Pure function of
-  // (key, replication, nodes, seed) — nodes compute the same set locally.
+  // The R distinct nodes holding `key`, rank order: rank i is node
+  // (ReplicaStart(key) + i) % N for i < ReplicaCount(replication). Pure
+  // function of (key, replication, nodes, seed) — nodes compute the same set
+  // locally.
   std::vector<NodeId> ReplicaSetFor(std::uint64_t key,
                                     std::uint32_t replication) const;
 
@@ -207,6 +209,15 @@ class TimerCluster {
     std::uint32_t extensions = 0;
   };
 
+  // A retransmission due at `due`. Every push is keyed now() + retry_every
+  // (Lawn's single-TTL case), so a FIFO is already in deadline order.
+  struct Retry {
+    Tick due = 0;
+    std::uint64_t key = 0;
+    std::uint32_t gen = 0;  // Node::notify_retry only
+  };
+  using RetryQueue = std::deque<Retry>;
+
   struct Node {
     bool alive = true;
     std::uint64_t epoch = 0;
@@ -223,8 +234,8 @@ class TimerCluster {
     Tick host_base = 0;
     std::unique_ptr<TimerService> host;
     std::unordered_map<std::uint64_t, ReplicaLocal> local;
-    // Popped replicas awaiting kClusterFireAck: (due tick, key, gen).
-    std::multimap<Tick, std::pair<std::uint64_t, std::uint32_t>> notify_retry;
+    // Popped replicas awaiting kClusterFireAck.
+    RetryQueue notify_retry;
   };
 
   struct PendingTimer {
@@ -241,6 +252,11 @@ class TimerCluster {
     bool disarm_done = true;  // no disarm fan-out outstanding
     bool retry_queued = false;
   };
+
+  // Replica placement (see ReplicaSetFor).
+  NodeId ReplicaStart(std::uint64_t key) const;
+  std::uint32_t ReplicaCount(std::uint32_t replication) const;
+  static void PushRetry(RetryQueue& queue, Retry retry);
 
   // --- transport ---
   void SendToNode(NodeId to, net::Packet packet);    // coordinator -> node
@@ -279,14 +295,14 @@ class TimerCluster {
   // Coordinator state. Entries are never erased: a key's full generation
   // history stays classifiable for the whole episode.
   std::unordered_map<std::uint64_t, PendingTimer> timers_;
-  std::multimap<Tick, std::uint64_t> retry_queue_;
+  RetryQueue retry_queue_;  // coordinator arm/disarm retries
   std::size_t live_count_ = 0;
   std::size_t replica_entries_ = 0;  // sum of nodes_[i].local.size()
   std::size_t pending_disarms_ = 0;  // entries with !disarm_done
 
-  // Async transport (null in synchronous mode). One network clock carries
-  // every link; per-link seeds derive from the cluster seed so fates are
-  // independent across links but reproducible.
+  // Async transport (null in synchronous mode). One network clock
+  // (net::MakeNetworkClock) carries every link; per-link seeds derive from the
+  // cluster seed so fates are independent across links but reproducible.
   std::unique_ptr<sim::Simulator> network_;
   std::vector<std::unique_ptr<net::Channel>> up_;    // node i -> coordinator
   std::vector<std::unique_ptr<net::Channel>> down_;  // coordinator -> node i

@@ -3,6 +3,8 @@
 // Deliveries are discrete events on a *network* simulator that ticks in lockstep
 // with the host's timer module but keeps its own event set, so channel bookkeeping
 // never contaminates the op counts of the timer scheme under test (see net::Server).
+// MakeNetworkClock builds that event set for a link: a Scheme 6 hashed wheel whose
+// table exceeds the link's longest delay.
 //
 // Loss and latency are drawn by hashing the packet's identity (connection, sequence
 // number, type, send tick) with the channel seed rather than from a shared stream:
@@ -10,31 +12,63 @@
 // order-insensitive — two timer schemes that dispatch the same tick's expiries in
 // different orders still produce byte-identical network behaviour, which the
 // cross-scheme protocol tests rely on.
+//
+// In-flight packets live in a per-channel slab, so the event a Send schedules is a
+// {channel, slot} pair that std::function stores inline: delivering a packet
+// allocates nothing once the slab and the clock's record arena have grown to the
+// link's bandwidth-delay product.
 
 #ifndef TWHEEL_SRC_NET_CHANNEL_H_
 #define TWHEEL_SRC_NET_CHANNEL_H_
 
 #include <atomic>
 #include <functional>
+#include <memory>
+#include <type_traits>
 #include <utility>
 
+#include "src/base/slab_arena.h"
+#include "src/core/timer_service.h"
 #include "src/net/types.h"
 #include "src/rng/rng.h"
 #include "src/sim/simulator.h"
 
 namespace twheel::net {
 
+// The delays a Channel actually uses: delay_lo >= 1 (every scheme refuses a zero
+// interval) and delay_hi >= delay_lo.
+constexpr ChannelConfig ClampDelays(ChannelConfig config) {
+  if (config.delay_lo < 1) {
+    config.delay_lo = 1;
+  }
+  if (config.delay_hi < config.delay_lo) {
+    config.delay_hi = config.delay_lo;
+  }
+  return config;
+}
+
+// The network clock for channels on `link`: a Scheme 6 hashed wheel (unbounded
+// intervals, O(1) start and tick) whose table is the next power of two above
+// the clamped delay_hi. Every delivery then lands within one revolution, so a
+// bucket holds exactly one tick's deliveries in send order, and same-tick
+// deliveries run in send order across all channels on the clock — the order a
+// heap keyed (expiry, start sequence) gives. Hand the result to sim::Simulator.
+std::unique_ptr<TimerService> MakeNetworkClock(const ChannelConfig& link);
+
 class Channel {
  public:
   using Receiver = std::function<void(const Packet&)>;
 
+  // The delays are clamped (ClampDelays): delay_lo = 0 would make the clock
+  // refuse the delivery, and delay_hi < delay_lo would wrap the delay spread.
   Channel(sim::Simulator& network, std::uint64_t seed, ChannelConfig config)
-      : network_(network), seed_(seed), config_(config) {}
+      : network_(network), seed_(seed), config_(ClampDelays(config)) {}
 
   void set_receiver(Receiver receiver) { receiver_ = std::move(receiver); }
 
-  // Transmit: either silently dropped or delivered to the receiver after a
-  // packet-identity-determined delay in [delay_lo, delay_hi].
+  // Transmit: either dropped or delivered to the receiver after a
+  // packet-identity-determined delay in [delay_lo, delay_hi]. Every packet is
+  // counted once in sent() and, once resolved, in dropped() or delivered().
   void Send(const Packet& packet) {
     sent_.fetch_add(1, std::memory_order_relaxed);
     rng::SplitMix64 hash(seed_ ^ PacketFingerprint(packet, network_.now()));
@@ -45,10 +79,12 @@ class Channel {
     }
     const Duration spread = config_.delay_hi - config_.delay_lo + 1;
     const Duration delay = config_.delay_lo + hash.Next() % spread;
-    network_.After(delay, [this, packet] {
-      delivered_.fetch_add(1, std::memory_order_relaxed);
-      receiver_(packet);
-    });
+    const SlabRef ref = in_flight_.Allocate(packet).second;
+    if (!network_.After(delay, Delivery{this, ref}).valid()) {
+      // A capacity-capped clock refused the event: the packet is lost.
+      in_flight_.Free(ref);
+      dropped_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 
   // Counter snapshots. Send()/delivery themselves stay single-threaded by
@@ -66,6 +102,23 @@ class Channel {
   }
 
  private:
+  // The scheduled delivery event. Two words, trivially copyable: std::function
+  // keeps it in its small-object buffer instead of allocating.
+  struct Delivery {
+    Channel* channel;
+    SlabRef ref;
+    void operator()() const { channel->Deliver(ref); }
+  };
+  static_assert(sizeof(Delivery) == 16 && std::is_trivially_copyable_v<Delivery>);
+
+  void Deliver(SlabRef ref) {
+    // Copy out and free first: the receiver may Send on this channel.
+    const Packet packet = *in_flight_.Get(ref);
+    in_flight_.Free(ref);
+    delivered_.fetch_add(1, std::memory_order_relaxed);
+    receiver_(packet);
+  }
+
   // splitmix64-style finalizer: full-width multiply + xor-shift avalanche, so
   // every input bit affects every output bit.
   static std::uint64_t Mix(std::uint64_t x) {
@@ -97,6 +150,7 @@ class Channel {
   std::uint64_t seed_;
   ChannelConfig config_;
   Receiver receiver_;
+  SlabArena<Packet> in_flight_;
   std::atomic<std::uint64_t> sent_{0};
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> delivered_{0};

@@ -1,21 +1,10 @@
 #include "src/net/server.h"
 
 namespace twheel::net {
-namespace {
-
-std::unique_ptr<TimerService> MakeNetworkService() {
-  // Packet propagation events use a fixed, range-unbounded scheme so the host
-  // scheme's op counts stay pure.
-  FacilityConfig config;
-  config.scheme = SchemeId::kScheme3Heap;
-  return MakeTimerService(config);
-}
-
-}  // namespace
 
 Server::Server(const ServerConfig& config)
     : host_(MakeTimerService(config.host_scheme)),
-      network_(MakeNetworkService()),
+      network_(MakeNetworkClock(config.channel)),
       to_peer_(network_, config.seed * 2654435761u + 1, config.channel),
       from_peer_(network_, config.seed * 2654435761u + 2, config.channel) {
   connections_.reserve(config.num_connections);

@@ -1,7 +1,8 @@
 // The Section 1 server: N connections x 3 timers over lossy channels.
 //
 // Owns two lockstep simulators — the host's timer module (the scheme under test)
-// and a network event set (fixed heap scheme) — plus the two channels and all
+// and a network event set (MakeNetworkClock's fixed wheel, so channel events
+// never touch the host's op counts) — plus the two channels and all
 // connections. Step() advances one tick of simulated time everywhere. After a run,
 // host_counts() exposes exactly the op-count profile the paper's timer module would
 // have accumulated serving this workload.
@@ -49,7 +50,7 @@ class Server {
 
  private:
   sim::Simulator host_;     // scheme under test
-  sim::Simulator network_;  // packet propagation (fixed scheme)
+  sim::Simulator network_;  // packet propagation (MakeNetworkClock)
   Channel to_peer_;
   Channel from_peer_;
   std::vector<std::unique_ptr<Connection>> connections_;

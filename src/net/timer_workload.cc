@@ -4,17 +4,6 @@
 #include <utility>
 
 namespace twheel::net {
-namespace {
-
-std::unique_ptr<TimerService> MakeNetworkService() {
-  // Packet propagation uses a fixed, range-unbounded scheme so the host
-  // scheme's op counts stay pure (same choice as net::Server).
-  FacilityConfig config;
-  config.scheme = SchemeId::kScheme3Heap;
-  return MakeTimerService(config);
-}
-
-}  // namespace
 
 TimerWorkload::TimerWorkload(const TimerWorkloadConfig& config,
                              Channel& to_server)
@@ -128,7 +117,7 @@ void TimerWorkload::Prime(const std::function<void(const Packet&)>& deliver) {
 }
 
 TimerServerHarness::TimerServerHarness(const TimerServerHarnessConfig& config)
-    : network_(MakeNetworkService()),
+    : network_(MakeNetworkClock(config.channel)),
       uplink_(network_, config.seed * 2654435761u + 1, config.channel),
       downlink_(network_, config.seed * 2654435761u + 2, config.channel),
       server_(MakeTimerService(config.host_scheme), downlink_),

@@ -213,5 +213,34 @@ TEST(ClusterBasicTest, OracleRejectsADoctoredTrace) {
       << "a lost fire must fail completeness";
 }
 
+// Configuration checks stay on in NDEBUG builds (TWHEEL_ASSERT_MSG, not
+// <cassert>): with retry_every = 0 an unchecked cluster re-queues every retry
+// at now() and its first Step never returns.
+TEST(ClusterConfigDeathTest, ZeroNodesAborts) {
+  ClusterConfig config;
+  config.nodes = 0;
+  EXPECT_DEATH(TimerCluster cluster(config), "at least one node");
+}
+
+TEST(ClusterConfigDeathTest, ZeroFailoverDelayAborts) {
+  ClusterConfig config;
+  config.failover_delay = 0;
+  EXPECT_DEATH(TimerCluster cluster(config), "failover_delay");
+}
+
+TEST(ClusterConfigDeathTest, ZeroRetryCadenceAborts) {
+  ClusterConfig config;
+  config.retry_every = 0;
+  EXPECT_DEATH(TimerCluster cluster(config), "retry_every");
+}
+
+TEST(ClusterConfigDeathTest, SynchronousTransportWithFaultsAborts) {
+  ClusterConfig config;
+  config.synchronous_transport = true;
+  FaultSchedule schedule;
+  schedule.events.push_back({5, FaultKind::kKill, 0});
+  EXPECT_DEATH(TimerCluster cluster(config, schedule), "no fault schedule");
+}
+
 }  // namespace
 }  // namespace twheel::cluster

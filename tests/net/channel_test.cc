@@ -1,5 +1,6 @@
 // Channel-level tests: packet-identity hashing (order insensitivity), loss-rate
-// statistics, and delay bounds.
+// statistics, delay bounds, packet accounting, and the network clock's
+// same-tick delivery order.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/hashed_wheel_unsorted.h"
 #include "src/core/timer_facility.h"
 #include "src/net/channel.h"
 
@@ -216,6 +218,130 @@ TEST(ChannelTest, DifferentSeedsDifferentFates) {
     return channel.dropped();
   };
   EXPECT_NE(run(1001), run(1002));
+}
+
+TEST(ChannelTest, DegenerateDelayWindowsAreClamped) {
+  // Regressions. delay_lo = 0 was handed to the clock, which refuses a zero
+  // interval, so the packet was counted as sent but never as dropped or
+  // delivered (65 of these 100 arrived). delay_hi < delay_lo wrapped the
+  // unsigned spread into huge delays. Channel now clamps the window to
+  // [max(lo, 1), max(hi, lo)].
+  struct Case {
+    Duration lo, hi, want_lo, want_hi;
+  };
+  for (const Case& c : {Case{0, 2, 1, 2}, Case{5, 2, 5, 5}}) {
+    auto network = MakeNetSim();
+    ChannelConfig config;
+    config.loss_probability = 0.0;
+    config.delay_lo = c.lo;
+    config.delay_hi = c.hi;
+    Channel channel(*network, 6, config);
+    std::vector<Tick> deliveries;
+    channel.set_receiver([&](const Packet&) { deliveries.push_back(network->now()); });
+    for (std::uint64_t seq = 0; seq < 100; ++seq) {
+      channel.Send(Packet{0, seq, PacketType::kData});
+    }
+    network->RunUntilIdle(100);
+    EXPECT_EQ(network->pending(), 0u) << "delay " << c.lo << ".." << c.hi;
+    EXPECT_EQ(channel.dropped(), 0u);
+    EXPECT_EQ(channel.sent(), channel.delivered());
+    ASSERT_EQ(deliveries.size(), 100u);
+    for (Tick t : deliveries) {
+      EXPECT_GE(t, c.want_lo);
+      EXPECT_LE(t, c.want_hi);
+    }
+  }
+}
+
+TEST(ChannelTest, PacketRefusedByAFullClockCountsAsDropped) {
+  // A capacity-capped clock refuses events beyond its cap; each refused packet
+  // must land in dropped(), so sent() == dropped() + delivered() still holds.
+  FacilityConfig clock;
+  clock.scheme = SchemeId::kScheme3Heap;
+  clock.max_timers = 4;
+  sim::Simulator network(MakeTimerService(clock));
+  ChannelConfig config;
+  config.loss_probability = 0.0;
+  config.delay_lo = 3;
+  config.delay_hi = 3;
+  Channel channel(network, 8, config);
+  std::vector<std::uint64_t> received;
+  channel.set_receiver([&](const Packet& p) { received.push_back(p.seq); });
+  for (std::uint64_t seq = 0; seq < 10; ++seq) {
+    channel.Send(Packet{0, seq, PacketType::kData});
+  }
+  EXPECT_EQ(channel.dropped(), 6u);
+  network.RunUntilIdle();
+  EXPECT_EQ(received, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(channel.sent(), channel.dropped() + channel.delivered());
+  // The refused packets' slots were freed: the channel keeps working.
+  channel.Send(Packet{0, 99, PacketType::kData});
+  network.RunUntilIdle();
+  EXPECT_EQ(received.back(), 99u);
+}
+
+TEST(NetworkClockTest, TableIsTheNextPowerOfTwoAboveTheLongestDelay) {
+  struct Case {
+    Duration lo, hi;
+    std::size_t table;
+  };
+  for (const Case& c : {Case{1, 1, 2}, Case{1, 2, 4}, Case{2, 3, 4}, Case{1, 4, 8},
+                        Case{2, 10, 16}, Case{0, 0, 2}, Case{6, 2, 8}}) {
+    ChannelConfig link;
+    link.delay_lo = c.lo;
+    link.delay_hi = c.hi;
+    std::unique_ptr<TimerService> clock = MakeNetworkClock(link);
+    ASSERT_EQ(clock->name(), "scheme6-hashed-unsorted");
+    EXPECT_EQ(static_cast<const HashedWheelUnsorted&>(*clock).table_size(), c.table)
+        << "delay " << c.lo << ".." << c.hi;
+  }
+}
+
+TEST(NetworkClockTest, SameTickDeliveriesRunInSendOrderAcrossChannels) {
+  // Three channels share one clock. Packets sent on the same tick, on any mix
+  // of channels, must reach their receivers in send order — the order a heap
+  // clock's start-sequence tiebreak gives, and what keeps a run's trace
+  // unchanged when the clock's scheme changes. Delays 3 and 4 wrap the
+  // 4- and 8-slot tables, and receivers send too (in-delivery sends).
+  for (const Duration delay : {Duration{1}, Duration{3}, Duration{4}}) {
+    ChannelConfig link;
+    link.loss_probability = 0.0;
+    link.delay_lo = delay;
+    link.delay_hi = delay;
+    sim::Simulator network(MakeNetworkClock(link));
+    std::vector<std::unique_ptr<Channel>> channels;
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+      channels.push_back(std::make_unique<Channel>(network, 100 + seed, link));
+    }
+    std::vector<std::uint64_t> sent;
+    std::vector<std::uint64_t> log;
+    std::uint64_t next_seq = 0;
+    auto send = [&](std::uint32_t channel) {
+      sent.push_back(next_seq);
+      channels[channel]->Send(Packet{channel, next_seq++, PacketType::kData});
+    };
+    for (std::uint32_t c = 0; c < 3; ++c) {
+      channels[c]->set_receiver([&, c](const Packet& p) {
+        log.push_back(p.seq);
+        if (p.seq % 5 == 0 && next_seq < 4000) {
+          send((c + 1) % 3);
+        }
+      });
+    }
+    for (Tick t = 0; t < 40; ++t) {
+      for (std::uint32_t i = 0; i < 30; ++i) {
+        send((i * 7 + static_cast<std::uint32_t>(t)) % 3);
+      }
+      network.Step();
+    }
+    network.RunUntilIdle();
+    // Every packet is delivered exactly `delay` ticks after its send, so the
+    // delivery log is the send log exactly when same-tick order is kept.
+    EXPECT_EQ(log, sent) << "delay " << delay;
+    for (const auto& channel : channels) {
+      EXPECT_EQ(channel->sent(), channel->delivered());
+    }
+  }
 }
 
 }  // namespace
