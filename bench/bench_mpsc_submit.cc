@@ -1,36 +1,27 @@
-// Experiment mpsc-submit: producer-side cost of the deferred-registration path.
+// Experiment mpsc-submit: producer-side cost of ShardedWheel's lock-free
+// (MPSC) submission path.
 //
-// Appendix A.2 argues for sharded locks; the MPSC submission runtime goes one
-// step further and removes the shard mutex from the producer path entirely —
-// StartTimer/StopTimer become lock-free ring enqueues drained by the tick
-// driver. The benchmark runs the ROADMAP's deployment shape (millions of live
-// timers) rather than a toy wheel, because that is where the two submit paths
-// genuinely diverge:
-//
-//   * locked submission must walk INTO the wheel on the producer thread: every
-//     start hashes to a random slot of a multi-hundred-MB structure and edits
-//     that slot's intrusive list under the shard mutex — two or three cache
-//     misses per op that no amount of sharding removes;
-//   * deferred submission touches only the hot per-shard ring and registration
-//     table; and a start/stop pair whose cancel commits before the drain never
-//     touches the wheel at all (the drain reclaims the entry with one CAS), so
-//     short-lived timers — the common case for I/O timeouts — elide the cold
-//     structure entirely.
+// Appendix A.2 argues for sharded locks; ShardedWheel goes one step further
+// and keeps the shard mutex off the producer path entirely — StartTimer and
+// StopTimer are lock-free ring enqueues drained by the tick driver. The
+// benchmark runs the deployment shape (millions of live timers) rather than a
+// toy wheel: each op touches only the hot per-shard ring and registration
+// table, and a start/stop pair whose cancel commits before the drain never
+// touches the multi-hundred-MB wheel at all (the drain reclaims the entry with
+// one CAS), so short-lived timers — the common case for I/O timeouts — elide
+// the cold structure entirely.
 //
 // Deployment shape: a driver thread hot-loops batched AdvanceTo (1/16 of a
-// lap per call; in MPSC mode each call also drains the rings), while 1/2/4/8
-// producer threads hammer start/stop pairs:
-//
-//   locked    ShardedWheel(4, 1<<18)           each op locks a shard and edits
-//                                              a random cold slot
-//   deferred  ShardedWheel(4, 1<<18, submit)   each op is a lock-free ring
-//                                              enqueue (SubmitPolicy::kSpin, so
-//                                              backpressure blocks rather than
-//                                              rejects and every iteration does
-//                                              real work)
+// lap per call, each call also draining the rings), while 1/2/4/8 producer
+// threads hammer start/stop pairs against ShardedWheel(4, 1<<18, submit) under
+// SubmitPolicy::kSpin, so backpressure blocks rather than rejects and every
+// iteration does real work.
 //
 // scripts/bench_record.sh records this binary into BENCH_mpsc_submit.json and
-// prints the locked-vs-deferred speedup per producer count.
+// prints deferred ops/s per producer count. The committed file also holds the
+// rows of a locked submission path (each op locked a shard and edited a random
+// cold slot) that the wheel no longer has; they are history, not a live
+// comparison.
 
 #include <benchmark/benchmark.h>
 
@@ -65,25 +56,32 @@ void Preload(concurrent::ShardedWheel& service) {
     // the slot comes from the random low bits alone.
     (void)service.StartTimer(kPreloadBase + gen.NextBounded(kWheelSize), i);
     if ((i & 1023) == 1023) {
-      service.DrainSubmissions();  // no-op in locked mode; in MPSC mode keeps
-                                   // the rings from filling before the driver
-                                   // thread exists
+      service.DrainSubmissions();  // keeps the rings from filling before the
+                                   // driver thread exists
     }
   }
   service.DrainSubmissions();
 }
 
-template <typename Make>
-void RunSubmit(benchmark::State& state, Make make) {
+std::unique_ptr<concurrent::ShardedWheel> MakeWheel() {
+  concurrent::SubmitOptions submit;
+  submit.ring_capacity = 1 << 18;
+  // Per shard: its share of the preload plus a full ring of in-flight starts.
+  submit.registration_capacity = 1 << 21;
+  submit.on_full = concurrent::SubmitPolicy::kSpin;
+  return std::make_unique<concurrent::ShardedWheel>(kShards, kWheelSize, submit);
+}
+
+void BM_SubmitDeferred(benchmark::State& state) {
   if (state.thread_index() == 0) {
-    g_service = make();
+    g_service = MakeWheel();
     Preload(*g_service);
     g_stop_driver.store(false, std::memory_order_relaxed);
     g_driver = std::thread([] {
       // Hot tick loop in bounded batches (1/16 of a lap per AdvanceTo, so a
       // shard lock is held for one batch sweep at a time, not a whole lap):
       // the deployment tick path, continuously sweeping the live population
-      // and (in MPSC mode) draining the rings at every batch boundary.
+      // and draining the rings at every batch boundary.
       while (!g_stop_driver.load(std::memory_order_relaxed)) {
         g_service->AdvanceTo(g_service->now() + kWheelSize / 16);
       }
@@ -103,30 +101,8 @@ void RunSubmit(benchmark::State& state, Make make) {
   }
 }
 
-void BM_SubmitLocked(benchmark::State& state) {
-  RunSubmit(state, [] {
-    return std::make_unique<concurrent::ShardedWheel>(kShards, kWheelSize);
-  });
-}
-
-void BM_SubmitDeferred(benchmark::State& state) {
-  RunSubmit(state, [] {
-    concurrent::SubmitOptions submit;
-    submit.ring_capacity = 1 << 18;
-    // Per shard: its share of the preload plus a full ring of in-flight starts.
-    submit.registration_capacity = 1 << 21;
-    submit.on_full = concurrent::SubmitPolicy::kSpin;
-    return std::make_unique<concurrent::ShardedWheel>(kShards, kWheelSize,
-                                                      submit);
-  });
-}
-
 }  // namespace
 
-BENCHMARK(BM_SubmitLocked)
-    ->ThreadRange(1, 8)
-    ->UseRealTime()
-    ->Name("mpsc_submit/locked");
 BENCHMARK(BM_SubmitDeferred)
     ->ThreadRange(1, 8)
     ->UseRealTime()

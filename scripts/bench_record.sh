@@ -6,9 +6,9 @@
 #   sparse_tick   BENCH_sparse_tick.json — loop-vs-batched tick advancement
 #                 (*_Loop = one PerTickBookkeeping call per tick, *_Batched =
 #                 one occupancy-bitmap AdvanceTo per span) per wheel scheme.
-#   mpsc_submit   BENCH_mpsc_submit.json — locked vs. deferred (MPSC ring)
-#                 start/stop submission throughput at 1/2/4/8 producer threads
-#                 against a driver thread sweeping a 4Mi-timer wheel.
+#   mpsc_submit   BENCH_mpsc_submit.json — deferred (MPSC ring) start/stop
+#                 submission throughput at 1/2/4/8 producer threads against a
+#                 driver thread sweeping a 4Mi-timer wheel.
 #   restart       BENCH_restart.json — in-place RestartTimer vs the
 #                 StopTimer+StartTimer fallback: tight relink loop and
 #                 TCP-retransmission replay per scheme single-threaded, plus
@@ -156,28 +156,23 @@ import sys
 with open(sys.argv[1]) as f:
     data = json.load(f)
 
-# rows[(mode, threads)] = items_per_second; prefer the *_mean rows when
+# rows[threads] = items_per_second; prefer the *_mean rows when
 # benchmark_repetitions > 1 adds aggregates.
 rows = {}
 for b in data.get("benchmarks", []):
     name = b["name"]
     if name.endswith(("_median", "_stddev", "_cv")):
         continue
-    m = re.match(r"mpsc_submit/(locked|deferred)/real_time/threads:(\d+)", name)
+    m = re.match(r"mpsc_submit/deferred/real_time/threads:(\d+)", name)
     if not m or "items_per_second" not in b:
         continue
-    key = (m.group(1), int(m.group(2)))
+    key = int(m.group(1))
     if name.endswith("_mean") or key not in rows:
         rows[key] = b["items_per_second"]
 
-print(f"{'producers':<12}{'locked ops/s':>16}{'deferred ops/s':>18}{'speedup':>10}")
-for threads in sorted({t for (_, t) in rows}):
-    locked = rows.get(("locked", threads))
-    deferred = rows.get(("deferred", threads))
-    if locked is None or deferred is None:
-        continue
-    print(f"{threads:<12}{locked:>16,.0f}{deferred:>18,.0f}"
-          f"{deferred / locked:>9.1f}x")
+print(f"{'producers':<12}{'deferred ops/s':>18}")
+for threads in sorted(rows):
+    print(f"{threads:<12}{rows[threads]:>18,.0f}")
 PYEOF
 fi
 

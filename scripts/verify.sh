@@ -60,8 +60,11 @@
 # full suite with `ctest -L clock --repeat until-fail:50`: each clock test must
 # pass 50 consecutive runs. CTEST_ARGS applies to the rerun too.
 #
-# The plain leg (not --quick) then runs the end-to-end benchmark briefly on
-# each workload: `python3 e2ebench/run.py --workload <w> --seed 1 --seconds 2
+# The plain leg (not --quick) then runs the Appendix A.2 experiment once,
+# briefly (`build/bench/bench_appA2_smp --benchmark_min_time=0.01`; the gate
+# fails on a non-zero exit), so the paper experiment that exercises the
+# library's thread-safety wrappers runs on every gate, not just builds. It
+# then runs the end-to-end benchmark briefly on each workload: `python3 e2ebench/run.py --workload <w> --seed 1 --seconds 2
 # --trace 0` for retransmit, periodic and cluster. It builds Release (NDEBUG)
 # into .bench_build/ and the gate fails unless the result line says
 # "correct": true with "failed": 0 — so the benchmark's exact client model and
@@ -143,6 +146,9 @@ for config in "${CONFIGS[@]}"; do
         ctest --test-dir build --output-on-failure -j "$JOBS" -L clock \
           --repeat until-fail:50 ${CTEST_ARGS:-}
         echo "=== [plain] clock repeat OK ==="
+        echo "=== [plain] bench_appA2_smp ==="
+        build/bench/bench_appA2_smp --benchmark_min_time=0.01
+        echo "=== [plain] bench_appA2_smp OK ==="
         e2e_smoke
       fi ;;
     asan)

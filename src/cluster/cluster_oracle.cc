@@ -4,6 +4,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "src/net/channel.h"
+
 namespace twheel::cluster {
 namespace {
 
@@ -26,8 +28,10 @@ ClusterOracle::ClusterOracle(const ClusterConfig& config,
       static_cast<Duration>(config.replication_factor - 1 +
                             kMaxLeaseExtensions) *
       config.failover_delay;
-  const Duration retry_tail =
-      kRetryBudget * config.retry_every + 2 * config.link.delay_hi;
+  // The channels clamp their delays (delay_hi is raised to delay_lo), so the
+  // worst delay is the clamped delay_hi, not the configured one.
+  const Duration retry_tail = kRetryBudget * config.retry_every +
+                              2 * net::ClampDelays(config.link).delay_hi;
   delivery_slack_ = retry_tail + schedule.total_outage + 4;
   slop_ = failover_ladder + schedule.total_outage + retry_tail + 4;
 }

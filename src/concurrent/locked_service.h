@@ -5,16 +5,20 @@
 // Processor A inserts a timer into the ordered list other processors cannot process
 // timer module routines until Processor A finishes and releases its semaphore."
 //
-// LockedService is that single semaphore: one mutex around any TimerService. Wrapped
-// around Scheme 2 it reproduces the serialization the appendix criticizes — the
-// lock is held for the full O(n) insertion scan; wrapped around Scheme 6 the
-// critical sections are O(1) but still globally serialized. ShardedWheel (sharded
-// locks) is the contrast the appendix says Schemes 5-7 are suited for.
+// LockedService is that single semaphore: one mutex around any TimerService, so a
+// timer is visible the moment StartTimer returns. Wrapped around Scheme 2 it
+// reproduces the serialization the appendix criticizes — the lock is held for the
+// full O(n) insertion scan; wrapped around Scheme 6 the critical sections are O(1)
+// but still globally serialized; and sixteen of them around sixteen Scheme 6 wheels
+// are the independent locks the appendix says Schemes 5-7 are suited for
+// (bench_appA2_smp's three rows). It is one of the library's two thread-safety
+// wrappers; ShardedWheel, the other, takes locks off the producer path entirely.
 //
 // Expiry handlers run with the lock held; handlers must not call back into the
 // service from another thread's perspective (same-thread reentrancy would deadlock a
-// std::mutex, so handlers must not start/stop timers on *this* wrapper — use the
-// collect-then-dispatch pattern of ShardedWheel when that is needed).
+// std::mutex, so handlers must not start/stop timers, or even read now(), on *this*
+// wrapper — use ShardedWheel, which dispatches outside its locks, when that is
+// needed).
 
 #ifndef TWHEEL_SRC_CONCURRENT_LOCKED_SERVICE_H_
 #define TWHEEL_SRC_CONCURRENT_LOCKED_SERVICE_H_

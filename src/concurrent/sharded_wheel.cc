@@ -19,26 +19,15 @@ ShardedWheel::Shard::~Shard() {
   }
 }
 
-ShardedWheel::ShardedWheel(std::size_t shards, std::size_t table_size) {
-  Construct(shards, table_size, nullptr);
-}
-
 ShardedWheel::ShardedWheel(std::size_t shards, std::size_t table_size,
                            const SubmitOptions& submit) {
-  Construct(shards, table_size, &submit);
-}
-
-void ShardedWheel::Construct(std::size_t shards, std::size_t table_size,
-                             const SubmitOptions* submit) {
   TWHEEL_ASSERT_MSG(IsPowerOfTwo(shards) && shards >= 1 && shards <= 256,
                     "shard count must be a power of two in [1, 256]");
   shards_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->wheel = std::make_unique<HashedWheelUnsorted>(table_size);
-    if (submit != nullptr) {
-      shard->submit = std::make_unique<ShardSubmitQueue>(*submit);
-    }
+    shard->submit = std::make_unique<ShardSubmitQueue>(submit);
     // Install the collector exactly once, pointing at storage that lives as long
     // as the shard itself. Installing a lambda that captures a tick-local vector
     // would leave the wheel's handler dangling after the tick returns — any expiry
@@ -56,67 +45,45 @@ void ShardedWheel::Construct(std::size_t shards, std::size_t table_size,
 StartResult ShardedWheel::StartTimer(Duration interval, RequestId request_id) {
   const std::uint32_t index = static_cast<std::uint32_t>(
       next_shard_.fetch_add(1, std::memory_order_relaxed) & (shards_.size() - 1));
-  Shard& shard = *shards_[index];
-  if (shard.submit != nullptr) {
-    client_starts_.fetch_add(1, std::memory_order_relaxed);
-    if (interval == 0) {
-      return TimerError::kZeroInterval;  // match the inner wheel's policy
-    }
-    // Lock-free path: capture the absolute deadline now, enqueue the command.
-    // A tick racing this call may advance the clock before the command drains;
-    // the drain then registers the remaining interval (min 1), so the timer
-    // fires at max(deadline, drain tick + 1).
-    const Tick deadline = now_.load(std::memory_order_acquire) + interval;
-    StartResult result = shard.submit->SubmitStart(request_id, deadline);
-    if (!result.has_value()) {
-      return result;
-    }
-    live_.fetch_add(1, std::memory_order_relaxed);
-    const TimerHandle local = result.value();
-    return TimerHandle{(index << kShardShift) | local.slot, local.generation};
+  client_starts_.fetch_add(1, std::memory_order_relaxed);
+  if (interval == 0) {
+    return TimerError::kZeroInterval;  // match the inner wheel's policy
   }
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  StartResult result = shard.wheel->StartTimer(interval, request_id);
+  // Capture the absolute deadline now, enqueue the command. A tick racing this
+  // call may advance the clock before the command drains; the drain then
+  // registers the remaining interval (min 1), so the timer fires at
+  // max(deadline, drain tick + 1).
+  const Tick deadline = now_.load(std::memory_order_acquire) + interval;
+  StartResult result = shards_[index]->submit->SubmitStart(request_id, deadline);
   if (!result.has_value()) {
     return result;
   }
-  TimerHandle inner = result.value();
-  TWHEEL_ASSERT_MSG(inner.slot <= kSlotMask, "shard exceeded 2^24 concurrent timers");
-  return TimerHandle{(index << kShardShift) | inner.slot, inner.generation};
+  live_.fetch_add(1, std::memory_order_relaxed);
+  const TimerHandle local = result.value();
+  return TimerHandle{(index << kShardShift) | local.slot, local.generation};
 }
 
 StartResult ShardedWheel::StartPeriodic(Duration interval, RequestId request_id,
                                         std::uint64_t repeat_for) {
   const std::uint32_t index = static_cast<std::uint32_t>(
       next_shard_.fetch_add(1, std::memory_order_relaxed) & (shards_.size() - 1));
-  Shard& shard = *shards_[index];
-  if (shard.submit != nullptr) {
-    client_starts_.fetch_add(1, std::memory_order_relaxed);
-    if (interval == 0) {
-      return TimerError::kZeroInterval;  // match the inner wheel's policy
-    }
-    // Same lock-free path as StartTimer; the cadence and repeat budget travel
-    // in the registration entry, and the word carries the sticky periodic bit
-    // (see ShardSubmitQueue::SubmitStartPeriodic).
-    const Tick deadline = now_.load(std::memory_order_acquire) + interval;
-    StartResult result = shard.submit->SubmitStartPeriodic(
-        request_id, deadline, interval, repeat_for);
-    if (!result.has_value()) {
-      return result;
-    }
-    live_.fetch_add(1, std::memory_order_relaxed);
-    client_periodic_starts_.fetch_add(1, std::memory_order_relaxed);
-    const TimerHandle local = result.value();
-    return TimerHandle{(index << kShardShift) | local.slot, local.generation};
+  client_starts_.fetch_add(1, std::memory_order_relaxed);
+  if (interval == 0) {
+    return TimerError::kZeroInterval;  // match the inner wheel's policy
   }
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  StartResult result = shard.wheel->StartPeriodic(interval, request_id, repeat_for);
+  // Same path as StartTimer; the cadence and repeat budget travel in the
+  // registration entry, and the word carries the sticky periodic bit (see
+  // ShardSubmitQueue::SubmitStartPeriodic).
+  const Tick deadline = now_.load(std::memory_order_acquire) + interval;
+  StartResult result = shards_[index]->submit->SubmitStartPeriodic(
+      request_id, deadline, interval, repeat_for);
   if (!result.has_value()) {
     return result;
   }
-  TimerHandle inner = result.value();
-  TWHEEL_ASSERT_MSG(inner.slot <= kSlotMask, "shard exceeded 2^24 concurrent timers");
-  return TimerHandle{(index << kShardShift) | inner.slot, inner.generation};
+  live_.fetch_add(1, std::memory_order_relaxed);
+  client_periodic_starts_.fetch_add(1, std::memory_order_relaxed);
+  const TimerHandle local = result.value();
+  return TimerHandle{(index << kShardShift) | local.slot, local.generation};
 }
 
 TimerError ShardedWheel::StopTimer(TimerHandle handle) {
@@ -127,23 +94,17 @@ TimerError ShardedWheel::StopTimer(TimerHandle handle) {
   if (index >= shards_.size()) {
     return TimerError::kNoSuchTimer;
   }
-  Shard& shard = *shards_[index];
-  if (shard.submit != nullptr) {
-    // Client-view attempt count (the locked inner wheels count every attempt
-    // that reaches them; see counts()).
-    client_stops_.fetch_add(1, std::memory_order_relaxed);
-    // Lock-free path: the CAS inside SubmitCancel is the commit point; kOk
-    // means the timer can no longer fire, whether or not its start command has
-    // even drained yet (pending-cancel reconciliation).
-    const TimerError err =
-        shard.submit->SubmitCancel(handle.slot & kSlotMask, handle.generation);
-    if (err == TimerError::kOk) {
-      live_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    return err;
+  // Client-view attempt count (see counts()).
+  client_stops_.fetch_add(1, std::memory_order_relaxed);
+  // The CAS inside SubmitCancel is the commit point; kOk means the timer can no
+  // longer fire, whether or not its start command has even drained yet
+  // (pending-cancel reconciliation).
+  const TimerError err = shards_[index]->submit->SubmitCancel(
+      handle.slot & kSlotMask, handle.generation);
+  if (err == TimerError::kOk) {
+    live_.fetch_sub(1, std::memory_order_relaxed);
   }
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  return shard.wheel->StopTimer(TimerHandle{handle.slot & kSlotMask, handle.generation});
+  return err;
 }
 
 TimerError ShardedWheel::RestartTimer(TimerHandle handle, Duration new_interval) {
@@ -154,36 +115,26 @@ TimerError ShardedWheel::RestartTimer(TimerHandle handle, Duration new_interval)
   if (index >= shards_.size()) {
     return TimerError::kNoSuchTimer;
   }
-  Shard& shard = *shards_[index];
-  if (shard.submit != nullptr) {
-    if (new_interval == 0) {
-      return TimerError::kZeroInterval;  // match the inner wheel's policy
-    }
-    // Lock-free path: capture the new absolute deadline and commit via the
-    // entry word (reserve-commit-publish, see SubmitRestart). A restart is
-    // neither a start nor a cancel, so live_ is untouched either way.
-    const Tick deadline = now_.load(std::memory_order_acquire) + new_interval;
-    const TimerError err = shard.submit->SubmitRestart(
-        handle.slot & kSlotMask, handle.generation, deadline);
-    if (err == TimerError::kOk) {
-      client_restarts_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return err;
+  if (new_interval == 0) {
+    return TimerError::kZeroInterval;  // match the inner wheel's policy
   }
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  return shard.wheel->RestartTimer(
-      TimerHandle{handle.slot & kSlotMask, handle.generation}, new_interval);
+  // Capture the new absolute deadline and commit via the entry word
+  // (reserve-commit-publish, see SubmitRestart). A restart is neither a start
+  // nor a cancel, so live_ is untouched either way.
+  const Tick deadline = now_.load(std::memory_order_acquire) + new_interval;
+  const TimerError err = shards_[index]->submit->SubmitRestart(
+      handle.slot & kSlotMask, handle.generation, deadline);
+  if (err == TimerError::kOk) {
+    client_restarts_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return err;
 }
 
 std::size_t ShardedWheel::DrainSubmissions() {
   std::size_t total = 0;
   for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    if (shard.submit == nullptr) {
-      return 0;
-    }
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    total += shard.submit->Drain(*shard.wheel);
+    std::lock_guard<std::mutex> lock(shard_ptr->mutex);
+    total += shard_ptr->submit->Drain(*shard_ptr->wheel);
   }
   return total;
 }
@@ -225,19 +176,12 @@ void ShardedWheel::StepShard(Shard& shard, Tick target,
   // Drain before advancing: a start whose enqueue completed before this step
   // is registered before any slot it could land in is crossed, which is what
   // makes the NextExpiryHint contract sound for callers that jump.
-  if (shard.submit != nullptr) {
-    shard.submit->Drain(*shard.wheel);
-  }
+  shard.submit->Drain(*shard.wheel);
   const Tick inner_now = shard.wheel->now();
   if (inner_now + 1 == target) {
     shard.wheel->PerTickBookkeeping();
   } else if (inner_now < target) {
     shard.wheel->AdvanceTo(target);
-  }
-  if (shard.submit == nullptr) {
-    fires.insert(fires.end(), shard.collected.begin(), shard.collected.end());
-    shard.collected.clear();
-    return;
   }
   // Claim while still holding the shard mutex: every fire is committed against
   // its registration word before any handler runs or the batch becomes visible
@@ -400,12 +344,10 @@ std::optional<Tick> ShardedWheel::NextExpiryHint() const {
     }
   };
   for (const auto& shard_ptr : shards_) {
-    if (shard_ptr->submit != nullptr) {
-      // Pending (not-yet-drained) submissions first: EarliestPending is never
-      // later than the deadline of any submission completed before this call,
-      // so the merged hint cannot skip past one.
-      fold(shard_ptr->submit->EarliestPending());
-    }
+    // Pending (not-yet-drained) submissions first: EarliestPending is never
+    // later than the deadline of any submission completed before this call,
+    // so the merged hint cannot skip past one.
+    fold(shard_ptr->submit->EarliestPending());
     std::lock_guard<std::mutex> lock(shard_ptr->mutex);
     fold(shard_ptr->wheel->NextExpiryHint());
   }
@@ -423,59 +365,47 @@ bool ShardedWheel::FastForward(Tick target) {
 }
 
 std::size_t ShardedWheel::outstanding() const {
-  if (deferred()) {
-    // Started minus {fired, cancelled}; counts timers still awaiting their
-    // drain as outstanding (the client holds a live handle for them).
-    return static_cast<std::size_t>(live_.load(std::memory_order_relaxed));
-  }
-  std::size_t total = 0;
-  for (const auto& shard_ptr : shards_) {
-    std::lock_guard<std::mutex> lock(shard_ptr->mutex);
-    total += shard_ptr->wheel->outstanding();
-  }
-  return total;
+  // Started minus {fired, cancelled}; counts timers still awaiting their drain
+  // as outstanding (the client holds a live handle for them).
+  return static_cast<std::size_t>(live_.load(std::memory_order_relaxed));
 }
 
 metrics::OpCounts ShardedWheel::counts() const {
   metrics::OpCounts merged;
   for (const auto& shard_ptr : shards_) {
-    if (shard_ptr->submit != nullptr) {
-      merged.enqueued_starts += shard_ptr->submit->enqueued_starts();
-      merged.drained_commands += shard_ptr->submit->drained_commands();
-      merged.submit_retries += shard_ptr->submit->submit_retries();
-      merged.restart_coalesced += shard_ptr->submit->coalesced_restarts();
-    }
+    merged.enqueued_starts += shard_ptr->submit->enqueued_starts();
+    merged.drained_commands += shard_ptr->submit->drained_commands();
+    merged.submit_retries += shard_ptr->submit->submit_retries();
+    merged.restart_coalesced += shard_ptr->submit->coalesced_restarts();
     std::lock_guard<std::mutex> lock(shard_ptr->mutex);
     merged += shard_ptr->wheel->counts();
   }
   // Ticks are per-shard internally; report wall ticks.
   merged.ticks = now_.load(std::memory_order_relaxed);
-  if (deferred()) {
-    // Report the client's view of START_TIMER: the inner wheels only see the
-    // drained registrations (and never see cancelled-before-drain starts).
-    merged.start_calls = client_starts_.load(std::memory_order_relaxed);
-    // Same for restarts: one committed client restart may surface in the inner
-    // wheels as a relink, a relink-after-suppressed-fire (a fresh inner
-    // start), or nothing at all (cancelled before its command drained).
-    merged.restart_calls = client_restarts_.load(std::memory_order_relaxed);
-    // And for periodic registrations (the off-cadence first-fire relink at
-    // drain is bookkeeping, not a client restart — it is already excluded by
-    // the restart_calls override above).
-    merged.periodic_starts = client_periodic_starts_.load(std::memory_order_relaxed);
-    // Client-view deliveries and stop attempts: the inner wheels count ghost
-    // expiries (a cancelled timer whose prompt removal lost the race to its
-    // own collection — the claim suppresses the fire, but the inner wheel
-    // already counted it) and only the drained removal commands. Under N
-    // concurrent drainers those races are routine, so the snapshot reports the
-    // claim-point counters instead; with them the conservation law
-    //   start_calls == expiries + successful cancels + outstanding
-    // is exact at quiesce whenever no start was rejected, no matter how many
-    // drainers raced (each start resolves exactly once as a delivered final
-    // fire, a committed cancel, or a live registration).
-    merged.expiries = client_expiries_.load(std::memory_order_relaxed);
-    merged.periodic_fires = client_fired_laps_.load(std::memory_order_relaxed);
-    merged.stop_calls = client_stops_.load(std::memory_order_relaxed);
-  }
+  // Report the client's view of START_TIMER: the inner wheels only see the
+  // drained registrations (and never see cancelled-before-drain starts).
+  merged.start_calls = client_starts_.load(std::memory_order_relaxed);
+  // Same for restarts: one committed client restart may surface in the inner
+  // wheels as a relink, a relink-after-suppressed-fire (a fresh inner start),
+  // or nothing at all (cancelled before its command drained).
+  merged.restart_calls = client_restarts_.load(std::memory_order_relaxed);
+  // And for periodic registrations (the off-cadence first-fire relink at drain
+  // is bookkeeping, not a client restart — it is already excluded by the
+  // restart_calls override above).
+  merged.periodic_starts = client_periodic_starts_.load(std::memory_order_relaxed);
+  // Client-view deliveries and stop attempts: the inner wheels count ghost
+  // expiries (a cancelled timer whose prompt removal lost the race to its own
+  // collection — the claim suppresses the fire, but the inner wheel already
+  // counted it) and only the drained removal commands. Under N concurrent
+  // drainers those races are routine, so the snapshot reports the claim-point
+  // counters instead; with them the conservation law
+  //   start_calls == expiries + successful cancels + outstanding
+  // is exact at quiesce whenever no start was rejected, no matter how many
+  // drainers raced (each start resolves exactly once as a delivered final
+  // fire, a committed cancel, or a live registration).
+  merged.expiries = client_expiries_.load(std::memory_order_relaxed);
+  merged.periodic_fires = client_fired_laps_.load(std::memory_order_relaxed);
+  merged.stop_calls = client_stops_.load(std::memory_order_relaxed);
   merged.dispatch_batches = dispatch_batches_.load(std::memory_order_relaxed);
   merged.dispatch_steals = dispatch_steals_.load(std::memory_order_relaxed);
   return merged;
@@ -484,9 +414,7 @@ metrics::OpCounts ShardedWheel::counts() const {
 TimerService::SpaceProfile ShardedWheel::Space() const {
   SpaceProfile profile;
   for (const auto& shard_ptr : shards_) {
-    if (shard_ptr->submit != nullptr) {
-      profile.fixed_bytes += shard_ptr->submit->FixedBytes();
-    }
+    profile.fixed_bytes += shard_ptr->submit->FixedBytes();
     std::lock_guard<std::mutex> lock(shard_ptr->mutex);
     SpaceProfile shard_profile = shard_ptr->wheel->Space();
     profile.fixed_bytes += shard_profile.fixed_bytes;

@@ -1,34 +1,33 @@
-// Sharded-lock hashed wheel for symmetric multiprocessors (Appendix A.2).
+// Sharded hashed wheel with lock-free submission, for symmetric multiprocessors
+// (Appendix A.2).
 //
 // "Scheme 5, 6, and 7 seem suited for implementation in symmetric multiprocessors"
 // because their critical sections are O(1) and independent: this class runs K
-// independent Scheme 6 wheels, each behind its own mutex. START_TIMER picks a shard
-// round-robin and locks only it; STOP_TIMER decodes the shard from the handle and
-// locks only it. Contention falls by ~K versus a single global lock, which the
-// bench_appA2_smp benchmark measures against LockedService around Scheme 2 (the
-// appendix's criticized single-semaphore configuration).
-//
-// PER_TICK_BOOKKEEPING ticks every shard, collecting expiries under each shard's
-// lock but dispatching the client's ExpiryHandler after release, so handlers may
-// freely start and stop timers. Every entry point — PerTickBookkeeping, AdvanceTo
-// and the DispatchPool's AdvanceShard — runs the same per-shard step, so one tick
-// costs the same counted work whichever of them delivers it.
-//
-// Deferred-registration (MPSC) mode — the three-argument constructor — removes
-// the shard mutex from the producer path entirely: StartTimer/StopTimer become
-// lock-free enqueues of start/cancel commands onto a per-shard bounded MPSC ring
-// (src/concurrent/submission.h), which the tick driver drains at tick/batch
-// boundaries *before* advancing, while it already holds each shard's mutex. A
+// independent Scheme 6 wheels, each behind its own mutex, and keeps that mutex off
+// the producer path entirely. StartTimer/StopTimer/RestartTimer are lock-free
+// enqueues of commands onto the shard's bounded MPSC ring
+// (src/concurrent/submission.h): a start picks a shard round-robin, a stop or
+// restart decodes it from the handle. The tick driver drains each ring at
+// tick/batch boundaries *before* advancing, while it holds that shard's mutex. A
 // timer becomes visible to the wheel at that drain; it still fires at exactly
 // `now-at-StartTimer + interval` whenever its command drains before that tick is
 // crossed (drain-before-advance guarantees this for any submission that completed
 // before the AdvanceTo/PerTickBookkeeping call began), and at the first tick
-// after the drain otherwise. Driven single-threaded, the mode is observationally
-// equivalent to the locked mode — every differential-oracle test runs both.
+// after the drain otherwise. Driven single-threaded, it is equivalent to the
+// oracle — every differential-oracle test runs it.
 //
-// Handles encode the shard in the top byte of the slot index; each shard may hold
-// up to 2^24 concurrent timers (locked mode: inner arena slot; MPSC mode:
-// registration-table index, bounded by SubmitOptions::registration_capacity).
+// Every tick entry point — PerTickBookkeeping, AdvanceTo and the DispatchPool's
+// AdvanceShard — runs the same per-shard step (drain, advance, claim under the
+// shard's lock) and dispatches the client's ExpiryHandler after release, so
+// handlers may freely start and stop timers, and one tick costs the same counted
+// work whichever entry point delivers it.
+//
+// The library's other thread-safety wrapper, LockedService, makes timers visible
+// as soon as they are started; bench_appA2_smp builds the appendix's
+// independent-lock row from sixteen of them.
+//
+// Handles encode the shard in the top byte of the slot index; each shard holds up
+// to SubmitOptions::registration_capacity (at most 2^24) concurrent timers.
 
 #ifndef TWHEEL_SRC_CONCURRENT_SHARDED_WHEEL_H_
 #define TWHEEL_SRC_CONCURRENT_SHARDED_WHEEL_H_
@@ -48,57 +47,50 @@ namespace twheel::concurrent {
 
 class ShardedWheel final : public TimerService {
  public:
-  // Locked mode: `shards` must be a power of two in [1, 256]; `table_size` is
-  // per-shard.
-  ShardedWheel(std::size_t shards, std::size_t table_size);
-  // Deferred-registration mode: same wheel geometry plus a per-shard submission
-  // runtime (ring + registration table) configured by `submit`.
+  // `shards` must be a power of two in [1, 256]; `table_size` is per shard, and
+  // `submit` sizes each shard's command ring and registration table.
   ShardedWheel(std::size_t shards, std::size_t table_size,
                const SubmitOptions& submit);
 
-  // Locked mode: registers under the shard mutex. MPSC mode: lock-free — mints
-  // a generation-checked handle, captures `now() + interval` as the absolute
-  // deadline, and enqueues a start command; kNoCapacity under
+  // Lock-free: mints a generation-checked handle, captures `now() + interval`
+  // as the absolute deadline, and enqueues a start command; kNoCapacity under
   // SubmitPolicy::kReject when the shard's ring or table is full.
   StartResult StartTimer(Duration interval, RequestId request_id) final;
-  // Periodic registration. Locked mode: forwards to the inner wheel under the
-  // shard mutex (the inner record re-arms itself in place on every non-final
-  // fire, so the handle survives between fires). MPSC mode: lock-free — the
-  // registration entry carries a sticky periodic bit plus the cadence, the
-  // inner wheel is registered with the true repeat budget at drain, and each
-  // collected fire resolves against the entry word: non-final fires claim by
-  // bumping the word's fire-epoch bits (handle and generation preserved),
-  // the final fire claims and reclaims like a one-shot expiry.
+  // Periodic registration, lock-free: the registration entry carries a sticky
+  // periodic bit plus the cadence, the inner wheel is registered with the true
+  // repeat budget at drain, and each collected fire resolves against the entry
+  // word: non-final fires claim by bumping the word's fire-epoch bits (handle
+  // and generation preserved), the final fire claims and reclaims like a
+  // one-shot expiry.
   StartResult StartPeriodic(Duration interval, RequestId request_id,
                             std::uint64_t repeat_for = kRepeatForever) final;
-  // Locked mode: removes under the shard mutex. MPSC mode: lock-free — commits
-  // the cancel with one CAS (the result is authoritative: kOk means the timer
-  // will never fire) and enqueues a best-effort prompt-removal command.
+  // Lock-free: commits the cancel with one CAS (the result is authoritative:
+  // kOk means the timer will never fire) and enqueues a best-effort
+  // prompt-removal command.
   TimerError StopTimer(TimerHandle handle) final;
-  // Locked mode: in-place relink under the shard mutex (the inner Scheme 6
-  // wheel's O(1) RestartTimer). MPSC mode: lock-free — reserves a ring cell,
-  // commits with one CAS on the entry word, then publishes a kRestart command
-  // carrying `now() + new_interval` into the reserved cell (see
-  // ShardSubmitQueue::SubmitRestart). kOk is authoritative:
-  // the timer cannot fire at its old deadline and the handle stays valid; a
-  // restart losing the word to a fire or cancel gets kNoSuchTimer, so
-  // restart-vs-fire resolves exactly once. A restart whose start command has
-  // not drained yet coalesces onto the same registration entry.
+  // Lock-free: reserves a ring cell, commits with one CAS on the entry word,
+  // then publishes a kRestart command carrying `now() + new_interval` into the
+  // reserved cell (see ShardSubmitQueue::SubmitRestart); the drain relinks the
+  // inner Scheme 6 record in place. kOk is authoritative: the timer cannot fire
+  // at its old deadline and the handle stays valid; a restart losing the word
+  // to a fire or cancel gets kNoSuchTimer, so restart-vs-fire resolves exactly
+  // once. A restart whose start command has not drained yet coalesces onto the
+  // same registration entry.
   TimerError RestartTimer(TimerHandle handle, Duration new_interval) final;
   // One tick is a one-tick AdvanceTo: the shard step ticks each inner wheel
   // with its own PerTickBookkeeping, so the counts match a per-tick loop.
   std::size_t PerTickBookkeeping() final { return AdvanceTo(now() + 1); }
   // Batched tick advancement: one lock acquisition per shard per *batch* instead
   // of per tick, with each shard's inner wheel jumping its dead slots via the
-  // occupancy bitmap. In MPSC mode each shard's submission ring is drained
-  // under that same lock acquisition, before the shard advances — so no start
+  // occupancy bitmap. Each shard's submission ring is drained under that same
+  // lock acquisition, before the shard advances — so no start
   // whose enqueue completed before this call can be skipped past. Every
   // shard's expiries are claimed before any handler runs; a multi-tick batch
   // is re-merged into chronological order (FIFO within a tick) before
   // dispatch outside the locks.
   std::size_t AdvanceTo(Tick target) final;
-  // Minimum of the shards' hints; in MPSC mode also folds in each shard's
-  // pending-submission deadline minimum, so a hint taken after a completed
+  // Minimum of the shards' hints, folding in each shard's pending-submission
+  // deadline minimum, so a hint taken after a completed
   // StartTimer is never later than that timer's deadline even though its
   // command has not drained yet. Concurrent starts *during* the scan can still
   // make the hint stale-late; AdvanceTo/FastForward stay correct regardless
@@ -109,16 +101,13 @@ class ShardedWheel final : public TimerService {
   Tick now() const final { return now_.load(std::memory_order_relaxed); }
   std::size_t outstanding() const final;
   // Snapshot merged across shards; by value so nothing shared escapes the locks.
-  // MPSC mode adds the submission counters (enqueued_starts, drained_commands,
-  // submit_retries).
+  // Client-view counts (see the atomics below) plus the submission counters
+  // (enqueued_starts, drained_commands, submit_retries, restart_coalesced).
   metrics::OpCounts counts() const final;
-  std::string_view name() const final {
-    return deferred() ? "scheme6-sharded-mpsc" : "scheme6-sharded";
-  }
+  std::string_view name() const final { return "scheme6-sharded-mpsc"; }
   void set_expiry_handler(ExpiryHandler handler) final;
 
   std::size_t num_shards() const { return shards_.size(); }
-  bool deferred() const { return shards_[0]->submit != nullptr; }
 
   // ---- Concurrent per-shard advancement (the DispatchPool protocol) ----
   //
@@ -167,14 +156,14 @@ class ShardedWheel final : public TimerService {
     return dispatch_order_violations_.load(std::memory_order_relaxed);
   }
 
-  // MPSC mode: drain every shard's command ring into its wheel without
-  // advancing the clock (each shard under its own mutex). Returns commands
-  // consumed. Exposed for tests and for drivers that want registration latency
-  // tighter than their tick period. No-op in locked mode.
+  // Drain every shard's command ring into its wheel without advancing the
+  // clock (each shard under its own mutex). Returns commands consumed. Exposed
+  // for tests and for drivers that want registration latency tighter than
+  // their tick period.
   std::size_t DrainSubmissions();
 
-  // Sum of the shards' structures; per-record needs match Scheme 6's. MPSC
-  // mode adds the rings and registration tables to fixed_bytes.
+  // Sum of the shards' structures, rings and registration tables included in
+  // fixed_bytes; per-record needs match Scheme 6's.
   SpaceProfile Space() const final;
 
  private:
@@ -205,7 +194,7 @@ class ShardedWheel final : public TimerService {
     // appends here) during shard destruction.
     std::vector<std::pair<RequestId, Tick>> collected;
     std::unique_ptr<HashedWheelUnsorted> wheel;
-    // Deferred-registration runtime; nullptr in locked mode.
+    // The shard's command ring and registration table.
     std::unique_ptr<ShardSubmitQueue> submit;
 
     // ---- DispatchPool state ----
@@ -228,17 +217,15 @@ class ShardedWheel final : public TimerService {
     ~Shard();  // frees batches left on the stack (defensive; Stop() drains)
   };
 
-  void Construct(std::size_t shards, std::size_t table_size,
-                 const SubmitOptions* submit);
   // The one per-shard tick step, run with the shard's mutex held: drain the
-  // submission ring (MPSC mode), advance the inner wheel to the absolute tick
-  // `target` (PerTickBookkeeping for one tick, AdvanceTo for more, nothing if
-  // the shard is already there), then claim the collected expiries against
-  // their registration words in place and append the survivors to `fires`.
-  // Claiming before the caller dispatches ANY handler commits a tick's expiry
-  // set when the tick begins (a handler stopping a same-tick sibling gets
-  // kNoSuchTimer, matching the oracle and the locked mode). Never dispatches;
-  // the caller publishes the shard cursor.
+  // submission ring, advance the inner wheel to the absolute tick `target`
+  // (PerTickBookkeeping for one tick, AdvanceTo for more, nothing if the shard
+  // is already there), then claim the collected expiries against their
+  // registration words in place and append the survivors to `fires`. Claiming
+  // before the caller dispatches ANY handler commits a tick's expiry set when
+  // the tick begins (a handler stopping a same-tick sibling gets kNoSuchTimer,
+  // matching the oracle). Never dispatches; the caller publishes the shard
+  // cursor.
   void StepShard(Shard& shard, Tick target,
                  std::vector<std::pair<RequestId, Tick>>& fires);
   std::size_t Dispatch(const std::vector<std::pair<RequestId, Tick>>& fires);
@@ -246,27 +233,27 @@ class ShardedWheel final : public TimerService {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> next_shard_{0};
   std::atomic<Tick> now_{0};
-  // MPSC mode: started minus {fired, cancelled}, maintained without locks.
+  // Started minus {fired, cancelled}, maintained without locks.
   std::atomic<std::uint64_t> live_{0};
-  // MPSC mode: client-level StartTimer invocations (including rejects). The
-  // inner wheels count start_calls only at drain, and a cancelled-before-drain
-  // start never reaches them, so counts() reports this instead.
+  // Client-level StartTimer invocations (including rejects). The inner wheels
+  // count start_calls only at drain, and a cancelled-before-drain start never
+  // reaches them, so counts() reports this instead.
   std::atomic<std::uint64_t> client_starts_{0};
-  // MPSC mode: committed (kOk) RestartTimer calls; the client-level analogue
-  // of restart_calls (inner wheels only see the drained relinks).
+  // Committed (kOk) RestartTimer calls; the client-level analogue of
+  // restart_calls (inner wheels only see the drained relinks).
   std::atomic<std::uint64_t> client_restarts_{0};
-  // MPSC mode: successful client StartPeriodic calls (the inner wheels count
+  // Successful client StartPeriodic calls (the inner wheels count
   // periodic_starts only at drain).
   std::atomic<std::uint64_t> client_periodic_starts_{0};
-  // MPSC mode: client-visible deliveries and stop attempts. The inner wheels'
-  // expiries include suppressed ghost fires (a cancelled timer whose prompt
-  // removal lost the race to its own expiry), and their stop_calls only count
-  // drained removal commands, so a counts() snapshot built from inner totals
-  // cannot satisfy the conservation law under concurrent drainers. These count
+  // Client-visible deliveries and stop attempts. The inner wheels' expiries
+  // include suppressed ghost fires (a cancelled timer whose prompt removal lost
+  // the race to its own expiry), and their stop_calls only count drained
+  // removal commands, so a counts() snapshot built from inner totals cannot
+  // satisfy the conservation law under concurrent drainers. These count
   // at the claim / submit commit points instead: client_expiries_ on
   // kDeliverFinal (one-shot fires and final periodic laps), client_fired_laps_
   // on kDeliver (non-final laps), client_stops_ on every StopTimer attempt —
-  // the same semantics the locked inner wheels give those fields.
+  // the semantics a single-threaded scheme gives those fields.
   std::atomic<std::uint64_t> client_expiries_{0};
   std::atomic<std::uint64_t> client_fired_laps_{0};
   std::atomic<std::uint64_t> client_stops_{0};

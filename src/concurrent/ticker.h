@@ -9,7 +9,7 @@
 // wall clock (src/workload/ reads one only to time benchmark runs).
 //
 // The driven service is anything with `now()` and `AdvanceTo(Tick)`: a
-// TimerService (LockedService, ShardedWheel in either mode), a DispatchPool —
+// TimerService (LockedService, ShardedWheel), a DispatchPool —
 // whose drainers then deliver each catch-up chunk on N cores — or a
 // net::TimerServer. It must be thread-safe if any other thread starts/stops
 // timers concurrently. Scheduling delays are absorbed by catch-up: the ticker

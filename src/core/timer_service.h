@@ -131,8 +131,8 @@ class TimerService {
   // no driver running), the conservation law
   //   start_calls == expiries + successful cancels + outstanding
   // holds exactly whenever no start was rejected, no matter how many drainers
-  // raced (the deferred wheel reports claim-point client-view counters, not the
-  // inner wheels' ghost-inflated totals — see ShardedWheel::counts()).
+  // raced (ShardedWheel reports claim-point client-view counters, not its inner
+  // wheels' ghost-inflated totals — see ShardedWheel::counts()).
   virtual metrics::OpCounts counts() const = 0;
   virtual std::string_view name() const = 0;
 

@@ -54,9 +54,9 @@ namespace twheel::metrics {
   /* Number of batched AdvanceTo invocations that took a bitmap fast path (the          \
      default loop implementation does not count here). */                               \
   X(batch_advances)                                                                     \
-  /* Deferred-registration submission runtime (concurrent::ShardedWheel in MPSC         \
-     mode). Start commands accepted into a per-shard submission ring; the client        \
-     saw kOk but the wheel sees the timer only at the next drain. */                    \
+  /* Deferred-registration submission runtime (concurrent::ShardedWheel's lock-free     \
+     submission). Start commands accepted into a per-shard submission ring; the         \
+     client saw kOk but the wheel sees the timer only at the next drain. */             \
   X(enqueued_starts)                                                                    \
   /* Commands (starts and cancels) the tick driver has consumed from the rings. */      \
   X(drained_commands)                                                                   \

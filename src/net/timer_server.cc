@@ -167,19 +167,10 @@ void TimerServer::StopDispatchPool() {
 
 TimerServerStats TimerServer::stats() const {
   TimerServerStats snapshot;
-  snapshot.sets = stats_.sets.load(std::memory_order_relaxed);
-  snapshot.periodic_sets = stats_.periodic_sets.load(std::memory_order_relaxed);
-  snapshot.replaced = stats_.replaced.load(std::memory_order_relaxed);
-  snapshot.rejected = stats_.rejected.load(std::memory_order_relaxed);
-  snapshot.restarts = stats_.restarts.load(std::memory_order_relaxed);
-  snapshot.restart_misses =
-      stats_.restart_misses.load(std::memory_order_relaxed);
-  snapshot.cancels = stats_.cancels.load(std::memory_order_relaxed);
-  snapshot.cancel_misses = stats_.cancel_misses.load(std::memory_order_relaxed);
-  snapshot.fires_sent = stats_.fires_sent.load(std::memory_order_relaxed);
-  snapshot.periodic_laps = stats_.periodic_laps.load(std::memory_order_relaxed);
-  snapshot.decode_rejects =
-      stats_.decode_rejects.load(std::memory_order_relaxed);
+#define TWHEEL_TIMER_SERVER_STAT_LOAD(name) \
+  snapshot.name = stats_.name.load(std::memory_order_relaxed);
+  TWHEEL_TIMER_SERVER_STAT_FIELDS(TWHEEL_TIMER_SERVER_STAT_LOAD)
+#undef TWHEEL_TIMER_SERVER_STAT_LOAD
   return snapshot;
 }
 

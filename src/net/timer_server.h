@@ -60,19 +60,38 @@ constexpr std::uint32_t CookieTimer(RequestId cookie) {
   return static_cast<std::uint32_t>(cookie);
 }
 
+// Every server counter, declared once, in declaration order:
+// TWHEEL_TIMER_SERVER_STAT_FIELDS(X) expands X(name) for each field, and the
+// snapshot struct, the server's atomic mirror and the stats() copy between them
+// are all generated from it.
+#define TWHEEL_TIMER_SERVER_STAT_FIELDS(X)                                    \
+  X(sets)           /* one-shot registrations accepted */                     \
+  X(periodic_sets)  /* periodic registrations accepted */                     \
+  X(replaced)       /* duplicate set replaced a live timer */                 \
+  X(rejected)       /* host refused (capacity/range) */                       \
+  X(restarts)       /* kTimerRestart applied */                               \
+  X(restart_misses) /* kTimerRestart for an unknown timer */                  \
+  X(cancels)        /* kTimerCancel applied */                                \
+  X(cancel_misses)  /* kTimerCancel for an unknown timer */                   \
+  X(fires_sent)     /* kTimerFire callbacks handed to the channel */          \
+  X(periodic_laps)  /* fires that left the registration armed */              \
+  X(decode_rejects) /* OnWire buffers that failed DecodePacket */
+
 struct TimerServerStats {
-  std::uint64_t sets = 0;            // one-shot registrations accepted
-  std::uint64_t periodic_sets = 0;   // periodic registrations accepted
-  std::uint64_t replaced = 0;        // duplicate set replaced a live timer
-  std::uint64_t rejected = 0;        // host refused (capacity/range)
-  std::uint64_t restarts = 0;        // kTimerRestart applied
-  std::uint64_t restart_misses = 0;  // kTimerRestart for an unknown timer
-  std::uint64_t cancels = 0;         // kTimerCancel applied
-  std::uint64_t cancel_misses = 0;   // kTimerCancel for an unknown timer
-  std::uint64_t fires_sent = 0;      // kTimerFire callbacks handed to the channel
-  std::uint64_t periodic_laps = 0;   // fires that left the registration armed
-  std::uint64_t decode_rejects = 0;  // OnWire buffers that failed DecodePacket
+#define TWHEEL_TIMER_SERVER_STAT_DECLARE(name) std::uint64_t name = 0;
+  TWHEEL_TIMER_SERVER_STAT_FIELDS(TWHEEL_TIMER_SERVER_STAT_DECLARE)
+#undef TWHEEL_TIMER_SERVER_STAT_DECLARE
 };
+
+// A field declared outside TWHEEL_TIMER_SERVER_STAT_FIELDS would be missed by
+// the atomic mirror and the snapshot copy.
+#define TWHEEL_TIMER_SERVER_STAT_ONE(name) +1
+static_assert(sizeof(TimerServerStats) ==
+                  (0 TWHEEL_TIMER_SERVER_STAT_FIELDS(TWHEEL_TIMER_SERVER_STAT_ONE)) *
+                      sizeof(std::uint64_t),
+              "declare every TimerServerStats field in "
+              "TWHEEL_TIMER_SERVER_STAT_FIELDS");
+#undef TWHEEL_TIMER_SERVER_STAT_ONE
 
 class TimerServer {
  public:
@@ -152,17 +171,9 @@ class TimerServer {
   Stripe stripes_[kStripes];
 
   struct AtomicStats {
-    std::atomic<std::uint64_t> sets{0};
-    std::atomic<std::uint64_t> periodic_sets{0};
-    std::atomic<std::uint64_t> replaced{0};
-    std::atomic<std::uint64_t> rejected{0};
-    std::atomic<std::uint64_t> restarts{0};
-    std::atomic<std::uint64_t> restart_misses{0};
-    std::atomic<std::uint64_t> cancels{0};
-    std::atomic<std::uint64_t> cancel_misses{0};
-    std::atomic<std::uint64_t> fires_sent{0};
-    std::atomic<std::uint64_t> periodic_laps{0};
-    std::atomic<std::uint64_t> decode_rejects{0};
+#define TWHEEL_TIMER_SERVER_STAT_ATOMIC(name) std::atomic<std::uint64_t> name{0};
+    TWHEEL_TIMER_SERVER_STAT_FIELDS(TWHEEL_TIMER_SERVER_STAT_ATOMIC)
+#undef TWHEEL_TIMER_SERVER_STAT_ATOMIC
   };
   AtomicStats stats_;
 

@@ -195,7 +195,7 @@ void RaceProducer(TimerService& sut, const TortureOptions& options,
 // service. `advance` is called by the sole clock-driving thread.
 void QuiesceAfterRace(TimerService& sut, const TortureOptions& options,
                       TortureReport& report) {
-  // One batch of max_interval + 2 drains every queued command (deferred mode
+  // One batch of max_interval + 2 drains every queued command (ShardedWheel
   // drains before advancing) and fires every one-shot it registers; a periodic
   // started at the very end of the race still owes its whole budget of laps,
   // up to periodic_repeat_max * max_interval further ticks. Loop a few times

@@ -56,10 +56,12 @@
 // spacing) are unchanged: all laps of one cookie belong to one shard, whose
 // dispatch stays serial under the batch-rights CAS even when stolen.
 //
-// The driver is scheme-agnostic (any thread-safe TimerService works; the locked
-// ShardedWheel and LockedService satisfy the same invariants with "visible
-// immediately" as the degenerate visibility point) but was built to trust the
-// deferred-registration runtime of concurrent::ShardedWheel.
+// The driver was built to trust the deferred-registration runtime of
+// concurrent::ShardedWheel, and every suite runs it on one. Another thread-safe
+// TimerService qualifies only if its expiry handlers may call back into it: the
+// driver's handler reads sut.now() on every fire. LockedService runs handlers
+// under its own lock, so it deadlocks on its first expiry and cannot be run
+// here.
 
 #ifndef TWHEEL_SRC_VERIFY_CONCURRENT_DRIVER_H_
 #define TWHEEL_SRC_VERIFY_CONCURRENT_DRIVER_H_

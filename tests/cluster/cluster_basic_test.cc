@@ -213,6 +213,21 @@ TEST(ClusterBasicTest, OracleRejectsADoctoredTrace) {
       << "a lost fire must fail completeness";
 }
 
+// Channels raise delay_hi to delay_lo, so an inverted link window is as slow as
+// the clamped one and the oracle's bounds must match it.
+TEST(ClusterBasicTest, OracleSlopReadsTheClampedLinkWindow) {
+  ClusterConfig inverted;
+  inverted.link.delay_lo = 5;
+  inverted.link.delay_hi = 2;
+  ClusterConfig clamped;
+  clamped.link.delay_lo = 5;
+  clamped.link.delay_hi = 5;
+  const ClusterOracle a(inverted, {});
+  const ClusterOracle b(clamped, {});
+  EXPECT_EQ(a.slop_bound(), b.slop_bound());
+  EXPECT_EQ(a.delivery_slack(), b.delivery_slack());
+}
+
 // Configuration checks stay on in NDEBUG builds (TWHEEL_ASSERT_MSG, not
 // <cassert>): with retry_every = 0 an unchecked cluster re-queues every retry
 // at now() and its first Step never returns.

@@ -1,5 +1,8 @@
 // Appendix A.2: thread-safe wrappers. Functional correctness under concurrent
 // start/stop churn for both the global-lock wrapper and the sharded wheel.
+// The sharded wheels here run under kReject with rings and tables large enough
+// for every command a test issues between drains: several tests never drain
+// while their producers run, and a kSpin producer would then wait forever.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +17,12 @@
 
 namespace twheel::concurrent {
 namespace {
+
+SubmitOptions Roomy() {
+  return {.ring_capacity = 4096,
+          .registration_capacity = 4096,
+          .on_full = SubmitPolicy::kReject};
+}
 
 TEST(LockedServiceTest, BehavesLikeInnerService) {
   LockedService service(std::make_unique<SortedListTimers>());
@@ -32,7 +41,7 @@ TEST(LockedServiceTest, BehavesLikeInnerService) {
 }
 
 TEST(ShardedWheelTest, SingleThreadedContract) {
-  ShardedWheel wheel(4, 64);
+  ShardedWheel wheel(4, 64, Roomy());
   std::vector<std::pair<Tick, RequestId>> fired;
   wheel.set_expiry_handler([&](RequestId id, Tick when) { fired.push_back({when, id}); });
   auto a = wheel.StartTimer(5, 1);
@@ -51,7 +60,7 @@ TEST(ShardedWheelTest, SingleThreadedContract) {
 }
 
 TEST(ShardedWheelTest, HandlesRoundRobinAcrossShards) {
-  ShardedWheel wheel(4, 64);
+  ShardedWheel wheel(4, 64, Roomy());
   std::vector<TimerHandle> handles;
   for (RequestId id = 0; id < 8; ++id) {
     auto r = wheel.StartTimer(50, id);
@@ -69,7 +78,7 @@ TEST(ShardedWheelTest, HandlesRoundRobinAcrossShards) {
 
 TEST(ShardedWheelTest, ExpiryHandlerMayReArm) {
   // Dispatch happens outside shard locks, so handlers can start timers.
-  ShardedWheel wheel(2, 16);
+  ShardedWheel wheel(2, 16, Roomy());
   int fires = 0;
   wheel.set_expiry_handler([&](RequestId id, Tick) {
     if (++fires < 5) {
@@ -79,6 +88,30 @@ TEST(ShardedWheelTest, ExpiryHandlerMayReArm) {
   ASSERT_TRUE(wheel.StartTimer(3, 0).has_value());
   wheel.AdvanceBy(15);
   EXPECT_EQ(fires, 5);
+}
+
+// The constructor's guards stay on in NDEBUG builds (TWHEEL_ASSERT_MSG): a
+// non-power-of-two shard count would break the round-robin mask, more than 256
+// shards would overflow the handle's shard byte, and the ring and table need
+// room for at least two entries.
+TEST(ShardedWheelDeathTest, ShardCountNotAPowerOfTwoAborts) {
+  EXPECT_DEATH(ShardedWheel(3, 64, Roomy()), "shard count must be a power of two");
+}
+
+TEST(ShardedWheelDeathTest, ShardCountAbove256Aborts) {
+  EXPECT_DEATH(ShardedWheel(512, 64, Roomy()), "shard count must be a power of two");
+}
+
+TEST(ShardedWheelDeathTest, RegistrationCapacityBelowTwoAborts) {
+  SubmitOptions submit = Roomy();
+  submit.registration_capacity = 1;
+  EXPECT_DEATH(ShardedWheel(1, 64, submit), "registration capacity must be in");
+}
+
+TEST(ShardedWheelDeathTest, RingCapacityNotAPowerOfTwoAborts) {
+  SubmitOptions submit = Roomy();
+  submit.ring_capacity = 3;
+  EXPECT_DEATH(ShardedWheel(1, 64, submit), "ring capacity must be a power of two");
 }
 
 template <typename MakeService>
@@ -114,7 +147,7 @@ void ConcurrentChurn(MakeService make) {
   EXPECT_EQ(started.load(), kThreads * kOpsPerThread);
   // Half of each thread's timers were stopped immediately; ticking must drain the
   // rest without corruption. (No ticks ran concurrently in this test; tick-vs-start
-  // interleaving is exercised by the SMP bench.)
+  // interleaving is exercised by StartsDuringTicks and the torture suites.)
   std::size_t remaining = service->outstanding();
   EXPECT_EQ(remaining, started.load() - stopped.load());
   std::size_t total_expired = 0;
@@ -132,12 +165,12 @@ TEST(ConcurrencyChurnTest, LockedSortedList) {
 }
 
 TEST(ConcurrencyChurnTest, ShardedWheelFourShards) {
-  ConcurrentChurn([] { return std::make_unique<ShardedWheel>(16, 128); });
+  ConcurrentChurn([] { return std::make_unique<ShardedWheel>(16, 128, Roomy()); });
 }
 
 TEST(ConcurrencyChurnTest, StartsDuringTicks) {
   // One thread ticks continuously while others start/stop; counts must balance.
-  ShardedWheel wheel(8, 64);
+  ShardedWheel wheel(8, 64, Roomy());
   std::atomic<std::uint64_t> fired{0};
   wheel.set_expiry_handler([&](RequestId, Tick) { fired.fetch_add(1); });
   std::atomic<bool> stop_ticking{false};

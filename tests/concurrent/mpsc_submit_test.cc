@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/concurrent/sharded_wheel.h"
+#include "src/core/hashed_wheel_unsorted.h"
 
 namespace twheel::concurrent {
 namespace {
@@ -260,9 +261,10 @@ TEST(MpscSubmitTest, HintFallsBackToInnerWheelAfterDrain) {
 }
 
 TEST(MpscSubmitTest, SpaceIncludesSubmissionStructures) {
-  ShardedWheel locked(2, 64);
-  ShardedWheel deferred(2, 64, Generous());
-  EXPECT_GT(deferred.Space().fixed_bytes, locked.Space().fixed_bytes)
+  ShardedWheel wheel(2, 64, Generous());
+  const std::size_t per_shard = HashedWheelUnsorted(64).Space().fixed_bytes +
+                                ShardSubmitQueue(Generous()).FixedBytes();
+  EXPECT_EQ(wheel.Space().fixed_bytes, 2 * per_shard)
       << "rings and registration tables must be accounted";
 }
 

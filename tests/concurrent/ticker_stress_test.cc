@@ -24,7 +24,10 @@ namespace {
 using std::chrono::steady_clock;
 
 TEST(TickerStressTest, SlowExpiryHandlersDoNotHoldStopHostage) {
-  ShardedWheel wheel(1, 64);
+  ShardedWheel wheel(1, 64,
+                     {.ring_capacity = 1024,
+                      .registration_capacity = 1024,
+                      .on_full = SubmitPolicy::kReject});
   // Every fired timer sleeps 2 ms in its handler and re-arms at interval 1, so
   // once seeded the wheel owes ~population * 2 ms of handler time per simulated
   // tick — at a 100 µs period the ticker is permanently in catch-up, and the
@@ -114,7 +117,10 @@ class BookkeepingProbe final : public TimerService {
 };
 
 TEST(TickerStressTest, NoBookkeepingCallRunsAfterStopReturns) {
-  ShardedWheel wheel(1, 64);
+  ShardedWheel wheel(1, 64,
+                     {.ring_capacity = 1024,
+                      .registration_capacity = 1024,
+                      .on_full = SubmitPolicy::kReject});
   std::atomic<std::uint64_t> fired{0};
   // A mildly slow handler keeps the ticker inside catch-up bursts so Stop() is
   // very likely to interrupt one mid-burst — the interesting case.

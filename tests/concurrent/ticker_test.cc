@@ -46,7 +46,12 @@ TEST(TickerThreadTest, TimersFireUnderWallClockDrive) {
 }
 
 TEST(TickerThreadTest, ConcurrentStartsWhileTicking) {
-  ShardedWheel wheel(4, 64);
+  // Rings and tables hold every command even if the ticker never drains, so
+  // kReject can never refuse a start here.
+  ShardedWheel wheel(4, 64,
+                     {.ring_capacity = 1024,
+                      .registration_capacity = 1024,
+                      .on_full = SubmitPolicy::kReject});
   std::atomic<std::uint64_t> fired{0};
   wheel.set_expiry_handler([&](RequestId, Tick) { fired.fetch_add(1); });
 

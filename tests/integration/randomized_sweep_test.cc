@@ -101,7 +101,10 @@ TEST_P(RandomizedSweepTest, AllStructuresMatchPrediction) {
         << "locked wrapper diverged on seed " << GetParam();
   }
   {
-    concurrent::ShardedWheel sharded(4, 32);
+    concurrent::ShardedWheel sharded(4, 32,
+                                     {.ring_capacity = 8192,
+                                      .registration_capacity = 8192,
+                                      .on_full = concurrent::SubmitPolicy::kReject});
     auto result = workload::Run(sharded, spec);
     EXPECT_EQ(workload::NormalizedTrace(result.trace), predicted)
         << "sharded wheel diverged on seed " << GetParam();

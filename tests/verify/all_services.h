@@ -1,8 +1,9 @@
 // Shared enumeration of every TimerService implementation in the repository, for
 // the model-checking suite: the seven schemes (with every variant the facade
 // exposes), the global-lock wrapper, and the sharded wheel in one- and multi-shard
-// configurations. Configurations mirror tests/integration/differential_test.cc:
-// spans comfortably exceed the driver's default max_interval of 300.
+// configurations with roomy and with small submission rings. Configurations mirror
+// tests/integration/differential_test.cc: spans comfortably exceed the driver's
+// default max_interval of 300.
 
 #ifndef TWHEEL_TESTS_VERIFY_ALL_SERVICES_H_
 #define TWHEEL_TESTS_VERIFY_ALL_SERVICES_H_
@@ -63,39 +64,29 @@ inline std::vector<ServiceCase> AllServiceCases() {
                          MakeTimerService(VerifyConfig(SchemeId::kScheme2SortedFront)));
                    },
                    /*handlers_may_reenter=*/false});
-  cases.push_back(
-      {"sharded_1x64",
-       [] { return std::make_unique<concurrent::ShardedWheel>(1, 64); }, true});
-  cases.push_back(
-      {"sharded_4x64",
-       [] { return std::make_unique<concurrent::ShardedWheel>(4, 64); }, true});
-  cases.push_back(
-      {"sharded_8x32",
-       [] { return std::make_unique<concurrent::ShardedWheel>(8, 32); }, true});
-  // Deferred-registration (MPSC) mode. Driven single-threaded it must be
-  // observationally equivalent to the locked mode — every command drains before
-  // the clock moves — so it joins the full matrix, re-entrancy included.
-  // Capacities are generous: the oracle models no capacity limit, so a
-  // kNoCapacity reject on one side only would (correctly) read as divergence.
-  const auto verify_submit = [] {
-    concurrent::SubmitOptions submit;
-    submit.ring_capacity = 8192;
-    submit.registration_capacity = 8192;
-    submit.on_full = concurrent::SubmitPolicy::kReject;
-    return submit;
+  // The sharded wheel, driven single-threaded: every command drains before the
+  // clock moves, so it joins the full matrix, re-entrancy included. The policy
+  // is kReject because nothing but the test's own ticks drains the rings (a
+  // kSpin producer would wait forever), and the capacities never reject: the
+  // oracle models no capacity limit, so a kNoCapacity on one side only would
+  // (correctly) read as divergence. The sharded_mpsc rows' rings never wrap
+  // within an episode; the plain sharded rows' 64-cell rings wrap many times.
+  const auto sharded = [](std::size_t shards, std::size_t table_size,
+                          std::size_t ring_capacity) {
+    return [=]() -> std::unique_ptr<TimerService> {
+      concurrent::SubmitOptions submit;
+      submit.ring_capacity = ring_capacity;
+      submit.registration_capacity = 8192;
+      submit.on_full = concurrent::SubmitPolicy::kReject;
+      return std::make_unique<concurrent::ShardedWheel>(shards, table_size,
+                                                        submit);
+    };
   };
-  cases.push_back({"sharded_mpsc_1x64",
-                   [verify_submit] {
-                     return std::make_unique<concurrent::ShardedWheel>(
-                         1, 64, verify_submit());
-                   },
-                   true});
-  cases.push_back({"sharded_mpsc_4x64",
-                   [verify_submit] {
-                     return std::make_unique<concurrent::ShardedWheel>(
-                         4, 64, verify_submit());
-                   },
-                   true});
+  cases.push_back({"sharded_1x64", sharded(1, 64, 64), true});
+  cases.push_back({"sharded_4x64", sharded(4, 64, 64), true});
+  cases.push_back({"sharded_8x32", sharded(8, 32, 64), true});
+  cases.push_back({"sharded_mpsc_1x64", sharded(1, 64, 8192), true});
+  cases.push_back({"sharded_mpsc_4x64", sharded(4, 64, 8192), true});
   return cases;
 }
 

@@ -1,7 +1,10 @@
 // Concurrent torture suite: N producer threads race StartTimer/StopTimer
-// against a concurrently advancing ShardedWheel (locked and MPSC modes), and
-// the episode logs are checked against the deferred-visibility contract — see
-// src/verify/concurrent_driver.h for the invariants and the three modes.
+// against a concurrently advancing ShardedWheel, and the episode logs are
+// checked against the deferred-visibility contract — see
+// src/verify/concurrent_driver.h for the invariants and the modes. The
+// *LockedSharded episodes are named for the wheel's former locked mode; they
+// now run the widest geometry here, eight shards of 32 slots, so intervals up
+// to max_interval lap each inner table.
 //
 // Episode count is env-tunable: TWHEEL_TORTURE_EPISODES (default 50 per
 // producer count). scripts/verify.sh reduces it under sanitizers, where each
@@ -104,12 +107,11 @@ TEST(ConcurrentTortureTest, ManualRaceMpscRejectBackpressure) {
 }
 
 TEST(ConcurrentTortureTest, ManualRaceLockedSharded) {
-  // The driver's invariants hold for immediate-visibility services too; running
-  // the locked wheel through the same harness cross-checks the checker itself.
   const std::size_t episodes = Episodes(2);
   for (std::size_t producers : kProducerCounts) {
     for (std::size_t ep = 0; ep < episodes; ++ep) {
-      concurrent::ShardedWheel wheel(4, 64);
+      concurrent::ShardedWheel wheel(
+          8, 32, Submit(8192, 8192, concurrent::SubmitPolicy::kReject));
       TortureOptions options = BaseOptions(4000 + ep, producers);
       options.mode = TortureMode::kManualRace;
       const TortureReport report = RunTorture(wheel, options);
@@ -165,7 +167,8 @@ TEST(ConcurrentTortureTest, LockstepOracleLockedSharded) {
   const std::size_t episodes = Episodes(4);
   for (std::size_t producers : kProducerCounts) {
     for (std::size_t ep = 0; ep < episodes; ++ep) {
-      concurrent::ShardedWheel wheel(2, 64);
+      concurrent::ShardedWheel wheel(
+          8, 32, Submit(8192, 8192, concurrent::SubmitPolicy::kReject));
       TortureOptions options = BaseOptions(7000 + ep, producers);
       options.mode = TortureMode::kLockstepOracle;
       options.ops_per_producer = 48;

@@ -1,8 +1,7 @@
 // Concurrent periodic torture: producer threads race StartPeriodic-registered
-// timers against fires, cancels, restarts, and each other on the ShardedWheel
-// (locked and MPSC deferred modes). The driver (src/verify/concurrent_driver.h)
-// checks the periodic-specific invariants on top of the usual
-// exactly-once/no-early-fire set:
+// timers against fires, cancels, restarts, and each other on the ShardedWheel.
+// The driver (src/verify/concurrent_driver.h) checks the periodic-specific
+// invariants on top of the usual exactly-once/no-early-fire set:
 //
 //   * a periodic with a finite budget that is never cancelled delivers EXACTLY
 //     that many laps — the expiry-path re-arm neither drops a lap nor double
@@ -152,12 +151,13 @@ TEST(PeriodicTortureTest, ManualRaceMpscSpinBackpressureWithPeriodics) {
 }
 
 TEST(PeriodicTortureTest, ManualRaceLockedShardedWithPeriodics) {
-  // Immediate-visibility cross-check: the same invariants hold for the locked
-  // wheel, validating the checker's lap accounting against a simpler service.
+  // Named for the wheel's former locked mode: the eight-shard, 32-slot
+  // geometry, so periods past the table lap the inner wheels mid-race.
   const std::size_t episodes = Episodes(2);
   for (std::size_t producers : kProducerCounts) {
     for (std::size_t ep = 0; ep < episodes; ++ep) {
-      concurrent::ShardedWheel wheel(4, 64);
+      concurrent::ShardedWheel wheel(
+          8, 32, Submit(8192, 8192, concurrent::SubmitPolicy::kReject));
       TortureOptions options = PeriodicOptions(24000 + ep, producers);
       options.mode = TortureMode::kManualRace;
       const TortureReport report = RunTorture(wheel, options);
@@ -210,10 +210,12 @@ TEST(PeriodicTortureTest, LockstepOracleMpscReplaysPeriodics) {
 }
 
 TEST(PeriodicTortureTest, LockstepOracleLockedShardedReplaysPeriodics) {
+  // The lockstep replay at the eight-shard, 32-slot geometry (see above).
   const std::size_t episodes = Episodes(4);
   for (std::size_t producers : kProducerCounts) {
     for (std::size_t ep = 0; ep < episodes; ++ep) {
-      concurrent::ShardedWheel wheel(2, 64);
+      concurrent::ShardedWheel wheel(
+          8, 32, Submit(8192, 8192, concurrent::SubmitPolicy::kReject));
       TortureOptions options = PeriodicOptions(27000 + ep, producers);
       options.mode = TortureMode::kLockstepOracle;
       options.restart_probability = 0.2;

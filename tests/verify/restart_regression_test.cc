@@ -9,7 +9,7 @@
 // fully, partially, and across batched advances; plus the OpCounts
 // conservation law (a restart is neither a start nor a cancel) on every
 // scheme, and the fires-exactly-once-at-the-new-deadline property for the
-// ShardedWheel in locked and deferred modes.
+// ShardedWheel, restarting a drained timer and a still-queued one.
 
 #include <gtest/gtest.h>
 
@@ -172,15 +172,23 @@ TEST(RestartCountsTest, ConservationHoldsAcrossRestarts) {
   }
 }
 
-// ShardedWheel, locked and deferred: a restarted timer never fires at its old
-// deadline and fires exactly once at the new one, with restart_calls surfaced
-// through the merged counts().
+// ShardedWheel: a restarted timer never fires at its old deadline and fires
+// exactly once at the new one, with restart_calls surfaced through the merged
+// counts() — whether the restart relinks a drained registration or coalesces
+// onto a start command still in the ring.
 TEST(RestartShardedTest, RestartedTimerFiresOnceAtNewDeadline) {
-  const auto run = [](concurrent::ShardedWheel& wheel, const char* label) {
+  const auto run = [](bool drain_first, const char* label) {
+    concurrent::ShardedWheel wheel(
+        4, 64,
+        {.ring_capacity = 1024,
+         .registration_capacity = 1024,
+         .on_full = concurrent::SubmitPolicy::kReject});
     Fired fired;
     fired.Install(wheel);
     TimerHandle h = wheel.StartTimer(10, 7).value();
-    wheel.DrainSubmissions();
+    if (drain_first) {
+      wheel.DrainSubmissions();
+    }
     ASSERT_EQ(wheel.RestartTimer(h, 200), TimerError::kOk) << label;
     EXPECT_EQ(wheel.AdvanceTo(199), 0u)
         << label << ": fired at the pre-restart deadline";
@@ -191,16 +199,8 @@ TEST(RestartShardedTest, RestartedTimerFiresOnceAtNewDeadline) {
     EXPECT_EQ(wheel.counts().restart_calls, 1u) << label;
     EXPECT_EQ(wheel.outstanding(), 0u) << label;
   };
-
-  concurrent::ShardedWheel locked(4, 64);
-  run(locked, "locked");
-
-  concurrent::SubmitOptions submit;
-  submit.ring_capacity = 1024;
-  submit.registration_capacity = 1024;
-  submit.on_full = concurrent::SubmitPolicy::kReject;
-  concurrent::ShardedWheel deferred(4, 64, submit);
-  run(deferred, "deferred");
+  run(/*drain_first=*/true, "drained");
+  run(/*drain_first=*/false, "coalesced");
 }
 
 }  // namespace

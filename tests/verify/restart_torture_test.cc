@@ -1,8 +1,7 @@
 // Concurrent restart torture: producer threads race RestartTimer against
-// fires, cancels, and each other on the ShardedWheel (locked and MPSC
-// deferred modes). The driver (src/verify/concurrent_driver.h) checks the
-// restart-specific invariants on top of the usual exactly-once/no-early-fire
-// set:
+// fires, cancels, and each other on the ShardedWheel. The driver
+// (src/verify/concurrent_driver.h) checks the restart-specific invariants on
+// top of the usual exactly-once/no-early-fire set:
 //
 //   * a timer restarted before its old deadline never fires at that old
 //     deadline — the fire-tick lower bound advances to (observed now at the
@@ -184,12 +183,13 @@ TEST(RestartTortureTest, RestartCommitVsDrainNeverWedges) {
 }
 
 TEST(RestartTortureTest, ManualRaceLockedShardedWithRestarts) {
-  // Immediate-visibility cross-check: the same invariants hold for the locked
-  // wheel, validating the checker's restart bound against a simpler service.
+  // Named for the wheel's former locked mode: the eight-shard, 32-slot
+  // geometry, so restarted intervals past the table relink across laps.
   const std::size_t episodes = Episodes(2);
   for (std::size_t producers : kProducerCounts) {
     for (std::size_t ep = 0; ep < episodes; ++ep) {
-      concurrent::ShardedWheel wheel(4, 64);
+      concurrent::ShardedWheel wheel(
+          8, 32, Submit(8192, 8192, concurrent::SubmitPolicy::kReject));
       TortureOptions options = RestartOptions(13000 + ep, producers);
       options.mode = TortureMode::kManualRace;
       const TortureReport report = RunTorture(wheel, options);
@@ -240,10 +240,12 @@ TEST(RestartTortureTest, LockstepOracleMpscReplaysRestarts) {
 }
 
 TEST(RestartTortureTest, LockstepOracleLockedShardedReplaysRestarts) {
+  // The lockstep replay at the eight-shard, 32-slot geometry (see above).
   const std::size_t episodes = Episodes(4);
   for (std::size_t producers : kProducerCounts) {
     for (std::size_t ep = 0; ep < episodes; ++ep) {
-      concurrent::ShardedWheel wheel(2, 64);
+      concurrent::ShardedWheel wheel(
+          8, 32, Submit(8192, 8192, concurrent::SubmitPolicy::kReject));
       TortureOptions options = RestartOptions(16000 + ep, producers);
       options.mode = TortureMode::kLockstepOracle;
       options.ops_per_producer = 48;

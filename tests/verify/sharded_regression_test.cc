@@ -36,13 +36,20 @@
 namespace twheel::concurrent {
 namespace {
 
+// kReject with room for every command a test issues between drains.
+SubmitOptions Roomy() {
+  return {.ring_capacity = 1024,
+          .registration_capacity = 1024,
+          .on_full = SubmitPolicy::kReject};
+}
+
 // Destroying a wheel that has ticked — i.e. whose shards have dispatched through
 // their collectors — with timers still live must not touch any dead frame. With
 // the old per-tick lambda, each shard's handler still referenced the last tick's
 // stack frame here; the persistent collector makes destruction inert.
 TEST(ShardedWheelRegressionTest, DestroyWithLiveTimersAfterTicking) {
   for (std::size_t shards : {1u, 4u, 8u}) {
-    ShardedWheel wheel(shards, 64);
+    ShardedWheel wheel(shards, 64, Roomy());
     std::atomic<int> fired{0};
     wheel.set_expiry_handler([&](RequestId, Tick) { fired.fetch_add(1); });
     for (RequestId id = 0; id < 200; ++id) {
@@ -59,7 +66,7 @@ TEST(ShardedWheelRegressionTest, DestroyWithLiveTimersAfterTicking) {
 // actually expired, so each shard's collector was exercised on the very last
 // tick before destruction.
 TEST(ShardedWheelRegressionTest, DestroyRightAfterExpiryDispatch) {
-  ShardedWheel wheel(4, 16);
+  ShardedWheel wheel(4, 16, Roomy());
   int fired = 0;
   wheel.set_expiry_handler([&](RequestId, Tick) { ++fired; });
   for (RequestId id = 0; id < 16; ++id) {
@@ -75,7 +82,7 @@ TEST(ShardedWheelRegressionTest, DestroyRightAfterExpiryDispatch) {
 // the persistent collector is drained under the shard lock each tick, so a tick
 // with no due timers delivers nothing even though the collector object persists.
 TEST(ShardedWheelRegressionTest, CollectorDoesNotReplayAcrossTicks) {
-  ShardedWheel wheel(2, 16);
+  ShardedWheel wheel(2, 16, Roomy());
   std::vector<std::pair<RequestId, Tick>> fired;
   wheel.set_expiry_handler([&](RequestId id, Tick when) { fired.push_back({id, when}); });
   ASSERT_TRUE(wheel.StartTimer(1, 1).has_value());
@@ -93,7 +100,7 @@ TEST(ShardedWheelRegressionTest, CollectorDoesNotReplayAcrossTicks) {
 // the other call rewrites it (TSan flags the race, and torn reads show up here
 // as counters that go backwards).
 TEST(ShardedWheelRegressionTest, ConcurrentCountsReaders) {
-  ShardedWheel wheel(4, 64);
+  ShardedWheel wheel(4, 64, Roomy());
   std::atomic<bool> stop{false};
   std::atomic<bool> failed{false};
 
@@ -137,14 +144,8 @@ TEST(ShardedWheelRegressionTest, ConcurrentCountsReaders) {
 // Twin wheels fed the same seeded churn; one is ticked with PerTickBookkeeping,
 // the other with AdvanceTo(now() + 1). Everything observable must agree,
 // including the op counts byte for byte.
-void ExpectOneTickIsOneTick(bool deferred) {
-  SubmitOptions submit;
-  submit.ring_capacity = 1024;
-  submit.registration_capacity = 1024;
-  auto make = [&] {
-    return deferred ? std::make_unique<ShardedWheel>(4, 16, submit)
-                    : std::make_unique<ShardedWheel>(4, 16);
-  };
+void ExpectOneTickIsOneTick(std::size_t shards, std::uint64_t seed) {
+  auto make = [&] { return std::make_unique<ShardedWheel>(shards, 16, Roomy()); };
   std::unique_ptr<ShardedWheel> per_tick = make();
   std::unique_ptr<ShardedWheel> advance = make();
   std::vector<std::pair<RequestId, Tick>> per_tick_fires;
@@ -154,7 +155,7 @@ void ExpectOneTickIsOneTick(bool deferred) {
   advance->set_expiry_handler(
       [&](RequestId id, Tick when) { advance_fires.emplace_back(id, when); });
 
-  rng::Xoshiro256 rng(deferred ? 7 : 3);
+  rng::Xoshiro256 rng(seed);
   std::vector<TimerHandle> handles;  // fired and stopped ones stay: stale-handle churn
   // 1200 ticks of churn, then ticks until both drain (bounded).
   for (int tick = 0; tick < 1200 || (per_tick->outstanding() != 0 && tick < 4000);
@@ -197,12 +198,13 @@ void ExpectOneTickIsOneTick(bool deferred) {
       << ", batch_advances " << a.batch_advances << " vs " << b.batch_advances;
 }
 
+// Named for the wheel's former locked mode; now the eight-shard twin.
 TEST(ShardedWheelRegressionTest, OneTickIsOneTickWhateverTheEntryPointLocked) {
-  ExpectOneTickIsOneTick(/*deferred=*/false);
+  ExpectOneTickIsOneTick(/*shards=*/8, /*seed=*/3);
 }
 
 TEST(ShardedWheelRegressionTest, OneTickIsOneTickWhateverTheEntryPointMpsc) {
-  ExpectOneTickIsOneTick(/*deferred=*/true);
+  ExpectOneTickIsOneTick(/*shards=*/4, /*seed=*/7);
 }
 
 }  // namespace

@@ -30,7 +30,12 @@ namespace twheel::concurrent {
 namespace {
 
 TEST(TsanStressTest, ShardedWheelUnderTickerAndMutators) {
-  ShardedWheel wheel(8, 64);
+  // Rings and tables hold every command even if the ticker stalls for the
+  // whole run, so kReject never refuses a start.
+  ShardedWheel wheel(8, 64,
+                     {.ring_capacity = 4096,
+                      .registration_capacity = 4096,
+                      .on_full = SubmitPolicy::kReject});
   std::atomic<std::uint64_t> fired{0};
   wheel.set_expiry_handler([&](RequestId, Tick) {
     fired.fetch_add(1, std::memory_order_relaxed);
