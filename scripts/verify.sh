@@ -64,6 +64,12 @@
 # briefly (`build/bench/bench_appA2_smp --benchmark_min_time=0.01`; the gate
 # fails on a non-zero exit), so the paper experiment that exercises the
 # library's thread-safety wrappers runs on every gate, not just builds. It
+# then checks the paper's op-count tables: each deterministic printf experiment
+# named by a file bench/expected/<name>.txt (the ablation, Appendix A.1, Figures
+# 3, 7 and 9, Sections 3.2, 6, 6.2 and 7) must print exactly that file, and the
+# gate fails on a non-zero exit or any diff; bench_sec4_timeflow prints wall
+# time per event, so only its exit status is checked. A change that moves a
+# paper figure on purpose re-records the file in the same change. It
 # then runs the end-to-end benchmark briefly on each workload: `python3 e2ebench/run.py --workload <w> --seed 1 --seconds 2
 # --trace 0` for retransmit, periodic and cluster. It builds Release (NDEBUG)
 # into .bench_build/ and the gate fails unless the result line says
@@ -113,6 +119,23 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result"; then
   echo "=== [plain] e2ebench OK ==="
 }
 
+paper_tables() {
+  local expected name
+  echo "=== [plain] paper tables ==="
+  for expected in bench/expected/*.txt; do
+    name="$(basename "$expected" .txt)"
+    if ! "build/bench/$name" | diff -u "$expected" -; then
+      echo "$name: failed or its output differs from $expected" >&2
+      exit 1
+    fi
+  done
+  if ! build/bench/bench_sec4_timeflow >/dev/null; then
+    echo "bench_sec4_timeflow failed" >&2
+    exit 1
+  fi
+  echo "=== [plain] paper tables OK ==="
+}
+
 run_config() {
   local name="$1" build_dir="$2" episodes="$3"
   shift 3
@@ -149,6 +172,7 @@ for config in "${CONFIGS[@]}"; do
         echo "=== [plain] bench_appA2_smp ==="
         build/bench/bench_appA2_smp --benchmark_min_time=0.01
         echo "=== [plain] bench_appA2_smp OK ==="
+        paper_tables
         e2e_smoke
       fi ;;
     asan)

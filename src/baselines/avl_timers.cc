@@ -4,47 +4,6 @@
 
 namespace twheel {
 
-StartResult AvlTimers::StartTimer(Duration interval, RequestId request_id) {
-  ++counts_.start_calls;
-  if (interval == 0) {
-    return TimerError::kZeroInterval;
-  }
-  TimerRecord* rec = AllocateRecord(interval, request_id);
-  if (rec == nullptr) {
-    return TimerError::kNoCapacity;
-  }
-  Insert(&cold(rec));
-  ++counts_.insert_link_ops;
-  return rec->self;
-}
-
-TimerError AvlTimers::StopTimer(TimerHandle handle) {
-  ++counts_.stop_calls;
-  TimerRecord* rec = Resolve(handle);
-  if (rec == nullptr) {
-    return TimerError::kNoSuchTimer;
-  }
-  Remove(&cold(rec));
-  ++counts_.delete_unlink_ops;
-  ReleaseRecord(rec);
-  return TimerError::kOk;
-}
-
-TimerError AvlTimers::RestartTimer(TimerHandle handle, Duration new_interval) {
-  TimerError error = TimerError::kOk;
-  TimerRecord* rec = ResolveForRestart(handle, new_interval, &error);
-  if (rec == nullptr) {
-    return error;
-  }
-  // O(lg n) re-key: balanced delete + balanced re-insert of the same node; the
-  // record is never released, so the handle's generation survives.
-  ColdTimerRecord* node = &cold(rec);
-  Remove(node);
-  StampRestart(rec, new_interval);
-  Insert(node);
-  return TimerError::kOk;
-}
-
 std::size_t AvlTimers::PerTickBookkeeping() {
   ++counts_.ticks;
   ++now_;
@@ -226,5 +185,8 @@ AvlTimers::CheckResult AvlTimers::CheckSubtree(const ColdTimerRecord* node) {
   }
   return {true, height};
 }
+
+
+template class TimerServiceBase<AvlTimers>;
 
 }  // namespace twheel

@@ -24,15 +24,10 @@
 
 namespace twheel {
 
-class AvlTimers final : public TimerServiceBase {
+class AvlTimers final : public TimerServiceBase<AvlTimers> {
  public:
   explicit AvlTimers(std::size_t max_timers = 0) : TimerServiceBase(max_timers) {}
 
-  StartResult StartTimer(Duration interval, RequestId request_id) final;
-  TimerError StopTimer(TimerHandle handle) final;
-  // O(lg n) in-place reschedule: balanced delete + re-insert of the same node
-  // with the new key; no record release, handle stays valid.
-  TimerError RestartTimer(TimerHandle handle, Duration new_interval) final;
   std::size_t PerTickBookkeeping() final;
   std::string_view name() const final { return "scheme3-avl"; }
 
@@ -67,6 +62,13 @@ class AvlTimers final : public TimerServiceBase {
   std::uint64_t rotations() const { return rotations_; }
 
  private:
+  friend class TimerServiceBase<AvlTimers>;
+
+  // O(lg n) balanced insert / delete of the record's cold node; a restart
+  // re-inserts the same node with its new key.
+  void Link(TimerRecord* rec) { Insert(&cold(rec)); }
+  void Unlink(TimerRecord* rec) { Remove(&cold(rec)); }
+
   static bool Less(const ColdTimerRecord* a, const ColdTimerRecord* b) {
     if (a->hot->expiry_tick != b->hot->expiry_tick) {
       return a->hot->expiry_tick < b->hot->expiry_tick;
@@ -109,6 +111,9 @@ class AvlTimers final : public TimerServiceBase {
   ColdTimerRecord* root_ = nullptr;
   std::uint64_t rotations_ = 0;
 };
+
+
+extern template class TimerServiceBase<AvlTimers>;
 
 }  // namespace twheel
 

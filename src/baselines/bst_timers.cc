@@ -4,20 +4,6 @@
 
 namespace twheel {
 
-StartResult BstTimers::StartTimer(Duration interval, RequestId request_id) {
-  ++counts_.start_calls;
-  if (interval == 0) {
-    return TimerError::kZeroInterval;
-  }
-  TimerRecord* rec = AllocateRecord(interval, request_id);
-  if (rec == nullptr) {
-    return TimerError::kNoCapacity;
-  }
-  InsertNode(&cold(rec));
-  ++counts_.insert_link_ops;
-  return rec->self;
-}
-
 void BstTimers::InsertNode(ColdTimerRecord* node) {
   node->left = node->right = node->parent = nullptr;
 
@@ -38,34 +24,6 @@ void BstTimers::InsertNode(ColdTimerRecord* node) {
   } else {
     parent->right = node;
   }
-}
-
-TimerError BstTimers::RestartTimer(TimerHandle handle, Duration new_interval) {
-  TimerError error = TimerError::kOk;
-  TimerRecord* rec = ResolveForRestart(handle, new_interval, &error);
-  if (rec == nullptr) {
-    return error;
-  }
-  // Standard BST re-key: detach the node (successor transplant), re-stamp, and
-  // re-descend with the new key. The record is never released, so the handle's
-  // generation survives.
-  ColdTimerRecord* node = &cold(rec);
-  Remove(node);
-  StampRestart(rec, new_interval);
-  InsertNode(node);
-  return TimerError::kOk;
-}
-
-TimerError BstTimers::StopTimer(TimerHandle handle) {
-  ++counts_.stop_calls;
-  TimerRecord* rec = Resolve(handle);
-  if (rec == nullptr) {
-    return TimerError::kNoSuchTimer;
-  }
-  Remove(&cold(rec));
-  ++counts_.delete_unlink_ops;
-  ReleaseRecord(rec);
-  return TimerError::kOk;
 }
 
 std::size_t BstTimers::PerTickBookkeeping() {
@@ -159,5 +117,8 @@ bool BstTimers::CheckSubtree(const ColdTimerRecord* node, const ColdTimerRecord*
   }
   return CheckSubtree(node->left, lo, node) && CheckSubtree(node->right, node, hi);
 }
+
+
+template class TimerServiceBase<BstTimers>;
 
 }  // namespace twheel

@@ -31,15 +31,10 @@
 
 namespace twheel {
 
-class BstTimers final : public TimerServiceBase {
+class BstTimers final : public TimerServiceBase<BstTimers> {
  public:
   explicit BstTimers(std::size_t max_timers = 0) : TimerServiceBase(max_timers) {}
 
-  StartResult StartTimer(Duration interval, RequestId request_id) final;
-  TimerError StopTimer(TimerHandle handle) final;
-  // O(height) in-place reschedule: standard delete + re-insert of the same
-  // node with the new key; no record release, handle stays valid.
-  TimerError RestartTimer(TimerHandle handle, Duration new_interval) final;
   std::size_t PerTickBookkeeping() final;
   std::string_view name() const final { return "scheme3-bst"; }
 
@@ -70,6 +65,13 @@ class BstTimers final : public TimerServiceBase {
   bool CheckBstInvariant() const { return CheckSubtree(root_, nullptr, nullptr); }
 
  private:
+  friend class TimerServiceBase<BstTimers>;
+
+  // O(height) descent / standard BST delete of the record's cold node; a
+  // restart re-descends the same node with its new key.
+  void Link(TimerRecord* rec) { InsertNode(&cold(rec)); }
+  void Unlink(TimerRecord* rec) { Remove(&cold(rec)); }
+
   static bool Less(const ColdTimerRecord* a, const ColdTimerRecord* b) {
     if (a->hot->expiry_tick != b->hot->expiry_tick) {
       return a->hot->expiry_tick < b->hot->expiry_tick;
@@ -77,8 +79,7 @@ class BstTimers final : public TimerServiceBase {
     return a->hot->seq < b->hot->seq;
   }
 
-  // Descend from the root and attach `node` (key already set on its hot twin);
-  // shared by StartTimer and RestartTimer.
+  // Descend from the root and attach `node` (key already set on its hot twin).
   void InsertNode(ColdTimerRecord* node);
   ColdTimerRecord* Minimum(ColdTimerRecord* node) const;
   static const ColdTimerRecord* MinimumConst(const ColdTimerRecord* node) {
@@ -97,6 +98,9 @@ class BstTimers final : public TimerServiceBase {
 
   ColdTimerRecord* root_ = nullptr;
 };
+
+
+extern template class TimerServiceBase<BstTimers>;
 
 }  // namespace twheel
 

@@ -2,48 +2,6 @@
 
 namespace twheel {
 
-StartResult HeapTimers::StartTimer(Duration interval, RequestId request_id) {
-  ++counts_.start_calls;
-  if (interval == 0) {
-    return TimerError::kZeroInterval;
-  }
-  TimerRecord* rec = AllocateRecord(interval, request_id);
-  if (rec == nullptr) {
-    return TimerError::kNoCapacity;
-  }
-  heap_.push_back(nullptr);
-  Place(heap_.size() - 1, rec);
-  SiftUp(heap_.size() - 1);
-  ++counts_.insert_link_ops;
-  return rec->self;
-}
-
-TimerError HeapTimers::StopTimer(TimerHandle handle) {
-  ++counts_.stop_calls;
-  TimerRecord* rec = Resolve(handle);
-  if (rec == nullptr) {
-    return TimerError::kNoSuchTimer;
-  }
-  RemoveAt(rec->heap_index);
-  ++counts_.delete_unlink_ops;
-  ReleaseRecord(rec);
-  return TimerError::kOk;
-}
-
-TimerError HeapTimers::RestartTimer(TimerHandle handle, Duration new_interval) {
-  TimerError error = TimerError::kOk;
-  TimerRecord* rec = ResolveForRestart(handle, new_interval, &error);
-  if (rec == nullptr) {
-    return error;
-  }
-  StampRestart(rec, new_interval);
-  // The classic decrease/increase-key: the record keeps its array slot until
-  // one sift settles it (only one of the two can move it).
-  SiftDown(rec->heap_index);
-  SiftUp(rec->heap_index);
-  return TimerError::kOk;
-}
-
 std::size_t HeapTimers::PerTickBookkeeping() {
   ++counts_.ticks;
   ++now_;
@@ -139,5 +97,8 @@ bool HeapTimers::CheckHeapInvariant() const {
   }
   return heap_.empty() || heap_[0]->heap_index == 0;
 }
+
+
+template class TimerServiceBase<HeapTimers>;
 
 }  // namespace twheel

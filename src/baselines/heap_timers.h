@@ -25,16 +25,10 @@
 
 namespace twheel {
 
-class HeapTimers final : public TimerServiceBase {
+class HeapTimers final : public TimerServiceBase<HeapTimers> {
  public:
   explicit HeapTimers(std::size_t max_timers = 0) : TimerServiceBase(max_timers) {}
 
-  StartResult StartTimer(Duration interval, RequestId request_id) final;
-  TimerError StopTimer(TimerHandle handle) final;
-  // O(log n) in-place reschedule: re-key the record at its current heap
-  // position via the stored heap_index and sift in whichever direction the new
-  // key demands — no removal, no reallocation, handle stays valid.
-  TimerError RestartTimer(TimerHandle handle, Duration new_interval) final;
   std::size_t PerTickBookkeeping() final;
   std::string_view name() const final { return "scheme3-heap"; }
 
@@ -63,6 +57,23 @@ class HeapTimers final : public TimerServiceBase {
   }
 
  private:
+  friend class TimerServiceBase<HeapTimers>;
+
+  // O(log n) sift-up of a new leaf / O(log n) arbitrary delete via heap_index.
+  void Link(TimerRecord* rec) {
+    heap_.push_back(nullptr);
+    Place(heap_.size() - 1, rec);
+    SiftUp(heap_.size() - 1);
+  }
+  void Unlink(TimerRecord* rec) { RemoveAt(rec->heap_index); }
+  // A restart or periodic re-arm re-keys the record where it sits — the classic
+  // decrease/increase-key: it keeps its array slot until one sift settles it
+  // (only one of the two can move it). No removal, no reallocation.
+  void Relink(TimerRecord* rec) {
+    SiftDown(rec->heap_index);
+    SiftUp(rec->heap_index);
+  }
+
   static bool Less(const TimerRecord* a, const TimerRecord* b) {
     if (a->expiry_tick != b->expiry_tick) {
       return a->expiry_tick < b->expiry_tick;
@@ -81,6 +92,9 @@ class HeapTimers final : public TimerServiceBase {
 
   std::vector<TimerRecord*> heap_;
 };
+
+
+extern template class TimerServiceBase<HeapTimers>;
 
 }  // namespace twheel
 

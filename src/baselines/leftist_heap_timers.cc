@@ -7,50 +7,12 @@ LeftistHeapTimers::~LeftistHeapTimers() {
   // destructor reclaims all storage.
 }
 
-StartResult LeftistHeapTimers::StartTimer(Duration interval, RequestId request_id) {
-  ++counts_.start_calls;
-  if (interval == 0) {
-    return TimerError::kZeroInterval;
-  }
-  TimerRecord* rec = AllocateRecord(interval, request_id);
-  if (rec == nullptr) {
-    return TimerError::kNoCapacity;
-  }
-  ColdTimerRecord* node = &cold(rec);
-  node->left = node->right = node->parent = nullptr;
-  node->rank = 0;
-  rec->cancelled = false;
-  root_ = Merge(root_, node);
-  root_->parent = nullptr;
-  ++counts_.insert_link_ops;
-  return rec->self;
-}
-
-TimerError LeftistHeapTimers::RestartTimer(TimerHandle handle,
-                                           Duration new_interval) {
-  TimerError error = TimerError::kOk;
-  TimerRecord* rec = ResolveForRestart(handle, new_interval, &error);
-  if (rec == nullptr) {
-    return error;
-  }
-  if (rec->cancelled) {
-    return TimerError::kNoSuchTimer;
-  }
-  ColdTimerRecord* node = &cold(rec);
-  Detach(node);
-  StampRestart(rec, new_interval);
-  root_ = Merge(root_, node);
-  root_->parent = nullptr;
-  return TimerError::kOk;
-}
-
 TimerError LeftistHeapTimers::StopTimer(TimerHandle handle) {
   ++counts_.stop_calls;
   TimerRecord* rec = Resolve(handle);
   if (rec == nullptr || rec->cancelled) {
     return TimerError::kNoSuchTimer;
   }
-  // Lazy: O(1) flag set; storage reclaimed when the record surfaces at the root.
   rec->cancelled = true;
   ++cancelled_retained_;
   ++counts_.delete_unlink_ops;
@@ -198,5 +160,8 @@ std::int64_t LeftistHeapTimers::CheckSubtree(const ColdTimerRecord* node) {
   }
   return r + 1;
 }
+
+
+template class TimerServiceBase<LeftistHeapTimers>;
 
 }  // namespace twheel

@@ -28,21 +28,16 @@
 
 namespace twheel {
 
-class LeftistHeapTimers final : public TimerServiceBase {
+class LeftistHeapTimers final : public TimerServiceBase<LeftistHeapTimers> {
  public:
   explicit LeftistHeapTimers(std::size_t max_timers = 0) : TimerServiceBase(max_timers) {}
 
   ~LeftistHeapTimers() override;
 
-  StartResult StartTimer(Duration interval, RequestId request_id) final;
+  // Lazy: O(1) flag set; storage is reclaimed when the record surfaces at the
+  // root. A cancelled record still holds its arena slot, and the base's
+  // RestartTimer refuses it with kNoSuchTimer like any stale handle.
   TimerError StopTimer(TimerHandle handle) final;
-  // In-place reschedule. Lazy cancellation cannot express a restart (an
-  // earlier deadline would surface too late), so this is the eager path: the
-  // node's subtree is cut out via its parent pointer, its children merge into
-  // its old position, ranks re-settle up the parent chain (stopping at the
-  // first unchanged rank — the standard O(log n) arbitrary-delete), and the
-  // re-stamped node merges back at the root. The record is never released.
-  TimerError RestartTimer(TimerHandle handle, Duration new_interval) final;
   std::size_t PerTickBookkeeping() final;
   std::string_view name() const final { return "scheme3-leftist"; }
 
@@ -67,6 +62,23 @@ class LeftistHeapTimers final : public TimerServiceBase {
   bool CheckLeftistInvariant() const { return CheckSubtree(root_) >= 0; }
 
  private:
+  friend class TimerServiceBase<LeftistHeapTimers>;
+
+  // Merge a fresh single-node tree at the root. Unlink is only ever a restart's
+  // (StopTimer is lazy), and lazy cancellation cannot express a restart — an
+  // earlier deadline would surface too late — so it is the eager path: the
+  // node's subtree is cut out via its parent pointer, its children merge into
+  // its old position, and ranks re-settle up the parent chain (stopping at the
+  // first unchanged rank — the standard O(log n) arbitrary-delete).
+  void Link(TimerRecord* rec) {
+    ColdTimerRecord* node = &cold(rec);
+    node->left = node->right = node->parent = nullptr;
+    node->rank = 0;
+    root_ = Merge(root_, node);
+    root_->parent = nullptr;
+  }
+  void Unlink(TimerRecord* rec) { Detach(&cold(rec)); }
+
   static bool Less(const ColdTimerRecord* a, const ColdTimerRecord* b) {
     if (a->hot->expiry_tick != b->hot->expiry_tick) {
       return a->hot->expiry_tick < b->hot->expiry_tick;
@@ -88,6 +100,9 @@ class LeftistHeapTimers final : public TimerServiceBase {
   ColdTimerRecord* root_ = nullptr;
   std::size_t cancelled_retained_ = 0;
 };
+
+
+extern template class TimerServiceBase<LeftistHeapTimers>;
 
 }  // namespace twheel
 

@@ -2,21 +2,7 @@
 
 namespace twheel {
 
-StartResult SortedListTimers::StartTimer(Duration interval, RequestId request_id) {
-  ++counts_.start_calls;
-  if (interval == 0) {
-    return TimerError::kZeroInterval;
-  }
-  TimerRecord* rec = AllocateRecord(interval, request_id);
-  if (rec == nullptr) {
-    return TimerError::kNoCapacity;
-  }
-  InsertSorted(rec);
-  ++counts_.insert_link_ops;
-  return rec->self;
-}
-
-void SortedListTimers::InsertSorted(TimerRecord* rec) {
+void SortedListTimers::Link(TimerRecord* rec) {
   if (direction_ == SearchDirection::kFromFront) {
     // First record strictly later than the new one; insert before it. Equal keys are
     // passed over, preserving FIFO among equals.
@@ -57,33 +43,6 @@ void SortedListTimers::InsertSorted(TimerRecord* rec) {
   }
 }
 
-TimerError SortedListTimers::RestartTimer(TimerHandle handle,
-                                          Duration new_interval) {
-  TimerError error = TimerError::kOk;
-  TimerRecord* rec = ResolveForRestart(handle, new_interval, &error);
-  if (rec == nullptr) {
-    return error;
-  }
-  rec->Unlink();
-  StampRestart(rec, new_interval);
-  // Re-run the configured insertion scan with the fresh key; the record keeps
-  // its identity (and links storage), so no allocation or generation bump.
-  InsertSorted(rec);
-  return TimerError::kOk;
-}
-
-TimerError SortedListTimers::StopTimer(TimerHandle handle) {
-  ++counts_.stop_calls;
-  TimerRecord* rec = Resolve(handle);
-  if (rec == nullptr) {
-    return TimerError::kNoSuchTimer;
-  }
-  rec->Unlink();
-  ++counts_.delete_unlink_ops;
-  ReleaseRecord(rec);
-  return TimerError::kOk;
-}
-
 std::size_t SortedListTimers::PerTickBookkeeping() {
   ++counts_.ticks;
   ++now_;
@@ -112,5 +71,8 @@ std::size_t SortedListTimers::PerTickBookkeeping() {
   }
   return expired;
 }
+
+
+template class TimerServiceBase<SortedListTimers>;
 
 }  // namespace twheel

@@ -36,7 +36,7 @@ enum class SearchDirection : std::uint8_t {
   kFromRear,   // scan tail -> head for the last record due no later than the new one
 };
 
-class SortedListTimers final : public TimerServiceBase {
+class SortedListTimers final : public TimerServiceBase<SortedListTimers> {
  public:
   explicit SortedListTimers(SearchDirection direction = SearchDirection::kFromFront,
                             std::size_t max_timers = 0)
@@ -49,12 +49,6 @@ class SortedListTimers final : public TimerServiceBase {
     }
   }
 
-  StartResult StartTimer(Duration interval, RequestId request_id) final;
-  TimerError StopTimer(TimerHandle handle) final;
-  // In-place reschedule: O(1) unlink plus the configured O(n) insertion scan
-  // with the new absolute expiry. The record — and the caller's handle — stay
-  // valid throughout.
-  TimerError RestartTimer(TimerHandle handle, Duration new_interval) final;
   std::size_t PerTickBookkeeping() final;
   std::string_view name() const final {
     return direction_ == SearchDirection::kFromFront ? "scheme2-sorted-front"
@@ -92,13 +86,19 @@ class SortedListTimers final : public TimerServiceBase {
   }
 
  private:
-  // Link `rec` (expiry_tick already set) at its sorted position, scanning in the
-  // configured direction; shared by StartTimer and RestartTimer.
-  void InsertSorted(TimerRecord* rec);
+  friend class TimerServiceBase<SortedListTimers>;
+
+  // The O(n) insertion scan, in the configured direction, for the record's
+  // absolute expiry; the O(1) unlink through the double links.
+  void Link(TimerRecord* rec);
+  void Unlink(TimerRecord* rec) { rec->Unlink(); }
 
   SearchDirection direction_;
   IntrusiveList<TimerRecord> list_;
 };
+
+
+extern template class TimerServiceBase<SortedListTimers>;
 
 }  // namespace twheel
 

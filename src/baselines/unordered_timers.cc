@@ -2,47 +2,6 @@
 
 namespace twheel {
 
-StartResult UnorderedTimers::StartTimer(Duration interval, RequestId request_id) {
-  ++counts_.start_calls;
-  if (interval == 0) {
-    return TimerError::kZeroInterval;
-  }
-  TimerRecord* rec = AllocateRecord(interval, request_id);
-  if (rec == nullptr) {
-    return TimerError::kNoCapacity;
-  }
-  rec->remaining = interval;
-  records_.PushFront(rec);
-  ++counts_.insert_link_ops;
-  return rec->self;
-}
-
-TimerError UnorderedTimers::StopTimer(TimerHandle handle) {
-  ++counts_.stop_calls;
-  TimerRecord* rec = Resolve(handle);
-  if (rec == nullptr) {
-    return TimerError::kNoSuchTimer;
-  }
-  rec->Unlink();
-  ++counts_.delete_unlink_ops;
-  ReleaseRecord(rec);
-  return TimerError::kOk;
-}
-
-TimerError UnorderedTimers::RestartTimer(TimerHandle handle,
-                                         Duration new_interval) {
-  TimerError error = TimerError::kOk;
-  TimerRecord* rec = ResolveForRestart(handle, new_interval, &error);
-  if (rec == nullptr) {
-    return error;
-  }
-  rec->Unlink();
-  StampRestart(rec, new_interval);
-  rec->remaining = new_interval;
-  records_.PushFront(rec);
-  return TimerError::kOk;
-}
-
 std::size_t UnorderedTimers::PerTickBookkeeping() {
   ++counts_.ticks;
   ++now_;
@@ -62,7 +21,7 @@ std::size_t UnorderedTimers::PerTickBookkeeping() {
     const bool due = mode_ == Scheme1Mode::kDecrement ? (--rec->remaining == 0)
                                                       : rec->expiry_tick <= now_;
     if (due) {
-      // Non-final periodic fire: RestartTimer moves the record from `pending`
+      // Non-final periodic fire: the relink moves the record from `pending`
       // back to the live list (resetting `remaining`), skipping this tick's
       // remaining decrements as a fresh start would.
       if (TryFirePeriodic(rec)) {
@@ -79,5 +38,8 @@ std::size_t UnorderedTimers::PerTickBookkeeping() {
   }
   return expired;
 }
+
+
+template class TimerServiceBase<UnorderedTimers>;
 
 }  // namespace twheel

@@ -36,7 +36,7 @@ enum class Scheme1Mode : std::uint8_t {
   kCompare,    // store absolute expiry, compare against the time of day
 };
 
-class UnorderedTimers final : public TimerServiceBase {
+class UnorderedTimers final : public TimerServiceBase<UnorderedTimers> {
  public:
   explicit UnorderedTimers(std::size_t max_timers = 0,
                            Scheme1Mode mode = Scheme1Mode::kDecrement)
@@ -49,13 +49,6 @@ class UnorderedTimers final : public TimerServiceBase {
     }
   }
 
-  StartResult StartTimer(Duration interval, RequestId request_id) final;
-  TimerError StopTimer(TimerHandle handle) final;
-  // O(1) in-place reschedule: reset the count (or absolute expiry) and move the
-  // record to the live list's head — the same position a fresh start takes, so
-  // a restart from inside an expiry handler is not decremented on the tick that
-  // restarted it.
-  TimerError RestartTimer(TimerHandle handle, Duration new_interval) final;
   std::size_t PerTickBookkeeping() final;
   std::string_view name() const final {
     return mode_ == Scheme1Mode::kDecrement ? "scheme1-unordered"
@@ -71,9 +64,23 @@ class UnorderedTimers final : public TimerServiceBase {
   }
 
  private:
+  friend class TimerServiceBase<UnorderedTimers>;
+
+  // O(1): set the count and put the record at the live list's head. A restart
+  // takes the same position as a fresh start, so one made from inside an
+  // expiry handler is not decremented on the tick that restarted it.
+  void Link(TimerRecord* rec) {
+    rec->remaining = rec->interval;
+    records_.PushFront(rec);
+  }
+  void Unlink(TimerRecord* rec) { rec->Unlink(); }
+
   Scheme1Mode mode_;
   IntrusiveList<TimerRecord> records_;
 };
+
+
+extern template class TimerServiceBase<UnorderedTimers>;
 
 }  // namespace twheel
 

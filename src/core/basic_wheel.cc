@@ -22,68 +22,6 @@ BasicWheel::~BasicWheel() {
   }
 }
 
-StartResult BasicWheel::StartTimer(Duration interval, RequestId request_id) {
-  ++counts_.start_calls;
-  if (interval == 0) {
-    return TimerError::kZeroInterval;
-  }
-  if (interval >= slots_.size()) {
-    if (policy_ == OverflowPolicy::kReject) {
-      return TimerError::kIntervalOutOfRange;
-    }
-    interval = slots_.size() - 1;
-  }
-  TimerRecord* rec = AllocateRecord(interval, request_id);
-  if (rec == nullptr) {
-    return TimerError::kNoCapacity;
-  }
-  std::size_t index = (cursor_ + interval) % slots_.size();
-  rec->home_slot = static_cast<std::uint32_t>(index);
-  slots_[index].PushBack(rec);
-  occupancy_.Set(index);
-  ++counts_.insert_link_ops;
-  return rec->self;
-}
-
-TimerError BasicWheel::StopTimer(TimerHandle handle) {
-  ++counts_.stop_calls;
-  TimerRecord* rec = Resolve(handle);
-  if (rec == nullptr) {
-    return TimerError::kNoSuchTimer;
-  }
-  rec->Unlink();
-  ++counts_.delete_unlink_ops;
-  if (slots_[rec->home_slot].empty()) {
-    occupancy_.Clear(rec->home_slot);
-  }
-  ReleaseRecord(rec);
-  return TimerError::kOk;
-}
-
-TimerError BasicWheel::RestartTimer(TimerHandle handle, Duration new_interval) {
-  TimerError error = TimerError::kOk;
-  TimerRecord* rec = ResolveForRestart(handle, new_interval, &error);
-  if (rec == nullptr) {
-    return error;
-  }
-  if (new_interval >= slots_.size()) {
-    if (policy_ == OverflowPolicy::kReject) {
-      return TimerError::kIntervalOutOfRange;
-    }
-    new_interval = slots_.size() - 1;
-  }
-  rec->Unlink();
-  if (slots_[rec->home_slot].empty()) {
-    occupancy_.Clear(rec->home_slot);
-  }
-  StampRestart(rec, new_interval);
-  const std::size_t index = (cursor_ + new_interval) % slots_.size();
-  rec->home_slot = static_cast<std::uint32_t>(index);
-  slots_[index].PushBack(rec);
-  occupancy_.Set(index);
-  return TimerError::kOk;
-}
-
 std::size_t BasicWheel::PerTickBookkeeping() {
   ++counts_.ticks;
   ++now_;
@@ -165,5 +103,8 @@ bool BasicWheel::FastForward(Tick target) {
   now_ = target;
   return true;
 }
+
+
+template class TimerServiceBase<BasicWheel>;
 
 }  // namespace twheel

@@ -40,7 +40,7 @@
 
 namespace twheel {
 
-class BasicWheel final : public TimerServiceBase {
+class BasicWheel final : public TimerServiceBase<BasicWheel> {
  public:
   // `max_interval` is the wheel size: the longest startable timer is
   // max_interval - 1 ticks.
@@ -50,12 +50,6 @@ class BasicWheel final : public TimerServiceBase {
 
   ~BasicWheel() override;
 
-  StartResult StartTimer(Duration interval, RequestId request_id) final;
-  TimerError StopTimer(TimerHandle handle) final;
-  // O(1) in-place reschedule: unlink from the current slot, relink at
-  // cursor + new_interval, maintaining both slots' occupancy bits. The handle
-  // stays valid; on kIntervalOutOfRange the timer keeps its old deadline.
-  TimerError RestartTimer(TimerHandle handle, Duration new_interval) final;
   std::size_t PerTickBookkeeping() final;
   std::size_t AdvanceTo(Tick target) final;
   // Exact: cursor-to-next-set-bit distance (intervals < wheel size, so the slot
@@ -79,6 +73,34 @@ class BasicWheel final : public TimerServiceBase {
   }
 
  private:
+  friend class TimerServiceBase<BasicWheel>;
+
+  // Intervals >= the wheel size: kIntervalOutOfRange, or clamped to
+  // max_interval - 1 under OverflowPolicy::kClamp.
+  TimerError Admit(Duration* interval) const {
+    if (*interval >= slots_.size()) {
+      if (policy_ == OverflowPolicy::kReject) {
+        return TimerError::kIntervalOutOfRange;
+      }
+      *interval = slots_.size() - 1;
+    }
+    return TimerError::kOk;
+  }
+  // O(1): append at slot cursor + interval / unlink, keeping the slot's
+  // occupancy bit in step (a restart moves the record between two slots).
+  void Link(TimerRecord* rec) {
+    const std::size_t index = (cursor_ + rec->interval) % slots_.size();
+    rec->home_slot = static_cast<std::uint32_t>(index);
+    slots_[index].PushBack(rec);
+    occupancy_.Set(index);
+  }
+  void Unlink(TimerRecord* rec) {
+    rec->Unlink();
+    if (slots_[rec->home_slot].empty()) {
+      occupancy_.Clear(rec->home_slot);
+    }
+  }
+
   // Expire everything in the slot under the cursor. The whole slot is spliced into
   // a local batch first, so handlers that re-arm timers never race the walk.
   std::size_t DrainCursorSlot();
@@ -88,6 +110,9 @@ class BasicWheel final : public TimerServiceBase {
   OccupancyBitmap occupancy_;
   std::size_t cursor_ = 0;  // the paper's "current time pointer"
 };
+
+
+extern template class TimerServiceBase<BasicWheel>;
 
 }  // namespace twheel
 

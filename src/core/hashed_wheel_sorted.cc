@@ -22,93 +22,6 @@ HashedWheelSorted::~HashedWheelSorted() {
   }
 }
 
-StartResult HashedWheelSorted::StartTimer(Duration interval, RequestId request_id) {
-  ++counts_.start_calls;
-  if (interval == 0) {
-    return TimerError::kZeroInterval;
-  }
-  TimerRecord* rec = AllocateRecord(interval, request_id);
-  if (rec == nullptr) {
-    return TimerError::kNoCapacity;
-  }
-  // Low-order bits pick the slot; high-order bits (the revolution on which the
-  // timer is due) go into the bucket, kept sorted as in Scheme 2.
-  std::uint64_t slot_index = rec->expiry_tick & mask();
-  rec->rounds = rec->expiry_tick >> shift_;
-  rec->home_slot = static_cast<std::uint32_t>(slot_index);
-
-  IntrusiveList<TimerRecord>& bucket = slots_[slot_index];
-  TimerRecord* cur = bucket.front();
-  while (cur != nullptr) {
-    ++counts_.comparisons;
-    if (cur->rounds > rec->rounds || (cur->rounds == rec->rounds && cur->seq > rec->seq)) {
-      break;
-    }
-    cur = bucket.Next(cur);
-  }
-  if (cur == nullptr) {
-    bucket.PushBack(rec);
-  } else {
-    bucket.InsertBefore(rec, cur);
-  }
-  occupancy_.Set(slot_index);
-  ++counts_.insert_link_ops;
-  return rec->self;
-}
-
-TimerError HashedWheelSorted::StopTimer(TimerHandle handle) {
-  ++counts_.stop_calls;
-  TimerRecord* rec = Resolve(handle);
-  if (rec == nullptr) {
-    return TimerError::kNoSuchTimer;
-  }
-  rec->Unlink();
-  ++counts_.delete_unlink_ops;
-  if (slots_[rec->home_slot].empty()) {
-    occupancy_.Clear(rec->home_slot);
-  }
-  ReleaseRecord(rec);
-  return TimerError::kOk;
-}
-
-TimerError HashedWheelSorted::RestartTimer(TimerHandle handle,
-                                           Duration new_interval) {
-  TimerError error = TimerError::kOk;
-  TimerRecord* rec = ResolveForRestart(handle, new_interval, &error);
-  if (rec == nullptr) {
-    return error;
-  }
-  rec->Unlink();
-  if (slots_[rec->home_slot].empty()) {
-    occupancy_.Clear(rec->home_slot);
-  }
-  StampRestart(rec, new_interval);
-  // Re-file exactly as StartTimer would, keyed by the fresh absolute expiry.
-  // The record keeps its original seq, so among same-revolution entries it
-  // re-enters the bucket at its start-order position — the same canonical FIFO
-  // the oracle reproduces.
-  const std::uint64_t slot_index = rec->expiry_tick & mask();
-  rec->rounds = rec->expiry_tick >> shift_;
-  rec->home_slot = static_cast<std::uint32_t>(slot_index);
-  IntrusiveList<TimerRecord>& bucket = slots_[slot_index];
-  TimerRecord* cur = bucket.front();
-  while (cur != nullptr) {
-    ++counts_.comparisons;
-    if (cur->rounds > rec->rounds ||
-        (cur->rounds == rec->rounds && cur->seq > rec->seq)) {
-      break;
-    }
-    cur = bucket.Next(cur);
-  }
-  if (cur == nullptr) {
-    bucket.PushBack(rec);
-  } else {
-    bucket.InsertBefore(rec, cur);
-  }
-  occupancy_.Set(slot_index);
-  return TimerError::kOk;
-}
-
 std::size_t HashedWheelSorted::PerTickBookkeeping() {
   ++counts_.ticks;
   ++now_;
@@ -199,5 +112,8 @@ bool HashedWheelSorted::FastForward(Tick target) {
   now_ = target;
   return true;
 }
+
+
+template class TimerServiceBase<HashedWheelSorted>;
 
 }  // namespace twheel

@@ -39,18 +39,13 @@
 
 namespace twheel {
 
-class HashedWheelSorted final : public TimerServiceBase {
+class HashedWheelSorted final : public TimerServiceBase<HashedWheelSorted> {
  public:
   // `table_size` must be a power of two >= 2 (the paper's AND-instruction hash).
   explicit HashedWheelSorted(std::size_t table_size, std::size_t max_timers = 0);
 
   ~HashedWheelSorted() override;
 
-  StartResult StartTimer(Duration interval, RequestId request_id) final;
-  TimerError StopTimer(TimerHandle handle) final;
-  // In-place reschedule: O(1) unlink plus the Scheme 2 sorted re-insert into
-  // the new bucket (O(bucket) comparisons), occupancy bits maintained.
-  TimerError RestartTimer(TimerHandle handle, Duration new_interval) final;
   std::size_t PerTickBookkeeping() final;
   std::size_t AdvanceTo(Tick target) final;
   // Exact, O(occupied buckets): each occupied bucket's head is its minimum (the
@@ -73,6 +68,42 @@ class HashedWheelSorted final : public TimerServiceBase {
   }
 
  private:
+  friend class TimerServiceBase<HashedWheelSorted>;
+
+  // Low-order bits pick the slot; high-order bits (the revolution on which the
+  // timer is due) go into the bucket, kept sorted as in Scheme 2: O(bucket)
+  // comparisons. A restarted record keeps its original seq, so among
+  // same-revolution entries it re-enters the bucket at its start-order
+  // position — the same canonical FIFO the oracle reproduces. Both hooks keep
+  // the occupancy bit in step.
+  void Link(TimerRecord* rec) {
+    const std::uint64_t slot_index = rec->expiry_tick & mask();
+    rec->rounds = rec->expiry_tick >> shift_;
+    rec->home_slot = static_cast<std::uint32_t>(slot_index);
+    IntrusiveList<TimerRecord>& bucket = slots_[slot_index];
+    TimerRecord* cur = bucket.front();
+    while (cur != nullptr) {
+      ++counts_.comparisons;
+      if (cur->rounds > rec->rounds ||
+          (cur->rounds == rec->rounds && cur->seq > rec->seq)) {
+        break;
+      }
+      cur = bucket.Next(cur);
+    }
+    if (cur == nullptr) {
+      bucket.PushBack(rec);
+    } else {
+      bucket.InsertBefore(rec, cur);
+    }
+    occupancy_.Set(slot_index);
+  }
+  void Unlink(TimerRecord* rec) {
+    rec->Unlink();
+    if (slots_[rec->home_slot].empty()) {
+      occupancy_.Clear(rec->home_slot);
+    }
+  }
+
   std::uint64_t mask() const { return slots_.size() - 1; }
 
   // Head-compare drain of the bucket under the current time.
@@ -82,6 +113,9 @@ class HashedWheelSorted final : public TimerServiceBase {
   std::vector<IntrusiveList<TimerRecord>> slots_;
   OccupancyBitmap occupancy_;
 };
+
+
+extern template class TimerServiceBase<HashedWheelSorted>;
 
 }  // namespace twheel
 

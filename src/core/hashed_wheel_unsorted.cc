@@ -22,69 +22,6 @@ HashedWheelUnsorted::~HashedWheelUnsorted() {
   }
 }
 
-StartResult HashedWheelUnsorted::StartTimer(Duration interval, RequestId request_id) {
-  ++counts_.start_calls;
-  if (interval == 0) {
-    return TimerError::kZeroInterval;
-  }
-  TimerRecord* rec = AllocateRecord(interval, request_id);
-  if (rec == nullptr) {
-    return TimerError::kNoCapacity;
-  }
-  // Slot = low-order bits of the absolute expiry (equivalently, current time pointer
-  // plus the interval's remainder mod TableSize). Rounds = full revolutions the
-  // cursor must still make before the expiry visit: the cursor reaches this slot for
-  // the first time within the next TableSize ticks, then once per revolution, so a
-  // timer of interval I waits (I - 1) / TableSize *additional* visits.
-  std::uint64_t slot_index = rec->expiry_tick & mask();
-  rec->rounds = (interval - 1) >> shift_;
-  rec->home_slot = static_cast<std::uint32_t>(slot_index);
-  slots_[slot_index].PushBack(rec);  // unsorted: O(1) worst-case START_TIMER
-  occupancy_.Set(slot_index);
-  ++counts_.insert_link_ops;
-  return rec->self;
-}
-
-TimerError HashedWheelUnsorted::StopTimer(TimerHandle handle) {
-  ++counts_.stop_calls;
-  TimerRecord* rec = Resolve(handle);
-  if (rec == nullptr) {
-    return TimerError::kNoSuchTimer;
-  }
-  rec->Unlink();
-  ++counts_.delete_unlink_ops;
-  if (slots_[rec->home_slot].empty()) {
-    occupancy_.Clear(rec->home_slot);
-  }
-  ReleaseRecord(rec);
-  return TimerError::kOk;
-}
-
-TimerError HashedWheelUnsorted::RestartTimer(TimerHandle handle,
-                                             Duration new_interval) {
-  TimerError error = TimerError::kOk;
-  TimerRecord* rec = ResolveForRestart(handle, new_interval, &error);
-  if (rec == nullptr) {
-    return error;
-  }
-  rec->Unlink();
-  if (slots_[rec->home_slot].empty()) {
-    occupancy_.Clear(rec->home_slot);
-  }
-  StampRestart(rec, new_interval);
-  // Same placement arithmetic as StartTimer, relative to the current cursor. A
-  // restart from inside an expiry handler whose new interval is a multiple of
-  // TableSize relinks into the bucket being swept — safe, because the sweep
-  // walks the spliced-out pending list, so the next visit is a revolution away,
-  // which is exactly what rounds = (I - 1) >> shift counts on.
-  const std::uint64_t slot_index = rec->expiry_tick & mask();
-  rec->rounds = (new_interval - 1) >> shift_;
-  rec->home_slot = static_cast<std::uint32_t>(slot_index);
-  slots_[slot_index].PushBack(rec);
-  occupancy_.Set(slot_index);
-  return TimerError::kOk;
-}
-
 std::size_t HashedWheelUnsorted::PerTickBookkeeping() {
   ++counts_.ticks;
   ++now_;
@@ -190,5 +127,8 @@ bool HashedWheelUnsorted::FastForward(Tick target) {
   TWHEEL_ASSERT_MSG(fired == 0, "FastForward dispatched an expiry");
   return true;
 }
+
+
+template class TimerServiceBase<HashedWheelUnsorted>;
 
 }  // namespace twheel

@@ -40,18 +40,13 @@
 
 namespace twheel {
 
-class HashedWheelUnsorted final : public TimerServiceBase {
+class HashedWheelUnsorted final : public TimerServiceBase<HashedWheelUnsorted> {
  public:
   // `table_size` must be a power of two >= 2.
   explicit HashedWheelUnsorted(std::size_t table_size, std::size_t max_timers = 0);
 
   ~HashedWheelUnsorted() override;
 
-  StartResult StartTimer(Duration interval, RequestId request_id) final;
-  TimerError StopTimer(TimerHandle handle) final;
-  // O(1) in-place reschedule: unlink, recompute (slot, rounds) for the new
-  // interval, relink — both buckets' occupancy bits maintained.
-  TimerError RestartTimer(TimerHandle handle, Duration new_interval) final;
   std::size_t PerTickBookkeeping() final;
   std::size_t AdvanceTo(Tick target) final;
   // Exact, but O(n) in outstanding timers: the bitmap confines the scan to live
@@ -76,6 +71,31 @@ class HashedWheelUnsorted final : public TimerServiceBase {
   }
 
  private:
+  friend class TimerServiceBase<HashedWheelUnsorted>;
+
+  // O(1) worst case: slot = low-order bits of the absolute expiry (equivalently,
+  // current time pointer plus the interval's remainder mod TableSize). Rounds =
+  // full revolutions the cursor must still make before the expiry visit: the
+  // cursor reaches this slot for the first time within the next TableSize ticks,
+  // then once per revolution, so a timer of interval I waits (I - 1) / TableSize
+  // *additional* visits. A restart from inside an expiry handler whose new
+  // interval is a multiple of TableSize relinks into the bucket being swept —
+  // safe, because the sweep walks the spliced-out pending list, so the next
+  // visit is a revolution away.
+  void Link(TimerRecord* rec) {
+    const std::uint64_t slot_index = rec->expiry_tick & mask();
+    rec->rounds = (rec->interval - 1) >> shift_;
+    rec->home_slot = static_cast<std::uint32_t>(slot_index);
+    slots_[slot_index].PushBack(rec);
+    occupancy_.Set(slot_index);
+  }
+  void Unlink(TimerRecord* rec) {
+    rec->Unlink();
+    if (slots_[rec->home_slot].empty()) {
+      occupancy_.Clear(rec->home_slot);
+    }
+  }
+
   std::uint64_t mask() const { return slots_.size() - 1; }
 
   // The Scheme 1 sweep of the bucket under the current time: decrement every
@@ -89,6 +109,9 @@ class HashedWheelUnsorted final : public TimerServiceBase {
   std::vector<IntrusiveList<TimerRecord>> slots_;
   OccupancyBitmap occupancy_;
 };
+
+
+extern template class TimerServiceBase<HashedWheelUnsorted>;
 
 }  // namespace twheel
 

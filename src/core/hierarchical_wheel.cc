@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "src/base/assert.h"
-#include "src/core/slop.h"
 
 namespace twheel {
 
@@ -47,81 +46,6 @@ HierarchicalWheel::~HierarchicalWheel() {
       }
     }
   }
-}
-
-StartResult HierarchicalWheel::StartTimer(Duration interval, RequestId request_id) {
-  ++counts_.start_calls;
-  if (interval == 0) {
-    return TimerError::kZeroInterval;
-  }
-  interval = QuantizeIntervalUp(interval, slop_bits_);
-  if (interval > max_interval()) {
-    if (overflow_ == OverflowPolicy::kReject) {
-      return TimerError::kIntervalOutOfRange;
-    }
-    interval = max_interval();
-  }
-
-  TimerRecord* rec = AllocateRecord(interval, request_id);
-  if (rec == nullptr) {
-    return TimerError::kNoCapacity;
-  }
-  rec->migrations_done = 0;
-  if (migration_ == MigrationPolicy::kNone) {
-    InsertNoMigration(rec);
-  } else {
-    Insert(rec);
-  }
-  ++counts_.insert_link_ops;
-  return rec->self;
-}
-
-TimerError HierarchicalWheel::StopTimer(TimerHandle handle) {
-  ++counts_.stop_calls;
-  TimerRecord* rec = Resolve(handle);
-  if (rec == nullptr) {
-    return TimerError::kNoSuchTimer;
-  }
-  rec->Unlink();
-  ++counts_.delete_unlink_ops;
-  Level& lv = levels_[rec->level];
-  if (lv.slots[rec->home_slot].empty()) {
-    lv.occupancy.Clear(rec->home_slot);
-  }
-  ReleaseRecord(rec);
-  return TimerError::kOk;
-}
-
-TimerError HierarchicalWheel::RestartTimer(TimerHandle handle,
-                                           Duration new_interval) {
-  TimerError error = TimerError::kOk;
-  TimerRecord* rec = ResolveForRestart(handle, new_interval, &error);
-  if (rec == nullptr) {
-    return error;
-  }
-  new_interval = QuantizeIntervalUp(new_interval, slop_bits_);
-  if (new_interval > max_interval()) {
-    if (overflow_ == OverflowPolicy::kReject) {
-      return TimerError::kIntervalOutOfRange;
-    }
-    new_interval = max_interval();
-  }
-  rec->Unlink();
-  Level& old_level = levels_[rec->level];
-  if (old_level.slots[rec->home_slot].empty()) {
-    old_level.occupancy.Clear(rec->home_slot);
-  }
-  StampRestart(rec, new_interval);
-  // A restarted timer is a fresh placement: the digit rule (or no-migration
-  // rounding) runs against the current time, and its migration allowance
-  // resets with it.
-  rec->migrations_done = 0;
-  if (migration_ == MigrationPolicy::kNone) {
-    InsertNoMigration(rec);
-  } else {
-    Insert(rec);
-  }
-  return TimerError::kOk;
 }
 
 std::size_t HierarchicalWheel::PerTickBookkeeping() {
@@ -246,7 +170,7 @@ std::size_t HierarchicalWheel::VisitSlot(std::size_t level, std::size_t slot_ind
       if (migration_ == MigrationPolicy::kFull) {
         TWHEEL_ASSERT(rec->expiry_tick == now_);
       }
-      // Non-final periodic fire: RestartTimer unlinks from `pending`, re-runs
+      // Non-final periodic fire: the relink unlinks from `pending`, re-runs
       // the digit rule (or no-migration rounding) against the current time, and
       // refiles — never back into the slot being visited.
       if (TryFirePeriodic(rec)) {
@@ -364,5 +288,8 @@ std::size_t HierarchicalWheel::LevelPopulationSlow(std::size_t level) const {
   }
   return total;
 }
+
+
+template class TimerServiceBase<HierarchicalWheel>;
 
 }  // namespace twheel

@@ -47,6 +47,7 @@
 
 #include "src/base/bitmap.h"
 #include "src/base/intrusive_list.h"
+#include "src/core/slop.h"
 #include "src/core/timer_service.h"
 
 namespace twheel {
@@ -71,7 +72,7 @@ struct HierarchicalWheelOptions {
   std::uint32_t slop_bits = 0;
 };
 
-class HierarchicalWheel final : public TimerServiceBase {
+class HierarchicalWheel final : public TimerServiceBase<HierarchicalWheel> {
  public:
   // `level_sizes` lists slot counts from finest (granularity 1 tick) to coarsest,
   // e.g. {60, 60, 24, 100} for the paper's second/minute/hour/day example. Between
@@ -81,12 +82,6 @@ class HierarchicalWheel final : public TimerServiceBase {
 
   ~HierarchicalWheel() override;
 
-  StartResult StartTimer(Duration interval, RequestId request_id) final;
-  TimerError StopTimer(TimerHandle handle) final;
-  // In-place reschedule: O(1) unlink from the current (level, slot), then the
-  // O(m) digit-rule re-file, with both occupancy bitmaps maintained and the
-  // migration allowance reset. kIntervalOutOfRange leaves the old deadline.
-  TimerError RestartTimer(TimerHandle handle, Duration new_interval) final;
   std::size_t PerTickBookkeeping() final;
   std::size_t AdvanceTo(Tick target) final;
   // kFull: exact — earliest absolute expiry among residents (bitmap-confined O(n)
@@ -156,6 +151,39 @@ class HierarchicalWheel final : public TimerServiceBase {
     }
   };
 
+  friend class TimerServiceBase<HierarchicalWheel>;
+
+  // Slop quantization, then the range check against max_interval() (reject,
+  // or clamp under OverflowPolicy::kClamp).
+  TimerError Admit(Duration* interval) const {
+    *interval = QuantizeIntervalUp(*interval, slop_bits_);
+    if (*interval > max_interval()) {
+      if (overflow_ == OverflowPolicy::kReject) {
+        return TimerError::kIntervalOutOfRange;
+      }
+      *interval = max_interval();
+    }
+    return TimerError::kOk;
+  }
+  // A fresh placement — the O(m) digit rule, or no-migration rounding, against
+  // the current time, with the migration allowance reset — and an O(1) unlink
+  // from the record's (level, slot); both keep the occupancy bitmaps in step.
+  void Link(TimerRecord* rec) {
+    rec->migrations_done = 0;
+    if (migration_ == MigrationPolicy::kNone) {
+      InsertNoMigration(rec);
+    } else {
+      Insert(rec);
+    }
+  }
+  void Unlink(TimerRecord* rec) {
+    rec->Unlink();
+    Level& lv = levels_[rec->level];
+    if (lv.slots[rec->home_slot].empty()) {
+      lv.occupancy.Clear(rec->home_slot);
+    }
+  }
+
   // Highest level whose unit digit of `expiry` differs from the current time's
   // (the paper's insertion rule). Counts one comparison per level examined.
   std::size_t FindLevel(Tick expiry);
@@ -188,6 +216,9 @@ class HierarchicalWheel final : public TimerServiceBase {
   MigrationPolicy migration_;
   std::uint32_t slop_bits_ = 0;
 };
+
+
+extern template class TimerServiceBase<HierarchicalWheel>;
 
 }  // namespace twheel
 

@@ -24,94 +24,6 @@ HybridWheel::~HybridWheel() {
   }
 }
 
-StartResult HybridWheel::StartTimer(Duration interval, RequestId request_id) {
-  ++counts_.start_calls;
-  if (interval == 0) {
-    return TimerError::kZeroInterval;
-  }
-  TimerRecord* rec = AllocateRecord(interval, request_id);
-  if (rec == nullptr) {
-    return TimerError::kNoCapacity;
-  }
-  if (interval < slots_.size()) {
-    const std::size_t index = (cursor_ + interval) % slots_.size();
-    rec->home_slot = static_cast<std::uint32_t>(index);
-    slots_[index].PushBack(rec);
-    occupancy_.Set(index);
-  } else {
-    // Scheme 2 annex: sorted insert from the front by (expiry, FIFO among equals).
-    // Annex residents keep home_slot == kNoIndex; they never enter the wheel.
-    TimerRecord* cur = overflow_.front();
-    while (cur != nullptr) {
-      ++counts_.comparisons;
-      if (cur->expiry_tick > rec->expiry_tick) {
-        break;
-      }
-      cur = overflow_.Next(cur);
-    }
-    if (cur == nullptr) {
-      overflow_.PushBack(rec);
-    } else {
-      overflow_.InsertBefore(rec, cur);
-    }
-  }
-  ++counts_.insert_link_ops;
-  return rec->self;
-}
-
-TimerError HybridWheel::StopTimer(TimerHandle handle) {
-  ++counts_.stop_calls;
-  TimerRecord* rec = Resolve(handle);
-  if (rec == nullptr) {
-    return TimerError::kNoSuchTimer;
-  }
-  rec->Unlink();  // O(1) regardless of residence
-  ++counts_.delete_unlink_ops;
-  if (rec->home_slot != TimerRecord::kNoIndex && slots_[rec->home_slot].empty()) {
-    occupancy_.Clear(rec->home_slot);
-  }
-  ReleaseRecord(rec);
-  return TimerError::kOk;
-}
-
-TimerError HybridWheel::RestartTimer(TimerHandle handle, Duration new_interval) {
-  TimerError error = TimerError::kOk;
-  TimerRecord* rec = ResolveForRestart(handle, new_interval, &error);
-  if (rec == nullptr) {
-    return error;
-  }
-  rec->Unlink();  // O(1) regardless of residence
-  if (rec->home_slot != TimerRecord::kNoIndex && slots_[rec->home_slot].empty()) {
-    occupancy_.Clear(rec->home_slot);
-  }
-  StampRestart(rec, new_interval);
-  // Residence is re-decided from scratch, so all four transitions
-  // (wheel<->wheel, wheel<->annex) fall out of the same two branches
-  // StartTimer uses.
-  if (new_interval < slots_.size()) {
-    const std::size_t index = (cursor_ + new_interval) % slots_.size();
-    rec->home_slot = static_cast<std::uint32_t>(index);
-    slots_[index].PushBack(rec);
-    occupancy_.Set(index);
-  } else {
-    rec->home_slot = TimerRecord::kNoIndex;
-    TimerRecord* cur = overflow_.front();
-    while (cur != nullptr) {
-      ++counts_.comparisons;
-      if (cur->expiry_tick > rec->expiry_tick) {
-        break;
-      }
-      cur = overflow_.Next(cur);
-    }
-    if (cur == nullptr) {
-      overflow_.PushBack(rec);
-    } else {
-      overflow_.InsertBefore(rec, cur);
-    }
-  }
-  return TimerError::kOk;
-}
-
 std::size_t HybridWheel::PerTickBookkeeping() {
   ++counts_.ticks;
   ++now_;
@@ -231,5 +143,8 @@ bool HybridWheel::FastForward(Tick target) {
   now_ = target;
   return true;
 }
+
+
+template class TimerServiceBase<HybridWheel>;
 
 }  // namespace twheel

@@ -29,19 +29,13 @@
 
 namespace twheel {
 
-class HybridWheel final : public TimerServiceBase {
+class HybridWheel final : public TimerServiceBase<HybridWheel> {
  public:
   // Intervals in [1, wheel_size) take the wheel; longer ones take the list.
   explicit HybridWheel(std::size_t wheel_size, std::size_t max_timers = 0);
 
   ~HybridWheel() override;
 
-  StartResult StartTimer(Duration interval, RequestId request_id) final;
-  TimerError StopTimer(TimerHandle handle) final;
-  // In-place reschedule across all four residence transitions (wheel<->wheel,
-  // wheel<->annex): O(1) unlink, then the same placement decision as
-  // StartTimer (O(1) wheel relink or sorted annex insert).
-  TimerError RestartTimer(TimerHandle handle, Duration new_interval) final;
   std::size_t PerTickBookkeeping() final;
   std::size_t AdvanceTo(Tick target) final;
   // Exact: min(wheel's cursor-to-next-set-bit distance, overflow list head). Both
@@ -66,6 +60,43 @@ class HybridWheel final : public TimerServiceBase {
   }
 
  private:
+  friend class TimerServiceBase<HybridWheel>;
+
+  // Residence is decided from the interval alone — an O(1) wheel slot below
+  // the wheel size, else the sorted annex — so a restart's four transitions
+  // (wheel<->wheel, wheel<->annex) are one O(1) unlink and this placement.
+  void Link(TimerRecord* rec) {
+    if (rec->interval < slots_.size()) {
+      const std::size_t index = (cursor_ + rec->interval) % slots_.size();
+      rec->home_slot = static_cast<std::uint32_t>(index);
+      slots_[index].PushBack(rec);
+      occupancy_.Set(index);
+      return;
+    }
+    // Scheme 2 annex: sorted insert from the front by (expiry, FIFO among
+    // equals). Annex residents have home_slot == kNoIndex.
+    rec->home_slot = TimerRecord::kNoIndex;
+    TimerRecord* cur = overflow_.front();
+    while (cur != nullptr) {
+      ++counts_.comparisons;
+      if (cur->expiry_tick > rec->expiry_tick) {
+        break;
+      }
+      cur = overflow_.Next(cur);
+    }
+    if (cur == nullptr) {
+      overflow_.PushBack(rec);
+    } else {
+      overflow_.InsertBefore(rec, cur);
+    }
+  }
+  void Unlink(TimerRecord* rec) {
+    rec->Unlink();  // O(1) regardless of residence
+    if (rec->home_slot != TimerRecord::kNoIndex && slots_[rec->home_slot].empty()) {
+      occupancy_.Clear(rec->home_slot);
+    }
+  }
+
   // Expire the slot under the cursor (splice-drain, as BasicWheel) and then any
   // due heads of the overflow annex. Returns expiries dispatched.
   std::size_t DrainCursorSlot();
@@ -76,6 +107,9 @@ class HybridWheel final : public TimerServiceBase {
   OccupancyBitmap occupancy_;            // wheel slots only; the annex has a head
   std::size_t cursor_ = 0;
 };
+
+
+extern template class TimerServiceBase<HybridWheel>;
 
 }  // namespace twheel
 

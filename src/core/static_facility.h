@@ -21,11 +21,11 @@
 // layering means a divergence could only come from the facade's forwarding
 // itself, which is exactly what the equivalence suite pins.
 //
-// Composite default ops (StartPeriodic's arena stamp, TryFirePeriodic's re-arm)
-// internally call back through `this` and stay devirtualizable-but-virtual in
-// unoptimized builds; the four hot client ops (start/stop/restart/tick) are
-// overridden directly by every scheme, so their qualified calls here bottom out
-// in straight-line scheme code with no indirection at all.
+// START/STOP/RESTART and StartPeriodic are written once in
+// TimerServiceBase<Scheme>, which reaches the scheme's Link/Unlink hooks by
+// static type, and TryFirePeriodic's expiry-path re-arm uses the same hooks; so
+// the four hot ops and every periodic lap bottom out in straight-line scheme
+// code with no virtual call at all.
 
 #ifndef TWHEEL_SRC_CORE_STATIC_FACILITY_H_
 #define TWHEEL_SRC_CORE_STATIC_FACILITY_H_

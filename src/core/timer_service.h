@@ -20,6 +20,11 @@
 // Every implementation maintains metrics::OpCounts so benches can report costs in
 // the paper's currency (elementary operations / VAX instructions) as well as in
 // wall-clock time.
+//
+// The paper's Schemes 1-7 differ only in where a timer record is filed, and the
+// code follows suit: TimerServiceBase<Scheme> below writes START_TIMER,
+// STOP_TIMER and RESTART_TIMER (and the periodic re-arm) once, and each scheme
+// supplies Link/Unlink hooks for its structure plus its own PER_TICK_BOOKKEEPING.
 
 #ifndef TWHEEL_SRC_CORE_TIMER_SERVICE_H_
 #define TWHEEL_SRC_CORE_TIMER_SERVICE_H_
@@ -30,6 +35,7 @@
 #include <string_view>
 #include <utility>
 
+#include "src/base/assert.h"
 #include "src/base/expected.h"
 #include "src/base/slab_arena.h"
 #include "src/base/types.h"
@@ -96,17 +102,17 @@ class TimerService {
   // old deadline.
   //
   // Contract on success: the handle (and its generation) REMAINS VALID — the
-  // caller keeps using the same handle for later stops and restarts. Every
-  // scheme in this repository honors that with an in-place override (unlink /
-  // relink, sift, or rotate — never freeing the record).
+  // caller keeps using the same handle for later stops and restarts.
+  // TimerServiceBase<Scheme> honors that for every scheme in this repository:
+  // it re-stamps the record and the scheme relinks it in place (unlink / link,
+  // or a heap sift), never freeing it.
   //
   // Default: kNotSupported. An earlier default implemented the semantic
   // definition as StopTimer + StartTimer through the public interface, but that
   // cannot recover the client's cookie — it silently restarted the timer with
   // RequestId{0}, so the eventual expiry delivered the wrong cookie. A restart
   // that loses the cookie is worse than no restart; services without arena
-  // access must refuse rather than guess (TimerServiceBase provides the
-  // cookie-preserving arena-aware fallback).
+  // access must refuse rather than guess.
   virtual TimerError RestartTimer(TimerHandle handle, Duration new_interval) {
     (void)handle;
     if (new_interval == 0) {
@@ -212,12 +218,58 @@ class TimerService {
   }
 };
 
-// Shared implementation plumbing: the record arena, clock, expiry dispatch, and op
-// counters. Schemes derive from this and implement the data-structure specifics.
+// The §2 routine contract, written once for every scheme. Scheme derives from
+// TimerServiceBase<Scheme> (CRTP) and decides only where a record is filed; this
+// class decides what each routine checks, counts and guarantees:
+//
+//   StartTimer    start_calls; zero interval, then Admit, then arena capacity;
+//                 Link; insert_link_ops.
+//   StopTimer     stop_calls; stale handle; Unlink; delete_unlink_ops; release.
+//   RestartTimer  zero interval, then stale handle, then Admit; re-stamp and
+//                 Relink the same record; restart_calls and restart_relink_ops
+//                 (a restart is neither a start nor a stop, so the conservation
+//                 law stays start_calls == expiries + cancels + outstanding).
+//   TryFirePeriodic  Admit the next phase-stable delay; re-stamp and Relink the
+//                 same record; periodic_rearm_relinks — then dispatch.
+//
+// A record is never released by a restart or a periodic lap, so the caller's
+// handle and generation survive both. The scheme's hooks are ordinary member
+// functions bound by static type — no virtual call; the small ones live in the
+// scheme's header so they inline into the routines. A scheme keeps them private
+// and befriends its base:
+//
+//   void Link(TimerRecord* rec)      file a stamped record by its expiry_tick and
+//                                    interval, counting its own comparisons.
+//   void Unlink(TimerRecord* rec)    take a filed record out, keeping occupancy
+//                                    bits and similar state in step. It must not
+//                                    read expiry_tick or interval: a relink
+//                                    re-stamps the record before unlinking it.
+//   TimerError Admit(Duration* interval) const
+//                                    optional: the scheme's range or slop rule,
+//                                    which may rewrite the interval (clamp,
+//                                    quantize). The default admits every interval.
+//   void Relink(TimerRecord* rec)    optional: move a re-stamped record that is
+//                                    still filed. The default is Unlink then
+//                                    Link; the binary heap re-sifts in place.
+//
+// Each scheme's PER_TICK_BOOKKEEPING offers every due record to TryFirePeriodic
+// before unlinking it and handing it to Expire.
+template <typename Scheme>
 class TimerServiceBase : public TimerService {
  public:
   // `max_timers` bounds the arena; 0 = unbounded.
   explicit TimerServiceBase(std::size_t max_timers = 0) : arena_(max_timers) {}
+
+  StartResult StartTimer(Duration interval, RequestId request_id) final;
+  // Not final: the leftist heap keeps the lazy cancellation of Section 4.2.
+  TimerError StopTimer(TimerHandle handle) override;
+  TimerError RestartTimer(TimerHandle handle, Duration new_interval) final;
+  // Arena-backed periodic registration: a one-shot start plus the cadence
+  // stamped on the record. The cadence follows the *effective* interval (after
+  // Admit's clamp or quantization), which keeps every expiry-path re-arm delay
+  // within the scheme's validated range by construction.
+  StartResult StartPeriodic(Duration interval, RequestId request_id,
+                            std::uint64_t repeat_for = kRepeatForever) final;
 
   Tick now() const final { return now_; }
   // Live records in the arena. Lazy-deletion schemes (leftist heap) override this to
@@ -232,59 +284,89 @@ class TimerServiceBase : public TimerService {
   metrics::OpCounts counts() const final { return counts_; }
   void set_expiry_handler(ExpiryHandler handler) final { handler_ = std::move(handler); }
 
-  // Cookie-preserving stop+start fallback: recovers the client's RequestId from
-  // the arena before the stop, so the rescheduled timer keeps its cookie — but
-  // the arena recycles the slot, so the caller's handle is burned. Every scheme
-  // in this repository overrides this with an in-place relink that keeps the
-  // handle valid; the fallback remains for derived services outside the
-  // differential matrix (sim::TegasWheel, hw::ChipAssistedWheel).
-  TimerError RestartTimer(TimerHandle handle, Duration new_interval) override {
-    if (new_interval == 0) {
-      return TimerError::kZeroInterval;
-    }
-    TimerRecord* rec = Resolve(handle);
-    if (rec == nullptr) {
-      return TimerError::kNoSuchTimer;
-    }
-    const ColdTimerRecord& old_cold = cold(rec);
-    const RequestId request_id = old_cold.request_id;
-    const Duration period = old_cold.period;
-    const std::uint64_t repeats_left = old_cold.repeats_left;
-    const TimerError stopped = StopTimer(handle);
-    if (stopped != TimerError::kOk) {
-      return stopped;
-    }
-    StartResult restarted = StartTimer(new_interval, request_id);
-    if (!restarted.has_value()) {
-      return restarted.error();
-    }
-    // A restarted periodic keeps its cadence and remaining-fire budget even
-    // across the handle burn.
-    ColdTimerRecord& fresh = cold(Resolve(restarted.value()));
-    fresh.period = period;
-    fresh.repeats_left = repeats_left;
-    return TimerError::kOk;
-  }
-
-  // Arena-backed periodic registration: a one-shot start plus the cadence
-  // stamped on the record. The cadence follows the *effective* interval (after
-  // any OverflowPolicy::kClamp saturation), which keeps every expiry-path
-  // re-arm delay within the scheme's validated range by construction.
-  StartResult StartPeriodic(Duration interval, RequestId request_id,
-                            std::uint64_t repeat_for = kRepeatForever) override {
-    StartResult started = this->StartTimer(interval, request_id);
-    if (!started.has_value()) {
-      return started;
-    }
-    TimerRecord* rec = Resolve(started.value());
-    ColdTimerRecord& c = cold(rec);
-    c.period = rec->interval;
-    c.repeats_left = repeat_for;
-    ++counts_.periodic_starts;
-    return started;
-  }
-
  protected:
+  // The optional hooks' defaults (see the class comment).
+  TimerError Admit(Duration* /*interval*/) const { return TimerError::kOk; }
+  void Relink(TimerRecord* rec) {
+    self().Unlink(rec);
+    self().Link(rec);
+  }
+
+  TimerRecord* Resolve(TimerHandle handle) const {
+    return arena_.Get(SlabRef{handle.slot, handle.generation});
+  }
+
+  // The cold twin of a live hot record (same arena slot, parallel slab). Valid
+  // exactly while `rec` is live; per-op hot paths must not call this — it pulls
+  // a second cache line (see timer_record.h for what lives where and why).
+  ColdTimerRecord& cold(const TimerRecord* rec) const {
+    return *arena_.ColdOf(rec->self.slot);
+  }
+
+  // Return a record's storage to the arena (after unlinking it from any structure).
+  void ReleaseRecord(TimerRecord* rec) {
+    arena_.Free(SlabRef{rec->self.slot, rec->self.generation});
+  }
+
+  // Expiry-path fast path for periodic records, called by every scheme's drain
+  // loop on a due record BEFORE unlinking it. A non-final periodic fire moves
+  // the still-live record to the next phase-stable deadline with the same
+  // Reschedule a restart uses — the arena is never touched, the handle and
+  // generation survive — then dispatches the handler. Dispatch happens AFTER
+  // the re-arm, so a handler cancelling its own timer (StopTimer on the
+  // just-fired handle) finds it live and gets kOk. Returns true when the fire
+  // was fully handled here; false sends the record down the normal Expire path
+  // (one-shot, final fire, or a re-arm Admit rejected — then accounted as a
+  // periodic_drop and degraded to a final expiry).
+  bool TryFirePeriodic(TimerRecord* rec) {
+    ColdTimerRecord& c = cold(rec);
+    if (c.period == 0 || c.repeats_left == 1) {
+      return false;
+    }
+    const RequestId id = c.request_id;
+    if (Reschedule(rec, NextPeriodicDelay(rec->expiry_tick, c.period)) !=
+        TimerError::kOk) {
+      // Degrade to a one-shot so the caller's Expire releases it exactly once.
+      c.period = 0;
+      ++counts_.periodic_drops;
+      return false;
+    }
+    if (c.repeats_left > 1) {
+      --c.repeats_left;
+    }
+    ++counts_.periodic_fires;
+    ++counts_.periodic_rearm_relinks;
+    ++counts_.expiry_dispatches;
+    if (handler_) {
+      handler_(id, now_);
+    }
+    return true;
+  }
+
+  // Dispatch EXPIRY_PROCESSING for `rec` and release it. The record must already
+  // be unlinked from the scheme's structures, and the drain loop must have
+  // offered it to TryFirePeriodic first: what reaches here is a one-shot, a
+  // periodic's final fire, or a dropped re-arm.
+  void Expire(TimerRecord* rec) {
+    const ColdTimerRecord& c = cold(rec);
+    TWHEEL_ASSERT_MSG(c.period == 0 || c.repeats_left == 1,
+                      "periodic lap expired without TryFirePeriodic");
+    const RequestId id = c.request_id;
+    ++counts_.expiries;
+    ++counts_.expiry_dispatches;
+    ReleaseRecord(rec);
+    if (handler_) {
+      handler_(id, now_);
+    }
+  }
+
+  Tick now_ = 0;
+  metrics::OpCounts counts_;
+
+ private:
+  Scheme& self() { return static_cast<Scheme&>(*this); }
+  const Scheme& self() const { return static_cast<const Scheme&>(*this); }
+
   // Allocate and pre-fill a hot/cold record pair; nullptr when the arena is full.
   // The arena placement-news both records fresh, so a recycled slot cannot
   // resurrect a previous timer's periodic cadence or tree links.
@@ -304,49 +386,19 @@ class TimerServiceBase : public TimerService {
     return rec;
   }
 
-  TimerRecord* Resolve(TimerHandle handle) const {
-    return arena_.Get(SlabRef{handle.slot, handle.generation});
-  }
-
-  // The cold twin of a live hot record (same arena slot, parallel slab). Valid
-  // exactly while `rec` is live; per-op hot paths must not call this — it pulls
-  // a second cache line (see timer_record.h for what lives where and why).
-  ColdTimerRecord& cold(const TimerRecord* rec) const {
-    return *arena_.ColdOf(rec->self.slot);
-  }
-
-  // Return a record's storage to the arena (after unlinking it from any structure).
-  void ReleaseRecord(TimerRecord* rec) {
-    arena_.Free(SlabRef{rec->self.slot, rec->self.generation});
-  }
-
-  // Shared prologue for the in-place RestartTimer overrides: validate the new
-  // interval and resolve the handle. On failure returns nullptr with *error
-  // set; the scheme's structures are untouched.
-  TimerRecord* ResolveForRestart(TimerHandle handle, Duration new_interval,
-                                 TimerError* error) const {
-    if (new_interval == 0) {
-      *error = TimerError::kZeroInterval;
-      return nullptr;
+  // The one move of a live record, shared by RestartTimer and TryFirePeriodic:
+  // Admit the interval, re-stamp the schedule fields, Relink. On an Admit
+  // rejection the record is untouched at its old deadline. The record keeps its
+  // seq, so among equal expiries it stays in start order.
+  TimerError Reschedule(TimerRecord* rec, Duration interval) {
+    if (const TimerError error = self().Admit(&interval); error != TimerError::kOk) {
+      return error;
     }
-    TimerRecord* rec = Resolve(handle);
-    if (rec == nullptr) {
-      *error = TimerError::kNoSuchTimer;
-      return nullptr;
-    }
-    return rec;
-  }
-
-  // Shared epilogue: re-stamp the record's schedule fields (the caller then
-  // re-files it by the fresh expiry_tick) and account the restart. A restart is
-  // deliberately neither a start nor a stop in OpCounts: the conservation law
-  // stays start_calls == expiries + cancels + outstanding.
-  void StampRestart(TimerRecord* rec, Duration new_interval) {
     cold(rec).start_tick = now_;
-    rec->interval = new_interval;
-    rec->expiry_tick = now_ + new_interval;
-    ++counts_.restart_calls;
-    ++counts_.restart_relink_ops;
+    rec->interval = interval;
+    rec->expiry_tick = now_ + interval;
+    self().Relink(rec);
+    return TimerError::kOk;
   }
 
   // Phase-stable re-arm target: the next multiple of `period` after the fire,
@@ -361,106 +413,86 @@ class TimerServiceBase : public TimerService {
     return target - now_;
   }
 
-  // Expiry-path fast path for periodic records, called by every scheme's drain
-  // loop on a due record BEFORE unlinking it. A non-final periodic fire relinks
-  // the still-live record to the next phase-stable deadline via the scheme's
-  // in-place RestartTimer machinery — the arena is never touched, the handle
-  // and generation survive — then dispatches the handler. Dispatch happens
-  // AFTER the re-arm, so a handler cancelling its own timer (StopTimer on the
-  // just-fired handle) finds it live and gets kOk. Returns true when the fire
-  // was fully handled here; false sends the record down the normal Expire path
-  // (one-shot, final fire, or a re-arm the scheme rejected — then accounted as
-  // a periodic_drop and degraded to a final expiry).
-  bool TryFirePeriodic(TimerRecord* rec) {
-    ColdTimerRecord& c = cold(rec);
-    if (c.period == 0 || c.repeats_left == 1) {
-      return false;
-    }
-    const RequestId id = c.request_id;
-    const Duration delay = NextPeriodicDelay(rec->expiry_tick, c.period);
-    if (RearmPeriodic(rec, delay) != TimerError::kOk) {
-      // Degrade to a one-shot so the caller's Expire releases it exactly once.
-      c.period = 0;
-      ++counts_.periodic_drops;
-      return false;
-    }
-    if (c.repeats_left > 1) {
-      --c.repeats_left;
-    }
-    ++counts_.periodic_fires;
-    ++counts_.expiry_dispatches;
-    if (handler_) {
-      handler_(id, now_);
-    }
-    return true;
-  }
-
-  // How TryFirePeriodic moves the record. The default routes through the
-  // scheme's own in-place RestartTimer override (the PR 4 relink machinery:
-  // wheels unlink/relink in O(1) maintaining occupancy bitmaps, heaps sift,
-  // trees rotate) and reclassifies the accounting: an expiry-path re-arm is not
-  // a client restart.
-  virtual TimerError RearmPeriodic(TimerRecord* rec, Duration delay) {
-    const TimerError err = this->RestartTimer(rec->self, delay);
-    if (err == TimerError::kOk) {
-      --counts_.restart_calls;
-      --counts_.restart_relink_ops;
-      ++counts_.periodic_rearm_relinks;
-    }
-    return err;
-  }
-
-  // Dispatch EXPIRY_PROCESSING for `rec` and release it. The record must already be
-  // unlinked from the scheme's structures. Periodic safety net: a derived service
-  // that never calls TryFirePeriodic (sim::TegasWheel, hw::ChipAssistedWheel) still
-  // gets correct periodic semantics here via a stop+start re-arm; a rejected
-  // re-arm is a documented drop (periodic_drops) that degrades to a final expiry
-  // instead of aborting.
-  void Expire(TimerRecord* rec) {
-    const ColdTimerRecord& c = cold(rec);
-    const RequestId id = c.request_id;
-    if (c.period != 0 && c.repeats_left != 1) {
-      const Duration period = c.period;
-      const std::uint64_t repeats = c.repeats_left;
-      const Duration delay = NextPeriodicDelay(rec->expiry_tick, period);
-      ReleaseRecord(rec);
-      StartResult rearmed = this->StartTimer(delay, id);
-      if (rearmed.has_value()) {
-        ColdTimerRecord& fresh = cold(Resolve(rearmed.value()));
-        fresh.period = period;
-        fresh.repeats_left = repeats > 1 ? repeats - 1 : repeats;
-        --counts_.start_calls;  // a re-arm is not a client start
-        ++counts_.periodic_fires;
-        ++counts_.expiry_dispatches;
-        if (handler_) {
-          handler_(id, now_);
-        }
-        return;
-      }
-      ++counts_.periodic_drops;
-      ++counts_.expiries;
-      ++counts_.expiry_dispatches;
-      if (handler_) {
-        handler_(id, now_);
-      }
-      return;
-    }
-    ++counts_.expiries;
-    ++counts_.expiry_dispatches;
-    ReleaseRecord(rec);
-    if (handler_) {
-      handler_(id, now_);
-    }
-  }
-
-  Tick now_ = 0;
-  metrics::OpCounts counts_;
-
- private:
   PairedSlabArena<TimerRecord, ColdTimerRecord> arena_;
   ExpiryHandler handler_;
   std::uint64_t next_seq_ = 0;
 };
+
+// The routines are defined out of the class, and each scheme compiles them once
+// in its own translation unit: its .cc explicitly instantiates
+// TimerServiceBase<Scheme> and its header declares that instantiation extern.
+// There the scheme's hooks and the arena inline into each routine, so virtual
+// and StaticTimerFacility callers alike make one call per routine into code
+// built with the scheme in view.
+
+template <typename Scheme>
+StartResult TimerServiceBase<Scheme>::StartTimer(Duration interval,
+                                                 RequestId request_id) {
+  ++counts_.start_calls;
+  if (interval == 0) {
+    return TimerError::kZeroInterval;
+  }
+  if (const TimerError error = self().Admit(&interval); error != TimerError::kOk) {
+    return error;
+  }
+  TimerRecord* rec = AllocateRecord(interval, request_id);
+  if (rec == nullptr) {
+    return TimerError::kNoCapacity;
+  }
+  self().Link(rec);
+  ++counts_.insert_link_ops;
+  return rec->self;
+}
+
+template <typename Scheme>
+TimerError TimerServiceBase<Scheme>::StopTimer(TimerHandle handle) {
+  ++counts_.stop_calls;
+  TimerRecord* rec = Resolve(handle);
+  if (rec == nullptr) {
+    return TimerError::kNoSuchTimer;
+  }
+  self().Unlink(rec);
+  ++counts_.delete_unlink_ops;
+  ReleaseRecord(rec);
+  return TimerError::kOk;
+}
+
+template <typename Scheme>
+TimerError TimerServiceBase<Scheme>::RestartTimer(TimerHandle handle,
+                                                  Duration new_interval) {
+  if (new_interval == 0) {
+    return TimerError::kZeroInterval;
+  }
+  TimerRecord* rec = Resolve(handle);
+  // A lazily cancelled record (leftist heap) still holds its arena slot but is
+  // no longer a timer.
+  if (rec == nullptr || rec->cancelled) {
+    return TimerError::kNoSuchTimer;
+  }
+  if (const TimerError error = Reschedule(rec, new_interval);
+      error != TimerError::kOk) {
+    return error;
+  }
+  ++counts_.restart_calls;
+  ++counts_.restart_relink_ops;
+  return TimerError::kOk;
+}
+
+template <typename Scheme>
+StartResult TimerServiceBase<Scheme>::StartPeriodic(Duration interval,
+                                                    RequestId request_id,
+                                                    std::uint64_t repeat_for) {
+  StartResult started = TimerServiceBase::StartTimer(interval, request_id);
+  if (!started.has_value()) {
+    return started;
+  }
+  TimerRecord* rec = Resolve(started.value());
+  ColdTimerRecord& c = cold(rec);
+  c.period = rec->interval;
+  c.repeats_left = repeat_for;
+  ++counts_.periodic_starts;
+  return started;
+}
 
 }  // namespace twheel
 

@@ -22,46 +22,6 @@ ChipAssistedWheel::~ChipAssistedWheel() {
   }
 }
 
-StartResult ChipAssistedWheel::StartTimer(Duration interval, RequestId request_id) {
-  ++counts_.start_calls;
-  if (interval == 0) {
-    return TimerError::kZeroInterval;
-  }
-  TimerRecord* rec = AllocateRecord(interval, request_id);
-  if (rec == nullptr) {
-    return TimerError::kNoCapacity;
-  }
-  const std::size_t slot_index = rec->expiry_tick & mask();
-  rec->rounds = (interval - 1) >> shift_;
-  IntrusiveList<TimerRecord>& queue = slots_[slot_index];
-  // "When the host inserts a timer into an empty queue pointed to by array element
-  // X it tells the chip about this new queue."
-  if (queue.empty()) {
-    NotifyBusy(slot_index);
-  }
-  queue.PushBack(rec);
-  ++counts_.insert_link_ops;
-  return rec->self;
-}
-
-TimerError ChipAssistedWheel::StopTimer(TimerHandle handle) {
-  ++counts_.stop_calls;
-  TimerRecord* rec = Resolve(handle);
-  if (rec == nullptr) {
-    return TimerError::kNoSuchTimer;
-  }
-  const std::size_t slot_index = rec->expiry_tick & mask();
-  rec->Unlink();
-  ++counts_.delete_unlink_ops;
-  ReleaseRecord(rec);
-  // "When the host deletes a timer entry from some queue and leaves behind an empty
-  // queue it needs to inform the chip."
-  if (slots_[slot_index].empty()) {
-    NotifyFree(slot_index);
-  }
-  return TimerError::kOk;
-}
-
 std::size_t ChipAssistedWheel::PerTickBookkeeping() {
   ++counts_.ticks;
   ++now_;
@@ -82,20 +42,28 @@ std::size_t ChipAssistedWheel::PerTickBookkeeping() {
   IntrusiveList<TimerRecord> pending;
   pending.SpliceAll(queue);
   while (TimerRecord* rec = pending.front()) {
-    rec->Unlink();
     ++counts_.decrement_visits;
-    if (rec->rounds == 0) {
-      TWHEEL_ASSERT(rec->expiry_tick == now_);
-      Expire(rec);
-      ++expired;
-    } else {
+    if (rec->rounds != 0) {
+      rec->Unlink();
       --rec->rounds;
       queue.PushBack(rec);
+      continue;
     }
+    TWHEEL_ASSERT(rec->expiry_tick == now_);
+    ++expired;
+    // Non-final periodic fire: the relink unlinks the record from `pending` and
+    // files it by its next deadline (a period that is a multiple of the table
+    // size lands back in `queue`, a revolution away).
+    if (TryFirePeriodic(rec)) {
+      continue;
+    }
+    rec->Unlink();
+    Expire(rec);
   }
   // Reconcile the busy bit with the queue's final state. (Mid-drain, a reentrant
-  // StopTimer can observe the spliced-out queue as empty and send an early free
-  // notification, and a reentrant StartTimer a busy one; the final state wins.)
+  // stop, restart or periodic relink can observe the spliced-out queue as empty
+  // and send an early free notification, and a reentrant start a busy one; the
+  // final state wins.)
   if (queue.empty() && busy_[slot_index]) {
     NotifyFree(slot_index);
   } else if (!queue.empty() && !busy_[slot_index]) {
@@ -105,3 +73,5 @@ std::size_t ChipAssistedWheel::PerTickBookkeeping() {
 }
 
 }  // namespace twheel::hw
+
+template class twheel::TimerServiceBase<twheel::hw::ChipAssistedWheel>;

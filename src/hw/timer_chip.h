@@ -18,7 +18,9 @@
 // and exposes the protocol's traffic: chip scans (free), host interrupts (chip ->
 // host), and busy/free notifications (host -> chip). It is a full TimerService, so
 // the differential suite verifies that adding the chip changes no observable timer
-// behaviour — only who pays for empty slots.
+// behaviour — only who pays for empty slots. RestartTimer and periodic laps relink
+// the record in place like every other scheme (TimerServiceBase), so handles
+// survive both.
 
 #ifndef TWHEEL_SRC_HW_TIMER_CHIP_H_
 #define TWHEEL_SRC_HW_TIMER_CHIP_H_
@@ -32,7 +34,7 @@
 
 namespace twheel::hw {
 
-class ChipAssistedWheel final : public TimerServiceBase {
+class ChipAssistedWheel final : public TimerServiceBase<ChipAssistedWheel> {
  public:
   // `table_size` must be a power of two >= 2 (the chip's array dimension; "the
   // array sizes need to be parameters that must be supplied to the chip on
@@ -41,8 +43,6 @@ class ChipAssistedWheel final : public TimerServiceBase {
 
   ~ChipAssistedWheel() override;
 
-  StartResult StartTimer(Duration interval, RequestId request_id) final;
-  TimerError StopTimer(TimerHandle handle) final;
   std::size_t PerTickBookkeeping() final;
   std::string_view name() const final { return "scheme6-chip-assisted"; }
 
@@ -66,6 +66,30 @@ class ChipAssistedWheel final : public TimerServiceBase {
   }
 
  private:
+  friend class TimerServiceBase<ChipAssistedWheel>;
+
+  // Scheme 6 placement in host memory, plus the protocol's two messages: "when
+  // the host inserts a timer into an empty queue pointed to by array element X
+  // it tells the chip about this new queue", and "when the host deletes a timer
+  // entry from some queue and leaves behind an empty queue it needs to inform
+  // the chip". A restart or periodic lap is one of each, on two queues.
+  void Link(TimerRecord* rec) {
+    const std::size_t slot_index = rec->expiry_tick & mask();
+    rec->rounds = (rec->interval - 1) >> shift_;
+    rec->home_slot = static_cast<std::uint32_t>(slot_index);
+    IntrusiveList<TimerRecord>& queue = slots_[slot_index];
+    if (queue.empty()) {
+      NotifyBusy(slot_index);
+    }
+    queue.PushBack(rec);
+  }
+  void Unlink(TimerRecord* rec) {
+    rec->Unlink();
+    if (slots_[rec->home_slot].empty()) {
+      NotifyFree(rec->home_slot);
+    }
+  }
+
   std::uint64_t mask() const { return busy_.size() - 1; }
 
   // Host side: mark X busy/free in the chip's memory (one message each).
@@ -78,8 +102,8 @@ class ChipAssistedWheel final : public TimerServiceBase {
     busy_[slot_index] = false;
   }
 
-  // Host memory: the timer queues. A record's wheel slot is recomputable from its
-  // absolute expiry (expiry & mask), so stops need no side table.
+  // Host memory: the timer queues. A record's queue index is kept in home_slot,
+  // because a relink re-stamps its expiry before unlinking it.
   std::uint32_t shift_;
   std::vector<IntrusiveList<TimerRecord>> slots_;
 
@@ -93,5 +117,7 @@ class ChipAssistedWheel final : public TimerServiceBase {
 };
 
 }  // namespace twheel::hw
+
+extern template class twheel::TimerServiceBase<twheel::hw::ChipAssistedWheel>;
 
 #endif  // TWHEEL_SRC_HW_TIMER_CHIP_H_

@@ -1,7 +1,6 @@
 #include "src/lawn/lawn_timers.h"
 
 #include "src/base/assert.h"
-#include "src/core/slop.h"
 
 namespace twheel::lawn {
 
@@ -23,49 +22,7 @@ LawnTimers::~LawnTimers() {
   }
 }
 
-StartResult LawnTimers::StartTimer(Duration interval, RequestId request_id) {
-  ++counts_.start_calls;
-  if (interval == 0) {
-    return TimerError::kZeroInterval;
-  }
-  const Duration effective = QuantizeIntervalUp(interval, slop_bits_);
-  TimerRecord* rec = AllocateRecord(effective, request_id);
-  if (rec == nullptr) {
-    return TimerError::kNoCapacity;
-  }
-  FileRecord(rec);
-  ++counts_.insert_link_ops;
-  return rec->self;
-}
-
-TimerError LawnTimers::StopTimer(TimerHandle handle) {
-  ++counts_.stop_calls;
-  TimerRecord* rec = Resolve(handle);
-  if (rec == nullptr) {
-    return TimerError::kNoSuchTimer;
-  }
-  rec->Unlink();
-  ++counts_.delete_unlink_ops;
-  ReleaseRecord(rec);
-  return TimerError::kOk;
-}
-
-TimerError LawnTimers::RestartTimer(TimerHandle handle, Duration new_interval) {
-  TimerError error = TimerError::kOk;
-  TimerRecord* rec = ResolveForRestart(handle, new_interval, &error);
-  if (rec == nullptr) {
-    return error;
-  }
-  rec->Unlink();
-  StampRestart(rec, QuantizeIntervalUp(new_interval, slop_bits_));
-  // Re-filing appends at the current clock, which keeps the destination
-  // bucket's expiry order non-decreasing: every earlier resident of TTL bucket
-  // T was appended at some tick <= now, so its expiry <= now + T.
-  FileRecord(rec);
-  return TimerError::kOk;
-}
-
-void LawnTimers::FileRecord(TimerRecord* rec) {
+void LawnTimers::Link(TimerRecord* rec) {
   const Duration ttl = rec->interval;
   auto it = index_of_ttl_.find(ttl);
   if (it != index_of_ttl_.end()) {
@@ -217,3 +174,5 @@ bool LawnTimers::FastForward(Tick target) {
 }
 
 }  // namespace twheel::lawn
+
+template class twheel::TimerServiceBase<twheel::lawn::LawnTimers>;

@@ -36,9 +36,9 @@
 // up to 2^slop_bits grains, collapsing near-miss TTLs into shared buckets: the
 // ponyc precision-for-throughput trade, here also a cap-pressure valve.
 //
-// StartPeriodic re-arms on the expiry path through RestartTimer's in-place
-// relink (PR 6 machinery): the record moves to its period's bucket tail without
-// touching the arena, so the handle and generation survive every lap.
+// StartPeriodic re-arms on the expiry path with the same in-place relink as
+// RestartTimer: the record moves to its period's bucket tail without touching
+// the arena, so the handle and generation survive every lap.
 
 #ifndef TWHEEL_SRC_LAWN_LAWN_TIMERS_H_
 #define TWHEEL_SRC_LAWN_LAWN_TIMERS_H_
@@ -50,6 +50,7 @@
 #include <unordered_map>
 
 #include "src/base/intrusive_list.h"
+#include "src/core/slop.h"
 #include "src/core/timer_service.h"
 
 namespace twheel::lawn {
@@ -66,18 +67,12 @@ struct LawnOptions {
   std::size_t max_timers = 0;
 };
 
-class LawnTimers final : public TimerServiceBase {
+class LawnTimers final : public TimerServiceBase<LawnTimers> {
  public:
   explicit LawnTimers(LawnOptions options = {});
 
   ~LawnTimers() override;
 
-  StartResult StartTimer(Duration interval, RequestId request_id) final;
-  TimerError StopTimer(TimerHandle handle) final;
-  // O(1) in-place reschedule: unlink from the current bucket, re-stamp, append
-  // to the new TTL's bucket tail (rear-search insert if it lands in the
-  // overflow list). Handle and generation survive.
-  TimerError RestartTimer(TimerHandle handle, Duration new_interval) final;
   std::size_t PerTickBookkeeping() final;
   std::size_t AdvanceTo(Tick target) final;
   // Exact: the minimum over bucket heads (each head is its bucket's earliest
@@ -117,9 +112,21 @@ class LawnTimers final : public TimerServiceBase {
   // home_slot value marking residence in the overflow list.
   static constexpr std::uint32_t kOverflowIndex = TimerRecord::kNoIndex;
 
+  friend class TimerServiceBase<LawnTimers>;
+
+  // Slop quantization; every TTL is admitted.
+  TimerError Admit(Duration* interval) const {
+    *interval = QuantizeIntervalUp(*interval, slop_bits_);
+    return TimerError::kOk;
+  }
   // File `rec` (interval/expiry already stamped) into its TTL's bucket,
   // creating the bucket if the cap allows, else into the sorted overflow list.
-  void FileRecord(TimerRecord* rec);
+  // A restart re-files at the current clock, which keeps the destination
+  // bucket's expiry order non-decreasing: every earlier resident of TTL bucket
+  // T was appended at some tick <= now, so its expiry <= now + T.
+  void Link(TimerRecord* rec);
+  // O(1) via the intrusive back-pointer, bucket or overflow list alike.
+  void Unlink(TimerRecord* rec) { rec->Unlink(); }
   void InsertOverflow(TimerRecord* rec);
   // Pop every due head at the (already advanced) current tick, in bucket-index
   // order then the overflow list — the dispatch order the batched paths must
@@ -141,5 +148,7 @@ class LawnTimers final : public TimerServiceBase {
 };
 
 }  // namespace twheel::lawn
+
+extern template class twheel::TimerServiceBase<twheel::lawn::LawnTimers>;
 
 #endif  // TWHEEL_SRC_LAWN_LAWN_TIMERS_H_

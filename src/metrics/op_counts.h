@@ -88,8 +88,8 @@ namespace twheel::metrics {
   /* Expiry-path re-arms performed as O(1) relinks of the live record (no arena         \
      release, handle and generation preserved). */                                      \
   X(periodic_rearm_relinks)                                                             \
-  /* Periodic re-arms the service had to abandon (stop+start fallback rejected by       \
-     range/capacity): the timer degrades to a final expiry instead of aborting. */      \
+  /* Periodic re-arms the service had to abandon (the scheme's range check rejected     \
+     the next delay): the timer degrades to a final expiry instead of aborting. */      \
   X(periodic_drops)                                                                     \
   /* Multi-drainer dispatch (concurrent::DispatchPool over ShardedWheel): per-shard     \
      expiry batches published for dispatch after a shard advance. */                    \

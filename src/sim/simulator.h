@@ -54,9 +54,11 @@ class Simulator {
   // until cancelled. The action may cancel its own token. Built on the service's
   // StartPeriodic: re-arming happens on the service's expiry path as an in-place,
   // allocation-free relink, phase-stable — the k-th run lands exactly at
-  // now + k*period — and the token stays valid across runs. Returns an invalid
-  // token if the service rejects the interval (range/capacity) or does not
-  // support periodic registration (TimerError::kNotSupported).
+  // now + k*period — and the token stays valid across runs. Every
+  // TimerServiceBase scheme relinks this way, the Section 4.2 TegasWheel
+  // included. Returns an invalid token if the service rejects the interval
+  // (range/capacity) or does not support periodic registration
+  // (TimerError::kNotSupported).
   EventToken Every(Duration period, Action action);
 
   // Cancel a pending event. Returns false if it already ran (one-shots) or was

@@ -27,38 +27,6 @@ TegasWheel::~TegasWheel() {
   }
 }
 
-StartResult TegasWheel::StartTimer(Duration interval, RequestId request_id) {
-  ++counts_.start_calls;
-  if (interval == 0) {
-    return TimerError::kZeroInterval;
-  }
-  TimerRecord* rec = AllocateRecord(interval, request_id);
-  if (rec == nullptr) {
-    return TimerError::kNoCapacity;
-  }
-  if (rec->expiry_tick <= covered_until_) {
-    slots_[rec->expiry_tick % slots_.size()].PushBack(rec);
-  } else {
-    // "Any event occurring beyond the current cycle is inserted into the overflow
-    // list" — unsorted, rescanned at every rotation.
-    overflow_.PushBack(rec);
-  }
-  ++counts_.insert_link_ops;
-  return rec->self;
-}
-
-TimerError TegasWheel::StopTimer(TimerHandle handle) {
-  ++counts_.stop_calls;
-  TimerRecord* rec = Resolve(handle);
-  if (rec == nullptr) {
-    return TimerError::kNoSuchTimer;
-  }
-  rec->Unlink();  // works for slot and overflow membership alike
-  ++counts_.delete_unlink_ops;
-  ReleaseRecord(rec);
-  return TimerError::kOk;
-}
-
 std::size_t TegasWheel::PerTickBookkeeping() {
   ++counts_.ticks;
   ++now_;
@@ -77,9 +45,15 @@ std::size_t TegasWheel::PerTickBookkeeping() {
   std::size_t expired = 0;
   while (TimerRecord* rec = slot.front()) {
     TWHEEL_ASSERT(rec->expiry_tick == now_);
+    ++expired;
+    // Non-final periodic fire: the relink files the record at now + period,
+    // which the covered cycle maps to another slot or the overflow list (it
+    // ends before now + cycle_length), never back into this one.
+    if (TryFirePeriodic(rec)) {
+      continue;
+    }
     rec->Unlink();
     Expire(rec);
-    ++expired;
   }
   return expired;
 }
@@ -103,3 +77,5 @@ void TegasWheel::DrainOverflow(Tick horizon) {
 }
 
 }  // namespace twheel::sim
+
+template class twheel::TimerServiceBase<twheel::sim::TegasWheel>;

@@ -19,6 +19,9 @@
 // Implemented as a TimerService so the differential suite can verify it expires
 // exactly, and the fig7-sim-wheel bench can expose the overflow-scan cost against
 // Schemes 4 and 6. Overflow membership is observable via OverflowSizeSlow().
+// RestartTimer and periodic laps relink the record in place like every other
+// scheme (TimerServiceBase), so handles survive both, and the oracle matrix in
+// tests/verify checks them.
 
 #ifndef TWHEEL_SRC_SIM_TEGAS_WHEEL_H_
 #define TWHEEL_SRC_SIM_TEGAS_WHEEL_H_
@@ -36,7 +39,7 @@ enum class RotatePolicy : std::uint8_t {
   kHalfCycle,  // DECSIM: drain twice per cycle, halving overflow residency
 };
 
-class TegasWheel final : public TimerServiceBase {
+class TegasWheel final : public TimerServiceBase<TegasWheel> {
  public:
   explicit TegasWheel(std::size_t cycle_length,
                       RotatePolicy policy = RotatePolicy::kFullCycle,
@@ -44,8 +47,6 @@ class TegasWheel final : public TimerServiceBase {
 
   ~TegasWheel() override;
 
-  StartResult StartTimer(Duration interval, RequestId request_id) final;
-  TimerError StopTimer(TimerHandle handle) final;
   std::size_t PerTickBookkeeping() final;
   std::string_view name() const final {
     return policy_ == RotatePolicy::kFullCycle ? "tegas-wheel-full"
@@ -69,6 +70,21 @@ class TegasWheel final : public TimerServiceBase {
   }
 
  private:
+  friend class TimerServiceBase<TegasWheel>;
+
+  // The array slot when the expiry falls in the covered cycle, else the
+  // overflow list — "any event occurring beyond the current cycle is inserted
+  // into the overflow list", unsorted, rescanned at every rotation. The unlink
+  // works for either residence.
+  void Link(TimerRecord* rec) {
+    if (rec->expiry_tick <= covered_until_) {
+      slots_[rec->expiry_tick % slots_.size()].PushBack(rec);
+    } else {
+      overflow_.PushBack(rec);
+    }
+  }
+  void Unlink(TimerRecord* rec) { rec->Unlink(); }
+
   // Move overflow entries due before `horizon` into the array.
   void DrainOverflow(Tick horizon);
 
@@ -81,5 +97,7 @@ class TegasWheel final : public TimerServiceBase {
 };
 
 }  // namespace twheel::sim
+
+extern template class twheel::TimerServiceBase<twheel::sim::TegasWheel>;
 
 #endif  // TWHEEL_SRC_SIM_TEGAS_WHEEL_H_

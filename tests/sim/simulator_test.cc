@@ -8,6 +8,7 @@
 
 #include "src/core/timer_facility.h"
 #include "src/sim/simulator.h"
+#include "src/sim/tegas_wheel.h"
 
 namespace twheel::sim {
 namespace {
@@ -158,6 +159,29 @@ TEST_P(SimulatorTest, PeriodicAndOneShotsCoexist) {
   }
   EXPECT_EQ(log, (std::vector<std::string>{"tick@10", "once@15", "tick@20", "tick@30"}));
   EXPECT_EQ(sim->pending(), 1u);  // the periodic stays armed
+}
+
+// The Section 4.2 simulation wheel under the Section 4 converse: its periodic
+// laps used to be stop+start re-arms, which burned the handle behind the token,
+// so Cancel missed the live timer and the next lap's expiry found no simulator
+// entry and aborted.
+TEST(SimulatorTegasTest, EveryCancelledAfterFirstRunNeverRunsAgain) {
+  for (RotatePolicy policy : {RotatePolicy::kFullCycle, RotatePolicy::kHalfCycle}) {
+    Simulator sim(std::make_unique<TegasWheel>(16, policy));
+    int runs = 0;
+    const EventToken token = sim.Every(5, [&runs] { ++runs; });
+    ASSERT_TRUE(token.valid());
+    for (int i = 0; i < 5; ++i) {
+      sim.Step();
+    }
+    ASSERT_EQ(runs, 1);
+    EXPECT_TRUE(sim.Cancel(token));
+    EXPECT_EQ(sim.pending(), 0u);
+    for (int i = 0; i < 40; ++i) {
+      sim.Step();
+    }
+    EXPECT_EQ(runs, 1);
+  }
 }
 
 TEST(SimulatorJumpTest, JumpingMatchesSteppingForPeekableSchemes) {

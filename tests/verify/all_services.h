@@ -1,7 +1,9 @@
 // Shared enumeration of every TimerService implementation in the repository, for
 // the model-checking suite: the seven schemes (with every variant the facade
-// exposes), the global-lock wrapper, and the sharded wheel in one- and multi-shard
-// configurations with roomy and with small submission rings. Configurations mirror
+// exposes), the Section 4.2 logic-simulation wheel (full and half rotation), the
+// Appendix A.1 chip-assisted wheel, the global-lock wrapper, and the sharded wheel
+// in one- and multi-shard configurations with roomy and with small submission
+// rings. Configurations mirror
 // tests/integration/differential_test.cc: spans comfortably exceed the driver's
 // default max_interval of 300.
 
@@ -18,6 +20,8 @@
 #include "src/concurrent/sharded_wheel.h"
 #include "src/core/hashed_wheel_unsorted.h"
 #include "src/core/timer_facility.h"
+#include "src/hw/timer_chip.h"
+#include "src/sim/tegas_wheel.h"
 
 namespace twheel::verify_tests {
 
@@ -52,6 +56,23 @@ inline std::vector<ServiceCase> AllServiceCases() {
     cases.push_back(
         {label, [id] { return MakeTimerService(VerifyConfig(id)); }, true});
   }
+  // Outside the facade but on the same TimerServiceBase contract: both run every
+  // restart and periodic lap in place, and the oracle holds them to it.
+  cases.push_back({"tegas_wheel_full",
+                   [] {
+                     return std::make_unique<sim::TegasWheel>(
+                         64, sim::RotatePolicy::kFullCycle);
+                   },
+                   true});
+  cases.push_back({"tegas_wheel_half",
+                   [] {
+                     return std::make_unique<sim::TegasWheel>(
+                         64, sim::RotatePolicy::kHalfCycle);
+                   },
+                   true});
+  cases.push_back({"scheme6_chip_assisted",
+                   [] { return std::make_unique<hw::ChipAssistedWheel>(64); },
+                   true});
   cases.push_back({"locked_scheme6",
                    [] {
                      return std::make_unique<concurrent::LockedService>(

@@ -11,8 +11,14 @@
 // stop+start through the public interface, which cannot recover the client's
 // cookie — it silently restarted the timer with RequestId{0}, so the eventual
 // expiry delivered the wrong cookie. The default now refuses with
-// kNotSupported; TimerServiceBase's arena-aware fallback recovers the cookie
-// (and a periodic's cadence) before the stop.
+// kNotSupported; TimerServiceBase<Scheme> restarts in place, so the cookie, a
+// periodic's cadence and the handle all survive.
+//
+// Bug 3 (sim::TegasWheel, hw::ChipAssistedWheel): the two services that used
+// to restart and re-arm through a stop+start fallback in the base burned the
+// caller's handle — a periodic's handle went stale after its first lap (its
+// StopTimer missed and the timer kept firing), and a restart returned kOk
+// without counting itself. Both now run the base's in-place relink.
 //
 // Plus counter pins for the tentpole contract: a periodic's expiry-path re-arm
 // is an allocation-free relink — one start_call total, every non-final lap a
@@ -27,7 +33,9 @@
 
 #include "src/core/hashed_wheel_unsorted.h"
 #include "src/core/timer_service.h"
+#include "src/hw/timer_chip.h"
 #include "src/sim/simulator.h"
+#include "src/sim/tegas_wheel.h"
 #include "tests/verify/all_services.h"
 
 namespace twheel {
@@ -164,58 +172,39 @@ TEST(PeriodicRegressionTest, DefaultRestartRefusesInsteadOfLosingTheCookie) {
   EXPECT_EQ(fired[0], 77u);
 }
 
-// A minimal TimerServiceBase derivative that does NOT override RestartTimer,
-// so restarts go through the arena-aware stop+start fallback (the path
-// sim::TegasWheel and hw::ChipAssistedWheel inherit).
-class FallbackService final : public TimerServiceBase {
+// A minimal TimerServiceBase derivative over a plain vector. It supplies only
+// the Link/Unlink hooks and a tick loop, so the restart and periodic paths it
+// exercises are exactly the base's.
+class FallbackService final : public TimerServiceBase<FallbackService> {
  public:
-  StartResult StartTimer(Duration interval, RequestId request_id) override {
-    ++counts_.start_calls;
-    if (interval == 0) {
-      return TimerError::kZeroInterval;
-    }
-    TimerRecord* rec = AllocateRecord(interval, request_id);
-    if (rec == nullptr) {
-      return TimerError::kNoCapacity;
-    }
-    live_.push_back(rec);
-    return rec->self;
-  }
-  TimerError StopTimer(TimerHandle handle) override {
-    ++counts_.stop_calls;
-    TimerRecord* rec = Resolve(handle);
-    if (rec == nullptr) {
-      return TimerError::kNoSuchTimer;
-    }
-    std::erase(live_, rec);
-    ReleaseRecord(rec);
-    return TimerError::kOk;
-  }
   std::size_t PerTickBookkeeping() override {
     ++counts_.ticks;
     ++now_;
-    std::size_t fired = 0;
-    // No in-place RestartTimer override, so no TryFirePeriodic fast path: due
-    // records go through Expire(), whose stop+start safety net re-arms
-    // periodics (re-armed records re-enter live_ with a strictly future
-    // deadline, so the swap-remove scan never revisits them this tick).
-    for (std::size_t i = 0; i < live_.size();) {
-      TimerRecord* rec = live_[i];
-      if (rec->expiry_tick != now_) {
-        ++i;
-        continue;
+    // Collect the due set first: a periodic lap relinks (erase + push_back)
+    // while the loop dispatches.
+    std::vector<TimerRecord*> due;
+    for (TimerRecord* rec : live_) {
+      if (rec->expiry_tick == now_) {
+        due.push_back(rec);
       }
-      live_[i] = live_.back();
-      live_.pop_back();
-      Expire(rec);
-      ++fired;
     }
-    return fired;
+    for (TimerRecord* rec : due) {
+      if (!TryFirePeriodic(rec)) {
+        Unlink(rec);
+        Expire(rec);
+      }
+    }
+    return due.size();
   }
   std::string_view name() const override { return "fallback"; }
   SpaceProfile Space() const override { return {}; }
 
  private:
+  friend class TimerServiceBase<FallbackService>;
+
+  void Link(TimerRecord* rec) { live_.push_back(rec); }
+  void Unlink(TimerRecord* rec) { std::erase(live_, rec); }
+
   std::vector<TimerRecord*> live_;
 };
 
@@ -225,24 +214,28 @@ TEST(PeriodicRegressionTest, BaseFallbackRestartPreservesCookieAndCadence) {
   service.set_expiry_handler(
       [&fired](RequestId id, Tick when) { fired.emplace_back(id, when); });
 
-  // One-shot: the fallback burns the handle (stop+start recycles the slot) but
-  // must keep the cookie — the pre-fix default delivered RequestId{0} here.
+  // One-shot: the restart must keep the cookie — the pre-fix default
+  // delivered RequestId{0} here — and the handle: the second restart through
+  // the same handle succeeds only if the first left it valid.
   StartResult one_shot = service.StartTimer(20, /*request_id=*/91);
   ASSERT_TRUE(one_shot.has_value());
+  ASSERT_EQ(service.RestartTimer(one_shot.value(), 9), TimerError::kOk);
   ASSERT_EQ(service.RestartTimer(one_shot.value(), 4), TimerError::kOk);
+  EXPECT_EQ(service.counts().restart_calls, 2u);
   for (int i = 0; i < 4; ++i) {
     service.PerTickBookkeeping();
   }
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0], (std::pair<RequestId, Tick>{91, 4}));
 
-  // Periodic: the fallback must carry the cadence and remaining budget across
-  // the restart — the restarted timer fires at now + 3, then keeps lapping
-  // every 5 ticks until its budget of 3 is spent.
+  // Periodic: the restart must carry the cadence and remaining budget — the
+  // restarted timer fires at now + 3, then keeps lapping every 5 ticks until
+  // its budget of 3 is spent — and keep the handle, as above.
   fired.clear();
   StartResult periodic = service.StartPeriodic(5, /*request_id=*/92,
                                                /*repeat_for=*/3);
   ASSERT_TRUE(periodic.has_value());
+  ASSERT_EQ(service.RestartTimer(periodic.value(), 9), TimerError::kOk);
   ASSERT_EQ(service.RestartTimer(periodic.value(), 3), TimerError::kOk);
   const Tick base = service.now();
   for (int i = 0; i < 20; ++i) {
@@ -254,6 +247,61 @@ TEST(PeriodicRegressionTest, BaseFallbackRestartPreservesCookieAndCadence) {
   EXPECT_EQ(fired[2], (std::pair<RequestId, Tick>{92, base + 13}));
   EXPECT_EQ(service.outstanding(), 0u);
 }
+
+// ---------------------------------------------------------------------------
+// Bug 3: the Section 4.2 simulation wheel and the Appendix A.1 chip wheel keep
+// the handle across periodic laps and restarts.
+// ---------------------------------------------------------------------------
+
+std::vector<ServiceCase> FormerFallbackServices() {
+  return {
+      {"tegas_wheel_full",
+       [] {
+         return std::make_unique<sim::TegasWheel>(16, sim::RotatePolicy::kFullCycle);
+       }},
+      {"tegas_wheel_half",
+       [] {
+         return std::make_unique<sim::TegasWheel>(16, sim::RotatePolicy::kHalfCycle);
+       }},
+      {"scheme6_chip_assisted",
+       [] { return std::make_unique<hw::ChipAssistedWheel>(16); }},
+  };
+}
+
+class InPlaceRelinkTest : public ::testing::TestWithParam<ServiceCase> {};
+
+TEST_P(InPlaceRelinkTest, PeriodicStoppedAfterFirstLapNeverFiresAgain) {
+  auto service = GetParam().make();
+  std::size_t fires = 0;
+  service->set_expiry_handler([&fires](RequestId, Tick) { ++fires; });
+
+  StartResult started = service->StartPeriodic(5, /*request_id=*/3,
+                                               TimerService::kRepeatForever);
+  ASSERT_TRUE(started.has_value());
+  service->AdvanceBy(5);
+  ASSERT_EQ(fires, 1u);
+  // The lap relinked the record, so its original handle still names it.
+  EXPECT_EQ(service->StopTimer(started.value()), TimerError::kOk);
+  EXPECT_EQ(service->outstanding(), 0u);
+  service->AdvanceBy(40);
+  EXPECT_EQ(fires, 1u);
+}
+
+TEST_P(InPlaceRelinkTest, RestartedOneShotKeepsItsHandle) {
+  auto service = GetParam().make();
+  StartResult started = service->StartTimer(20, /*request_id=*/4);
+  ASSERT_TRUE(started.has_value());
+  ASSERT_EQ(service->RestartTimer(started.value(), 30), TimerError::kOk);
+  EXPECT_EQ(service->counts().restart_calls, 1u);
+  EXPECT_EQ(service->StopTimer(started.value()), TimerError::kOk);
+  EXPECT_EQ(service->outstanding(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(FormerFallback, InPlaceRelinkTest,
+                         ::testing::ValuesIn(FormerFallbackServices()),
+                         [](const ::testing::TestParamInfo<ServiceCase>& param) {
+                           return param.param.label;
+                         });
 
 // ---------------------------------------------------------------------------
 // Tentpole pins: allocation-free relink re-arm on every implementation.
