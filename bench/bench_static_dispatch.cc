@@ -1,5 +1,5 @@
 // Experiment static_dispatch: what the virtual TimerService interface costs,
-// and what StaticTimerFacility<Scheme> (src/core/static_facility.h) saves.
+// and what calling a scheme through its own final type saves.
 //
 // Every scheme is measured through both dispatch paths with identical loop
 // code (the loop bodies are templates instantiated once per path):
@@ -10,8 +10,9 @@
 //       compiler cannot see the dynamic type: every call is an honest vtable
 //       dispatch and an optimization barrier.
 //   static_dispatch/<scheme>/<op>/static
-//       The same scheme held by value in StaticTimerFacility<Scheme>, whose
-//       qualified forwards resolve at compile time and inline.
+//       The same scheme held by value and driven through Scheme&. Every scheme
+//       is a final class, so each call binds at compile time: one direct call
+//       into the routine its .cc compiled with the scheme's hooks inlined.
 //
 // Ops, chosen to bracket the dispatch-overhead-to-work ratio:
 //
@@ -27,7 +28,7 @@
 //
 //   space_at_scale/<live>
 //       Measured PairedSlabArena slab footprint (not sizeof arithmetic) with
-//       up to 100M live timers in a hashed wheel via the static facade.
+//       up to 100M live timers in a hashed wheel held by value.
 //       Counters report hot/cold slab bytes and bytes per live timer; the
 //       per-op working set is the 64-byte hot slab line, the cold bytes ride
 //       in the parallel slab that per-op paths never touch.
@@ -52,7 +53,6 @@
 #include "src/core/hashed_wheel_unsorted.h"
 #include "src/core/hierarchical_wheel.h"
 #include "src/core/hybrid_wheel.h"
-#include "src/core/static_facility.h"
 #include "src/core/timer_facility.h"
 #include "src/rng/rng.h"
 
@@ -78,8 +78,8 @@ FacilityConfig BenchConfig(SchemeId id) {
 
 // ---------------------------------------------------------------------------
 // Op loops. `Service` is either TimerService (every call a vtable dispatch —
-// the dynamic type is factory-opaque) or StaticTimerFacility<Scheme> (every
-// call a qualified forward, resolved at compile time). Same code, same seeds.
+// the dynamic type is factory-opaque) or the final Scheme itself (every call
+// resolved at compile time). Same code, same seeds.
 
 template <typename Service>
 std::vector<TimerHandle> Preload(Service& service) {
@@ -153,8 +153,8 @@ void RegisterScheme(SchemeId id, Args... args) {
       });
   benchmark::RegisterBenchmark(
       (base + "/start_stop/static").c_str(), [args...](benchmark::State& st) {
-        StaticTimerFacility<Scheme> facility(args...);
-        StartStopBody(st, facility);
+        Scheme scheme(args...);
+        StartStopBody(st, scheme);
       });
 
   benchmark::RegisterBenchmark(
@@ -164,8 +164,8 @@ void RegisterScheme(SchemeId id, Args... args) {
       });
   benchmark::RegisterBenchmark(
       (base + "/restart/static").c_str(), [args...](benchmark::State& st) {
-        StaticTimerFacility<Scheme> facility(args...);
-        RestartBody(st, facility);
+        Scheme scheme(args...);
+        RestartBody(st, scheme);
       });
 
   benchmark::RegisterBenchmark(
@@ -175,8 +175,8 @@ void RegisterScheme(SchemeId id, Args... args) {
       });
   benchmark::RegisterBenchmark(
       (base + "/tick/static").c_str(), [args...](benchmark::State& st) {
-        StaticTimerFacility<Scheme> facility(args...);
-        TickBody(st, facility);
+        Scheme scheme(args...);
+        TickBody(st, scheme);
       });
 }
 
@@ -200,16 +200,16 @@ void BM_SpaceAtScale(benchmark::State& state) {
   double hot_slab = 0;
   double cold_slab = 0;
   for (auto _ : state) {
-    // Scheme 6 through the static facade: O(1) starts, 2^16 slots, intervals
-    // spread across a 2^20-tick horizon (rounds absorb the range).
-    StaticTimerFacility<HashedWheelUnsorted> facility(std::size_t{1} << 16);
+    // Scheme 6 held by value: O(1) starts, 2^16 slots, intervals spread
+    // across a 2^20-tick horizon (rounds absorb the range).
+    HashedWheelUnsorted wheel(std::size_t{1} << 16);
     rng::Xoshiro256 gen(3);
     for (std::size_t i = 0; i < live; ++i) {
       benchmark::DoNotOptimize(
-          facility.StartTimer(1 + gen.NextBounded(Duration{1} << 20), i));
+          wheel.StartTimer(1 + gen.NextBounded(Duration{1} << 20), i));
     }
-    hot_slab = static_cast<double>(facility.scheme().hot_slab_bytes());
-    cold_slab = static_cast<double>(facility.scheme().cold_slab_bytes());
+    hot_slab = static_cast<double>(wheel.hot_slab_bytes());
+    cold_slab = static_cast<double>(wheel.cold_slab_bytes());
   }
   // items_per_second doubles as allocation throughput while the slabs grow.
   state.SetItemsProcessed(state.iterations() *

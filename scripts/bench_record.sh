@@ -30,7 +30,8 @@
 #                 the 2^32-range coverage comparison (bench/bench_space.cc).
 #   static_dispatch
 #                 BENCH_static_dispatch.json — virtual TimerService vs
-#                 StaticTimerFacility<Scheme> per scheme per op
+#                 the concrete final Scheme (calls bound at compile time)
+#                 per scheme per op
 #                 (start_stop/restart/tick), and the measured hot/cold slab
 #                 footprint out to 100M live timers
 #                 (bench/bench_static_dispatch.cc).
@@ -478,7 +479,8 @@ for b in data.get("benchmarks", []):
     if name.endswith("_mean") or base not in rows:
         rows[base] = b
 
-print("virtual vs static dispatch (ns/op; delta = virtual/static - 1):")
+print("virtual vs static dispatch, static = calls through the concrete final")
+print("Scheme (ns/op; delta = virtual/static - 1):")
 pairs = sorted({
     (m.group(1), m.group(2))
     for n in rows
@@ -501,7 +503,7 @@ scale = {
     if (m := re.match(r"space_at_scale/(\d+)", n))
 }
 if scale:
-    print("space at scale (measured slab footprint, hashed wheel, static path):")
+    print("space at scale (measured slab footprint, hashed wheel held by value):")
     print(f"  {'live':>12}{'hot slab MiB':>14}{'cold slab MiB':>15}"
           f"{'hot B/live':>12}{'total B/live':>14}{'starts/s':>14}")
     for live in sorted(scale):

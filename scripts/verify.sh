@@ -43,9 +43,10 @@
 # scheme-8 rows of every kAllSchemes-parameterized suite), the
 # `layout`-labelled tests (layout_test: hot/cold TimerRecord offset, union, and
 # slab-alignment pins), the `facade`-labelled tests (static_facade_test:
-# StaticTimerFacility differential + lockstep byte-equality vs the virtual
-# path), and the `cluster`-labelled tests (the replicated timer cluster:
-# fault-matrix oracle episodes, failover timing, twin/cross-scheme
+# every scheme called through its own final type — oracle differential, plus
+# lockstep byte-equality against a twin driven through TimerService&), and
+# the `cluster`-labelled tests (the replicated timer cluster: fault-matrix
+# oracle episodes, failover timing, twin/cross-scheme
 # determinism, the facade differential torture, wire-decode robustness, and
 # the channel counter-snapshot race — the last two are exactly the suites the
 # ASan/UBSan and TSan legs exist to arm) are exercised plain, under ASan+UBSan,
@@ -63,8 +64,14 @@
 # The plain leg (not --quick) then runs the Appendix A.2 experiment once,
 # briefly (`build/bench/bench_appA2_smp --benchmark_min_time=0.01`; the gate
 # fails on a non-zero exit), so the paper experiment that exercises the
-# library's thread-safety wrappers runs on every gate, not just builds. It
-# then checks the paper's op-count tables: each deterministic printf experiment
+# library's thread-safety wrappers runs on every gate, not just builds. Next it
+# runs the static-dispatch rows once, briefly
+# (`build/bench/bench_static_dispatch --benchmark_filter='^static_dispatch/'
+# --benchmark_min_time=0.01`, about a second; the gate fails on a non-zero
+# exit), so the virtual and concrete-type paths of seven schemes run
+# start/stop, restart and periodic ticks on every gate. Its space_at_scale
+# rows are left out: the 100M row needs about 13 GiB. It then checks the
+# paper's op-count tables: each deterministic printf experiment
 # named by a file bench/expected/<name>.txt (the ablation, Appendix A.1, Figures
 # 3, 7 and 9, Sections 3.2, 6, 6.2 and 7) must print exactly that file, and the
 # gate fails on a non-zero exit or any diff; bench_sec4_timeflow prints wall
@@ -172,6 +179,10 @@ for config in "${CONFIGS[@]}"; do
         echo "=== [plain] bench_appA2_smp ==="
         build/bench/bench_appA2_smp --benchmark_min_time=0.01
         echo "=== [plain] bench_appA2_smp OK ==="
+        echo "=== [plain] bench_static_dispatch ==="
+        build/bench/bench_static_dispatch \
+          --benchmark_filter='^static_dispatch/' --benchmark_min_time=0.01
+        echo "=== [plain] bench_static_dispatch OK ==="
         paper_tables
         e2e_smoke
       fi ;;

@@ -1,6 +1,7 @@
 #include "src/cluster/cluster.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/base/assert.h"
 #include "src/rng/rng.h"
@@ -154,6 +155,13 @@ std::uint32_t TimerCluster::ReplicaCount(std::uint32_t replication) const {
   return std::min<std::uint32_t>(r, static_cast<std::uint32_t>(nodes_.size()));
 }
 
+bool TimerCluster::DeadlineFits(Duration interval) const {
+  const Tick last =
+      std::numeric_limits<Tick>::max() -
+      static_cast<Tick>(ReplicaCount(kMaxReplication) - 1) * config_.failover_delay;
+  return now_ <= last && interval <= last - now_;
+}
+
 std::vector<NodeId> TimerCluster::ReplicaSetFor(
     std::uint64_t key, std::uint32_t replication) const {
   const NodeId start = ReplicaStart(key);
@@ -172,7 +180,7 @@ bool TimerCluster::Set(std::uint64_t key, Duration interval) {
 
 bool TimerCluster::Set(std::uint64_t key, Duration interval,
                        std::uint32_t replication) {
-  if (interval == 0) {
+  if (interval == 0 || !DeadlineFits(interval)) {
     return false;
   }
   PendingTimer& entry = timers_[key];
@@ -209,7 +217,7 @@ bool TimerCluster::Set(std::uint64_t key, Duration interval,
 }
 
 bool TimerCluster::Restart(std::uint64_t key, Duration interval) {
-  if (interval == 0) {
+  if (interval == 0 || !DeadlineFits(interval)) {
     return false;
   }
   auto it = timers_.find(key);

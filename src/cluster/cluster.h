@@ -1,4 +1,4 @@
-// A replicated timer cluster on the simulated transport (ROADMAP item 3).
+// A replicated timer cluster on the simulated transport.
 //
 // N ClusterNodes each run a host TimerService (the scheme under test) and are
 // connected to a coordinator and to each other by lossy/delaying net::Channels
@@ -159,8 +159,10 @@ class TimerCluster {
   // Client ops, processed at the coordinator immediately (replication to the
   // nodes is asynchronous over the links). Set registers interval ticks from
   // now with the given replication factor; a Set on a live key replaces it
-  // under a fresh generation. Returns false for a zero interval. Restart and
-  // Cancel return false (miss) when the key has no live timer.
+  // under a fresh generation. Set and Restart return false for a zero interval
+  // and for one whose deadline plus the largest lease offset a replica can arm
+  // would pass the end of Tick. Restart and Cancel return false (miss) when the
+  // key has no live timer.
   bool Set(std::uint64_t key, Duration interval);
   bool Set(std::uint64_t key, Duration interval, std::uint32_t replication);
   bool Restart(std::uint64_t key, Duration interval);
@@ -256,6 +258,9 @@ class TimerCluster {
   // Replica placement (see ReplicaSetFor).
   NodeId ReplicaStart(std::uint64_t key) const;
   std::uint32_t ReplicaCount(std::uint32_t replication) const;
+  // Whether now_ + interval + (ReplicaCount(kMaxReplication) - 1) *
+  // failover_delay, the latest lease a replica can arm, stays within Tick.
+  bool DeadlineFits(Duration interval) const;
   static void PushRetry(RetryQueue& queue, Retry retry);
 
   // --- transport ---

@@ -74,8 +74,11 @@ class ClusterFacadeService final : public TimerService {
     if (interval == 0) {
       return TimerError::kZeroInterval;
     }
+    if (!cluster_->Set(next_key_, interval)) {
+      // The deadline plus the replicas' leases would pass the end of Tick.
+      return TimerError::kIntervalOutOfRange;
+    }
     const std::uint64_t key = next_key_++;
-    cluster_->Set(key, interval);
     live_.emplace(key, request_id);
     ++counts_.insert_link_ops;
     // Generation 1 everywhere, like verify::OracleTimers: keys are never
@@ -112,7 +115,9 @@ class ClusterFacadeService final : public TimerService {
       return TimerError::kNoSuchTimer;
     }
     if (!cluster_->Restart(it->first, new_interval)) {
-      return TimerError::kNoSuchTimer;
+      // A miss is unreachable while live_ is in sync: the leases would pass the
+      // end of Tick.
+      return TimerError::kIntervalOutOfRange;
     }
     ++counts_.restart_calls;
     ++counts_.restart_relink_ops;

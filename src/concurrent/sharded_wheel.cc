@@ -1,6 +1,7 @@
 #include "src/concurrent/sharded_wheel.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "src/base/assert.h"
@@ -52,8 +53,13 @@ StartResult ShardedWheel::StartTimer(Duration interval, RequestId request_id) {
   // Capture the absolute deadline now, enqueue the command. A tick racing this
   // call may advance the clock before the command drains; the drain then
   // registers the remaining interval (min 1), so the timer fires at
-  // max(deadline, drain tick + 1).
-  const Tick deadline = now_.load(std::memory_order_acquire) + interval;
+  // max(deadline, drain tick + 1). A deadline past the end of Tick is refused
+  // as the inner wheel would refuse it.
+  const Tick now = now_.load(std::memory_order_acquire);
+  if (interval > std::numeric_limits<Tick>::max() - now) {
+    return TimerError::kIntervalOutOfRange;
+  }
+  const Tick deadline = now + interval;
   StartResult result = shards_[index]->submit->SubmitStart(request_id, deadline);
   if (!result.has_value()) {
     return result;
@@ -74,7 +80,11 @@ StartResult ShardedWheel::StartPeriodic(Duration interval, RequestId request_id,
   // Same path as StartTimer; the cadence and repeat budget travel in the
   // registration entry, and the word carries the sticky periodic bit (see
   // ShardSubmitQueue::SubmitStartPeriodic).
-  const Tick deadline = now_.load(std::memory_order_acquire) + interval;
+  const Tick now = now_.load(std::memory_order_acquire);
+  if (interval > std::numeric_limits<Tick>::max() - now) {
+    return TimerError::kIntervalOutOfRange;
+  }
+  const Tick deadline = now + interval;
   StartResult result = shards_[index]->submit->SubmitStartPeriodic(
       request_id, deadline, interval, repeat_for);
   if (!result.has_value()) {
@@ -121,7 +131,11 @@ TimerError ShardedWheel::RestartTimer(TimerHandle handle, Duration new_interval)
   // Capture the new absolute deadline and commit via the entry word
   // (reserve-commit-publish, see SubmitRestart). A restart is neither a start
   // nor a cancel, so live_ is untouched either way.
-  const Tick deadline = now_.load(std::memory_order_acquire) + new_interval;
+  const Tick now = now_.load(std::memory_order_acquire);
+  if (new_interval > std::numeric_limits<Tick>::max() - now) {
+    return TimerError::kIntervalOutOfRange;
+  }
+  const Tick deadline = now + new_interval;
   const TimerError err = shards_[index]->submit->SubmitRestart(
       handle.slot & kSlotMask, handle.generation, deadline);
   if (err == TimerError::kOk) {

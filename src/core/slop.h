@@ -27,6 +27,7 @@
 #define TWHEEL_SRC_CORE_SLOP_H_
 
 #include <cstdint>
+#include <limits>
 
 #include "src/base/types.h"
 
@@ -35,14 +36,20 @@ namespace twheel {
 // Smallest multiple of 2^slop_bits that is >= interval. Identity for
 // slop_bits == 0 and for intervals already on the grain. Never returns less
 // than `interval`, so a quantized timer can be late (< 2^slop_bits ticks) but
-// never early. Zero intervals are the caller's problem: every scheme rejects
-// them before quantizing, so kZeroInterval semantics are slop-independent.
+// never early. An interval within one grain of the end of Duration has no such
+// multiple and saturates to the maximum Duration instead of wrapping to a
+// small one; from tick 1 on, TimerServiceBase's deadline check refuses it.
+// Zero intervals are the caller's problem: every scheme rejects them before
+// quantizing, so kZeroInterval semantics are slop-independent.
 inline Duration QuantizeIntervalUp(Duration interval, std::uint32_t slop_bits) {
   if (slop_bits == 0) {
     return interval;
   }
-  const Duration grain = Duration{1} << slop_bits;
-  return (interval + grain - 1) & ~(grain - 1);
+  const Duration grain_mask = (Duration{1} << slop_bits) - 1;
+  if (interval > std::numeric_limits<Duration>::max() - grain_mask) {
+    return std::numeric_limits<Duration>::max();
+  }
+  return (interval + grain_mask) & ~grain_mask;
 }
 
 }  // namespace twheel

@@ -31,6 +31,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string_view>
 #include <utility>
@@ -62,7 +63,9 @@ class TimerService {
 
   // START_TIMER. `interval` is in ticks, measured from the current tick; an interval
   // of k expires on the k-th subsequent PerTickBookkeeping call. Zero intervals are
-  // rejected with kZeroInterval (an "expire now" is not a timer).
+  // rejected with kZeroInterval (an "expire now" is not a timer), and an interval
+  // whose deadline now() + interval would pass the end of Tick with
+  // kIntervalOutOfRange.
   virtual StartResult StartTimer(Duration interval, RequestId request_id) = 0;
 
   // repeat_for value meaning "fire until stopped".
@@ -98,8 +101,8 @@ class TimerService {
   // timers restart on every ACK; they almost never expire). Returns kOk on
   // success, kZeroInterval for new_interval == 0, kNoSuchTimer for a stale
   // handle, and kIntervalOutOfRange from bounded-range schemes under
-  // OverflowPolicy::kReject — in which case the timer is left untouched at its
-  // old deadline.
+  // OverflowPolicy::kReject or for a deadline past the end of Tick — in which
+  // case the timer is left untouched at its old deadline.
   //
   // Contract on success: the handle (and its generation) REMAINS VALID — the
   // caller keeps using the same handle for later stops and restarts.
@@ -130,7 +133,7 @@ class TimerService {
   virtual std::size_t outstanding() const = 0;
   // Returned by value: thread-safe services (LockedService, ShardedWheel) snapshot
   // their counters under their own locks, and a reference would escape that lock and
-  // race with the next caller. Single-threaded schemes just copy ~90 bytes.
+  // race with the next caller. Single-threaded schemes just copy 200 bytes.
   // Concurrent-dispatch contract (ShardedWheel under a DispatchPool): the snapshot
   // may be taken while N drainers are mid-dispatch, so individual fields can lag
   // each other transiently — but once the service quiesces (outstanding() == 0,
@@ -222,15 +225,23 @@ class TimerService {
 // TimerServiceBase<Scheme> (CRTP) and decides only where a record is filed; this
 // class decides what each routine checks, counts and guarantees:
 //
-//   StartTimer    start_calls; zero interval, then Admit, then arena capacity;
-//                 Link; insert_link_ops.
+//   StartTimer    start_calls; zero interval, then Admit, then a deadline
+//                 past the end of Tick, then arena capacity; Link;
+//                 insert_link_ops.
 //   StopTimer     stop_calls; stale handle; Unlink; delete_unlink_ops; release.
-//   RestartTimer  zero interval, then stale handle, then Admit; re-stamp and
-//                 Relink the same record; restart_calls and restart_relink_ops
-//                 (a restart is neither a start nor a stop, so the conservation
-//                 law stays start_calls == expiries + cancels + outstanding).
-//   TryFirePeriodic  Admit the next phase-stable delay; re-stamp and Relink the
-//                 same record; periodic_rearm_relinks — then dispatch.
+//   RestartTimer  zero interval, then stale handle, then Admit, then a deadline
+//                 past the end of Tick; re-stamp and Relink the same record;
+//                 restart_calls and restart_relink_ops (a restart is neither a
+//                 start nor a stop, so the conservation law stays start_calls
+//                 == expiries + cancels + outstanding).
+//   TryFirePeriodic  Admit the next phase-stable delay and check its deadline
+//                 the same way (a refusal is a periodic_drop); re-stamp and
+//                 Relink the same record; periodic_rearm_relinks — then
+//                 dispatch.
+//
+// The deadline check refuses with kIntervalOutOfRange any interval, after
+// Admit, with now_ + interval > max Tick: a wrapped deadline would file the
+// timer in the past.
 //
 // A record is never released by a restart or a periodic lap, so the caller's
 // handle and generation survive both. The scheme's hooks are ordinary member
@@ -391,7 +402,7 @@ class TimerServiceBase : public TimerService {
   // rejection the record is untouched at its old deadline. The record keeps its
   // seq, so among equal expiries it stays in start order.
   TimerError Reschedule(TimerRecord* rec, Duration interval) {
-    if (const TimerError error = self().Admit(&interval); error != TimerError::kOk) {
+    if (const TimerError error = AdmitDeadline(&interval); error != TimerError::kOk) {
       return error;
     }
     cold(rec).start_tick = now_;
@@ -401,13 +412,26 @@ class TimerServiceBase : public TimerService {
     return TimerError::kOk;
   }
 
+  // The scheme's Admit, then the deadline check (see the class comment).
+  TimerError AdmitDeadline(Duration* interval) const {
+    if (const TimerError error = self().Admit(interval); error != TimerError::kOk) {
+      return error;
+    }
+    return *interval > std::numeric_limits<Tick>::max() - now_
+               ? TimerError::kIntervalOutOfRange
+               : TimerError::kOk;
+  }
+
   // Phase-stable re-arm target: the next multiple of `period` after the fire,
   // caught up past now_ if dispatch ran late (batched advances never do; the
   // catch-up guards derived drivers). The returned delay is in [1, period], so
-  // a re-arm of an in-range period can never be rejected for range.
+  // a re-arm of an in-range period can never be rejected for Admit's range.
+  // Lateness is judged from now_ - expiry_tick, so a target past the end of
+  // Tick cannot wrap into a late-looking one; its delay is still exact modulo
+  // 2^64, and AdmitDeadline refuses it.
   Duration NextPeriodicDelay(Tick expiry_tick, Duration period) const {
     Tick target = expiry_tick + period;
-    if (target <= now_) {
+    if (expiry_tick <= now_ && now_ - expiry_tick >= period) {
       target += ((now_ - target) / period + 1) * period;
     }
     return target - now_;
@@ -421,9 +445,10 @@ class TimerServiceBase : public TimerService {
 // The routines are defined out of the class, and each scheme compiles them once
 // in its own translation unit: its .cc explicitly instantiates
 // TimerServiceBase<Scheme> and its header declares that instantiation extern.
-// There the scheme's hooks and the arena inline into each routine, so virtual
-// and StaticTimerFacility callers alike make one call per routine into code
-// built with the scheme in view.
+// There the scheme's hooks and the arena inline into each routine. Every scheme
+// is final, so a caller holding the scheme's own type binds each routine at
+// compile time; it and a TimerService& caller alike make one call per routine
+// into code built with the scheme in view.
 
 template <typename Scheme>
 StartResult TimerServiceBase<Scheme>::StartTimer(Duration interval,
@@ -432,7 +457,7 @@ StartResult TimerServiceBase<Scheme>::StartTimer(Duration interval,
   if (interval == 0) {
     return TimerError::kZeroInterval;
   }
-  if (const TimerError error = self().Admit(&interval); error != TimerError::kOk) {
+  if (const TimerError error = AdmitDeadline(&interval); error != TimerError::kOk) {
     return error;
   }
   TimerRecord* rec = AllocateRecord(interval, request_id);

@@ -3,9 +3,9 @@
 // Client sessions manage timers on a remote timer module — set one-shots, set
 // periodics, restart ("update"), cancel — by sending request packets over a
 // lossy Channel, and receive kTimerFire callback packets when their timers
-// expire. This is ROADMAP item 1's product surface: the host scheme under test
-// serves the whole population's timers, so its op-count profile under a
-// realistic set/update/cancel/fire mix is directly observable.
+// expire. The host scheme under test serves the whole population's timers, so
+// its op-count profile under a realistic set/update/cancel/fire mix is
+// directly observable.
 //
 // Addressing: a session is a connection_id; a timer is the session-local
 // `seq` the client chose. The pair packs into the 64-bit RequestId cookie the

@@ -1,5 +1,6 @@
 #include "src/verify/oracle.h"
 
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -13,6 +14,9 @@ StartResult OracleTimers::StartTimer(Duration interval, RequestId request_id) {
     return TimerError::kZeroInterval;
   }
   interval = QuantizeIntervalUp(interval, slop_bits_);
+  if (interval > std::numeric_limits<Tick>::max() - now_) {
+    return TimerError::kIntervalOutOfRange;
+  }
   const std::uint32_t slot = next_slot_++;
   auto it = by_expiry_.emplace(now_ + interval, Pending{request_id, slot});
   live_.emplace(slot, it);
@@ -62,6 +66,10 @@ TimerError OracleTimers::RestartTimer(TimerHandle handle,
   if (it == live_.end()) {
     return TimerError::kNoSuchTimer;
   }
+  new_interval = QuantizeIntervalUp(new_interval, slop_bits_);
+  if (new_interval > std::numeric_limits<Tick>::max() - now_) {
+    return TimerError::kIntervalOutOfRange;
+  }
   // In-place by construction: the slot number — the handle — survives; only the
   // multimap position moves. Mirrors the schemes' contract exactly: a restart
   // is neither a start nor a stop, and the handle stays usable afterwards. A
@@ -69,8 +77,7 @@ TimerError OracleTimers::RestartTimer(TimerHandle handle,
   // copied wholesale, only the key moves.
   const Pending pending = it->second->second;
   by_expiry_.erase(it->second);
-  it->second =
-      by_expiry_.emplace(now_ + QuantizeIntervalUp(new_interval, slop_bits_), pending);
+  it->second = by_expiry_.emplace(now_ + new_interval, pending);
   ++counts_.restart_calls;
   ++counts_.restart_relink_ops;
   return TimerError::kOk;

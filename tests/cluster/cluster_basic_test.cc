@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -65,6 +66,30 @@ TEST(ClusterBasicTest, SynchronousFiresAtExactDeadlines) {
   EXPECT_TRUE(cluster.quiesced());
   EXPECT_EQ(cluster.stats().delivered, 2u);
   EXPECT_EQ(cluster.stats().duplicate_suppressed, 0u);
+  ExpectOracleOk(cluster, config);
+}
+
+// A Set or Restart whose deadline plus the latest lease a replica can arm
+// would pass the end of Tick is refused; the live timer keeps its old
+// deadline and fires exactly once.
+TEST(ClusterBasicTest, DeadlinesPastTheEndOfTickAreRefused) {
+  ClusterConfig config;
+  config.synchronous_transport = true;
+  TimerCluster cluster(config);
+  FireLog log(cluster);
+  cluster.Step();
+
+  const Duration huge = std::numeric_limits<Duration>::max() - 2;
+  EXPECT_FALSE(cluster.Set(1, huge));
+  ASSERT_TRUE(cluster.Set(2, 5));
+  EXPECT_FALSE(cluster.Restart(2, huge));
+  EXPECT_EQ(cluster.live_timers(), 1u);
+  for (int t = 0; t < 20; ++t) {
+    cluster.Step();
+  }
+  const std::vector<Fire> want = {{2, 1, 6}};
+  EXPECT_EQ(log.fires(), want);
+  EXPECT_TRUE(cluster.quiesced());
   ExpectOracleOk(cluster, config);
 }
 

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -180,6 +182,48 @@ void CheckSlopBound(TimerService& service, std::uint32_t slop) {
       EXPECT_EQ(delay % grain, 0u) << "not grain-aligned";
     }
   }
+}
+
+// At slop_bits = 4 an interval within one grain of the end of Duration
+// saturates instead of wrapping to 0. At tick 10, Scheme 7 refuses it under
+// kReject and clamps it to max_interval() under kClamp; Lawn refuses it.
+TEST(SlopEndOfTickTest, HugeIntervalsSaturateInsteadOfWrapping) {
+  const Duration huge = std::numeric_limits<Duration>::max() - 2;
+  EXPECT_EQ(QuantizeIntervalUp(huge, 4), std::numeric_limits<Duration>::max());
+  static constexpr std::array<std::size_t, 3> kLevels = {16, 16, 16};
+  for (const OverflowPolicy policy :
+       {OverflowPolicy::kReject, OverflowPolicy::kClamp}) {
+    HierarchicalWheelOptions options;
+    options.slop_bits = 4;
+    options.overflow = policy;
+    HierarchicalWheel wheel(kLevels, options);
+    Fired fired;
+    Collect(wheel, fired);
+    wheel.AdvanceTo(10);
+    const StartResult started = wheel.StartTimer(huge, 1);
+    wheel.AdvanceTo(10 + wheel.max_interval() + 64);
+    if (policy == OverflowPolicy::kReject) {
+      ASSERT_FALSE(started.has_value());
+      EXPECT_EQ(started.error(), TimerError::kIntervalOutOfRange);
+      EXPECT_TRUE(fired.empty());
+    } else {
+      ASSERT_TRUE(started.has_value());
+      EXPECT_EQ(fired, (Fired{{10 + wheel.max_interval(), 1}}));
+    }
+    EXPECT_EQ(wheel.outstanding(), 0u);
+  }
+  lawn::LawnOptions options;
+  options.slop_bits = 4;
+  lawn::LawnTimers lawn(options);
+  Fired fired;
+  Collect(lawn, fired);
+  lawn.AdvanceTo(10);
+  const StartResult started = lawn.StartTimer(huge, 1);
+  ASSERT_FALSE(started.has_value());
+  EXPECT_EQ(started.error(), TimerError::kIntervalOutOfRange);
+  lawn.AdvanceTo(300);
+  EXPECT_TRUE(fired.empty());
+  EXPECT_EQ(lawn.outstanding(), 0u);
 }
 
 TEST_P(SlopBoundTest, LawnFiresWithinSlop) {

@@ -12,10 +12,12 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "src/concurrent/sharded_wheel.h"
 #include "src/core/timer_facility.h"
 #include "src/net/channel.h"
 #include "src/net/timer_server.h"
@@ -157,6 +159,45 @@ TEST(WireTest, ServerOnWireCountsRejectsAndStaysAlive) {
   ASSERT_EQ(callbacks.size(), 1u);
   EXPECT_EQ(callbacks[0].type, PacketType::kTimerFire);
   EXPECT_EQ(callbacks[0].seq, 1u);
+}
+
+// One kTimerSet whose deadline would pass the end of Tick, on the wire into
+// the e2e stack's sharded host: the host refuses it, the server counts it in
+// stats().rejected, keeps no registration and never calls back.
+TEST(WireTest, ServerRefusesDeadlinePastTheEndOfTick) {
+  auto network = std::make_unique<sim::Simulator>(
+      MakeTimerService([] {
+        FacilityConfig c;
+        c.scheme = SchemeId::kScheme3Heap;
+        return c;
+      }()));
+  Channel downlink(*network, /*seed=*/1,
+                   ChannelConfig{.loss_probability = 0.0, .delay_lo = 1,
+                                 .delay_hi = 1});
+  std::vector<Packet> callbacks;
+  downlink.set_receiver([&callbacks](const Packet& p) {
+    callbacks.push_back(p);
+  });
+  TimerServer server(
+      std::make_unique<concurrent::ShardedWheel>(4, 64, concurrent::SubmitOptions{}),
+      downlink);
+  server.Tick();  // from tick 1 on, now + (2^64 - 1) wraps
+  network->Step();
+  Packet set;
+  set.connection_id = 9;
+  set.seq = 1;
+  set.type = PacketType::kTimerSet;
+  set.arg0 = std::numeric_limits<std::uint64_t>::max();
+  const auto wire = EncodePacket(set);
+  EXPECT_TRUE(server.OnWire(wire.data(), wire.size()));
+  for (int t = 0; t < 5; ++t) {
+    server.Tick();
+    network->Step();
+  }
+  EXPECT_EQ(server.stats().rejected, 1u);
+  EXPECT_EQ(server.stats().sets, 0u);
+  EXPECT_EQ(server.registrations(), 0u);
+  EXPECT_TRUE(callbacks.empty());
 }
 
 }  // namespace

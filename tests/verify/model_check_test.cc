@@ -12,6 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "src/verify/differential_driver.h"
 #include "tests/verify/all_services.h"
 
@@ -144,6 +148,32 @@ TEST_P(ModelCheckTest, SpanRolloverJumpsMatchOracle) {
     total_jumps += report.jumps;
   }
   EXPECT_GT(total_jumps, 0u) << c.label;
+}
+
+// A deadline past the end of Tick is refused, never wrapped into the past: at
+// tick 10 a huge start, periodic start and restart each return
+// kIntervalOutOfRange, and the live timer still fires once, at its old deadline.
+TEST_P(ModelCheckTest, DeadlinesPastTheEndOfTickAreRefused) {
+  const ServiceCase& c = GetParam();
+  auto service = c.make();
+  std::vector<std::pair<Tick, RequestId>> fired;
+  service->set_expiry_handler(
+      [&fired](RequestId id, Tick when) { fired.emplace_back(when, id); });
+  service->AdvanceTo(10);
+  const TimerHandle live = service->StartTimer(5, 1).value();
+  const Duration huge = std::numeric_limits<Duration>::max() - 2;
+  const StartResult start = service->StartTimer(huge, 2);
+  ASSERT_FALSE(start.has_value()) << c.label;
+  EXPECT_EQ(start.error(), TimerError::kIntervalOutOfRange) << c.label;
+  const StartResult periodic = service->StartPeriodic(huge, 3);
+  ASSERT_FALSE(periodic.has_value()) << c.label;
+  EXPECT_EQ(periodic.error(), TimerError::kIntervalOutOfRange) << c.label;
+  EXPECT_EQ(service->RestartTimer(live, huge), TimerError::kIntervalOutOfRange)
+      << c.label;
+  service->AdvanceTo(300);
+  const std::vector<std::pair<Tick, RequestId>> want = {{15, 1}};
+  EXPECT_EQ(fired, want) << c.label;
+  EXPECT_EQ(service->outstanding(), 0u) << c.label;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllImplementations, ModelCheckTest,

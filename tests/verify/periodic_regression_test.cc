@@ -27,10 +27,12 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "src/baselines/heap_timers.h"
 #include "src/core/hashed_wheel_unsorted.h"
 #include "src/core/timer_service.h"
 #include "src/hw/timer_chip.h"
@@ -43,6 +45,26 @@ namespace {
 
 using verify_tests::AllServiceCases;
 using verify_tests::ServiceCase;
+
+// A periodic lap whose deadline would pass the end of Tick is a periodic_drop:
+// the fire that reached it becomes the final one, and nothing wraps into the
+// past. The heap's O(1) FastForward carries the clock to the end of Tick. With
+// period 3 the lap after last - 2 is due at last + 1; a re-arm delay worked
+// from the wrapped target would come out as 2 and fire it at `last` instead.
+TEST(PeriodicRegressionTest, LapPastTheEndOfTickIsDropped) {
+  const Tick last = std::numeric_limits<Tick>::max();
+  HeapTimers heap;
+  std::vector<Tick> fired;
+  heap.set_expiry_handler([&fired](RequestId, Tick when) { fired.push_back(when); });
+  ASSERT_TRUE(heap.FastForward(last - 8));
+  ASSERT_TRUE(heap.StartPeriodic(3, 1).has_value());
+  heap.AdvanceTo(last);
+  EXPECT_EQ(fired, (std::vector<Tick>{last - 5, last - 2}));
+  EXPECT_EQ(heap.counts().periodic_fires, 1u);
+  EXPECT_EQ(heap.counts().periodic_drops, 1u);
+  EXPECT_EQ(heap.counts().expiries, 1u);
+  EXPECT_EQ(heap.outstanding(), 0u);
+}
 
 // ---------------------------------------------------------------------------
 // Bug 1: Simulator periodic survives a full arena.

@@ -1,27 +1,28 @@
-// Static-facade equivalence suite: StaticTimerFacility<Scheme> (the
-// devirtualized path of src/core/static_facility.h) must be observationally
-// identical to its virtual twin.
+// Concrete-type equivalence suite: every scheme is a final class, so a caller
+// holding the scheme's own type (`Scheme&`, or the scheme by value) binds each
+// routine at compile time, while TimerService& dispatches through the vtable.
+// Both paths must be observationally identical.
 //
 // Two layers of proof:
 //
-//   1. Differential: every StaticFacadeService<Scheme> instantiation runs the
-//      seeded oracle episodes with the FULL alphabet — starts, stops, stale
-//      pokes, restarts (live/stale/zero), periodic registrations, in-handler
-//      re-entrancy, and AdvanceTo jumps. Any behavioral difference the facade's
-//      forwarding introduced (a dropped default argument, a wrong qualified
-//      call) diverges the episode.
+//   1. Differential: every scheme, constructed directly, runs the seeded
+//      oracle episodes with the FULL alphabet — starts, stops, stale pokes,
+//      restarts (live/stale/zero), periodic registrations, in-handler
+//      re-entrancy, and AdvanceTo jumps.
 //
-//   2. Lockstep twin: the facade and a plain virtual instance of the SAME
-//      scheme are driven with one scripted op stream; expiry traces (tick, id,
-//      in dispatch order), returned handles/errors, now()/outstanding(), and
-//      the full OpCounts must match EXACTLY — not just oracle-equivalent.
-//      Identical code driven identically is deterministic, so byte-equality is
-//      the correct bar and catches even divergences the oracle cannot see
-//      (e.g. intra-tick dispatch order, op-count accounting).
+//   2. Lockstep twin: one instance driven through Scheme& and a
+//      make_unique<Scheme> twin driven through TimerService& get one scripted
+//      op stream; expiry traces (tick, id, in dispatch order), returned
+//      handles/errors, now()/outstanding(), and the full OpCounts must match
+//      EXACTLY — not just oracle-equivalent. Identical code driven identically
+//      is deterministic, so byte-equality is the correct bar and catches even
+//      divergences the oracle cannot see (e.g. intra-tick dispatch order,
+//      op-count accounting).
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -38,96 +39,15 @@
 #include "src/core/hashed_wheel_unsorted.h"
 #include "src/core/hierarchical_wheel.h"
 #include "src/core/hybrid_wheel.h"
-#include "src/core/static_facility.h"
+#include "src/hw/timer_chip.h"
 #include "src/lawn/lawn_timers.h"
 #include "src/rng/rng.h"
+#include "src/sim/tegas_wheel.h"
 #include "src/verify/differential_driver.h"
 
 namespace twheel::verify {
 namespace {
 
-// One scheme in both dispatch guises, built identically.
-struct FacadeCase {
-  std::string label;
-  std::function<std::unique_ptr<TimerService>()> make_static;   // facade-wrapped
-  std::function<std::unique_ptr<TimerService>()> make_virtual;  // plain twin
-};
-
-inline void PrintTo(const FacadeCase& c, std::ostream* os) { *os << c.label; }
-
-constexpr std::size_t kLevels[] = {16, 16, 16};
-
-template <typename Scheme, typename... Args>
-FacadeCase Case(std::string label, Args... args) {
-  return FacadeCase{
-      std::move(label),
-      [args...] { return std::make_unique<StaticFacadeService<Scheme>>(args...); },
-      [args...] { return std::make_unique<Scheme>(args...); },
-  };
-}
-
-std::vector<FacadeCase> AllFacadeCases() {
-  lawn::LawnOptions lawn;
-  lawn.max_distinct_ttls = 32;  // force overflow-annex traffic too
-  return {
-      Case<UnorderedTimers>("static_scheme1"),
-      Case<SortedListTimers>("static_scheme2_front", SearchDirection::kFromFront),
-      Case<SortedListTimers>("static_scheme2_rear", SearchDirection::kFromRear),
-      Case<HeapTimers>("static_scheme3_heap"),
-      Case<BstTimers>("static_scheme3_bst"),
-      Case<AvlTimers>("static_scheme3_avl"),
-      Case<LeftistHeapTimers>("static_scheme3_leftist"),
-      Case<BasicWheel>("static_scheme4_basic", std::size_t{512}),
-      Case<HybridWheel>("static_scheme4_hybrid", std::size_t{64}),
-      Case<HashedWheelSorted>("static_scheme5", std::size_t{64}),
-      Case<HashedWheelUnsorted>("static_scheme6", std::size_t{64}),
-      Case<HierarchicalWheel>("static_scheme7",
-                              std::span<const std::size_t>(kLevels)),
-      Case<lawn::LawnTimers>("static_scheme8", lawn),
-  };
-}
-
-class StaticFacadeTest : public ::testing::TestWithParam<FacadeCase> {};
-
-// Layer 1: the static path through the oracle, full alphabet. These options
-// deliberately light up every branch the facade forwards: one-shot and
-// periodic starts, live/stale/zero restarts, in-handler re-entrancy, and
-// batched AdvanceTo jumps with wheel-boundary pivots.
-TEST_P(StaticFacadeTest, FullAlphabetEpisodesMatchOracle) {
-  const FacadeCase& c = GetParam();
-  std::size_t restarts = 0;
-  std::size_t periodic = 0;
-  std::size_t jumps = 0;
-  for (std::uint64_t seed = 9100; seed < 9130; ++seed) {
-    DriverOptions options;
-    options.seed = seed;
-    options.ticks = 96;
-    options.max_interval = 200;
-    options.stop_probability = 0.25;
-    options.restart_probability = 0.25;
-    options.restart_stale_probability = 0.3;
-    options.restart_zero_probability = 0.1;
-    options.periodic_probability = 0.1;
-    options.rearm_probability = 0.1;
-    options.stop_sibling_probability = 0.1;
-    options.start_next_tick_probability = 0.1;
-    options.self_poke_probability = 0.1;
-    options.jump_probability = 0.1;
-    options.jump_pivots = {63, 64, 65, 256};
-    auto service = c.make_static();
-    const DriverReport report = RunDifferential(*service, options);
-    ASSERT_TRUE(report.ok) << c.label << " seed " << seed << ": "
-                           << report.divergence;
-    restarts += report.restarts;
-    periodic += report.periodic_fires;
-    jumps += report.jumps;
-  }
-  EXPECT_GT(restarts, 0u) << c.label << ": restart leg never exercised";
-  EXPECT_GT(periodic, 0u) << c.label << ": periodic leg never exercised";
-  EXPECT_GT(jumps, 0u) << c.label << ": AdvanceTo leg never exercised";
-}
-
-// Layer 2: lockstep exact-match against the virtual twin.
 struct Fired {
   Tick tick;
   RequestId id;
@@ -143,9 +63,12 @@ struct LockstepResult {
   metrics::OpCounts counts;
 };
 
-// Drives `service` with the op stream drawn from `seed`. Both twins get the
-// same seed, so they see byte-identical call sequences.
-LockstepResult RunScript(TimerService& service, std::uint64_t seed) {
+// Drives `service` with the op stream drawn from `seed`. `Service` is the
+// concrete scheme (every call bound by static type) or TimerService (every
+// call through the vtable); both twins get the same seed, so they see
+// byte-identical call sequences.
+template <typename Service>
+LockstepResult RunScript(Service& service, std::uint64_t seed) {
   LockstepResult r;
   service.set_expiry_handler(
       [&](RequestId id, Tick tick) { r.trace.push_back({tick, id}); });
@@ -195,13 +118,106 @@ LockstepResult RunScript(TimerService& service, std::uint64_t seed) {
   return r;
 }
 
+// One scheme in both dispatch guises, built identically.
+struct FacadeCase {
+  std::string label;
+  // The oracle episode of `options` on a directly constructed scheme.
+  std::function<DriverReport(const DriverOptions&)> run_differential;
+  // RunScript(seed) through Scheme& and through a TimerService& twin.
+  std::function<std::pair<LockstepResult, LockstepResult>(std::uint64_t)>
+      run_lockstep;
+};
+
+inline void PrintTo(const FacadeCase& c, std::ostream* os) { *os << c.label; }
+
+constexpr std::size_t kLevels[] = {16, 16, 16};
+
+template <typename Scheme, typename... Args>
+FacadeCase Case(std::string label, Args... args) {
+  return FacadeCase{
+      std::move(label),
+      [args...](const DriverOptions& options) {
+        Scheme scheme(args...);
+        return RunDifferential(scheme, options);
+      },
+      [args...](std::uint64_t seed) {
+        Scheme direct(args...);
+        std::unique_ptr<TimerService> twin = std::make_unique<Scheme>(args...);
+        LockstepResult a = RunScript(direct, seed);
+        return std::pair{std::move(a), RunScript(*twin, seed)};
+      },
+  };
+}
+
+std::vector<FacadeCase> AllFacadeCases() {
+  lawn::LawnOptions lawn;
+  lawn.max_distinct_ttls = 32;  // force overflow-annex traffic too
+  return {
+      Case<UnorderedTimers>("static_scheme1"),
+      Case<SortedListTimers>("static_scheme2_front", SearchDirection::kFromFront),
+      Case<SortedListTimers>("static_scheme2_rear", SearchDirection::kFromRear),
+      Case<HeapTimers>("static_scheme3_heap"),
+      Case<BstTimers>("static_scheme3_bst"),
+      Case<AvlTimers>("static_scheme3_avl"),
+      Case<LeftistHeapTimers>("static_scheme3_leftist"),
+      Case<BasicWheel>("static_scheme4_basic", std::size_t{512}),
+      Case<HybridWheel>("static_scheme4_hybrid", std::size_t{64}),
+      Case<HashedWheelSorted>("static_scheme5", std::size_t{64}),
+      Case<HashedWheelUnsorted>("static_scheme6", std::size_t{64}),
+      Case<HierarchicalWheel>("static_scheme7",
+                              std::span<const std::size_t>(kLevels)),
+      Case<lawn::LawnTimers>("static_scheme8", lawn),
+      Case<sim::TegasWheel>("tegas_wheel_full", std::size_t{64},
+                            sim::RotatePolicy::kFullCycle),
+      Case<sim::TegasWheel>("tegas_wheel_half", std::size_t{64},
+                            sim::RotatePolicy::kHalfCycle),
+      Case<hw::ChipAssistedWheel>("scheme6_chip_assisted", std::size_t{64}),
+  };
+}
+
+class StaticFacadeTest : public ::testing::TestWithParam<FacadeCase> {};
+
+// Layer 1: each directly constructed scheme through the oracle, full alphabet.
+// These options deliberately light up every routine: one-shot and periodic
+// starts, live/stale/zero restarts, in-handler re-entrancy, and batched
+// AdvanceTo jumps with wheel-boundary pivots.
+TEST_P(StaticFacadeTest, FullAlphabetEpisodesMatchOracle) {
+  const FacadeCase& c = GetParam();
+  std::size_t restarts = 0;
+  std::size_t periodic = 0;
+  std::size_t jumps = 0;
+  for (std::uint64_t seed = 9100; seed < 9130; ++seed) {
+    DriverOptions options;
+    options.seed = seed;
+    options.ticks = 96;
+    options.max_interval = 200;
+    options.stop_probability = 0.25;
+    options.restart_probability = 0.25;
+    options.restart_stale_probability = 0.3;
+    options.restart_zero_probability = 0.1;
+    options.periodic_probability = 0.1;
+    options.rearm_probability = 0.1;
+    options.stop_sibling_probability = 0.1;
+    options.start_next_tick_probability = 0.1;
+    options.self_poke_probability = 0.1;
+    options.jump_probability = 0.1;
+    options.jump_pivots = {63, 64, 65, 256};
+    const DriverReport report = c.run_differential(options);
+    ASSERT_TRUE(report.ok) << c.label << " seed " << seed << ": "
+                           << report.divergence;
+    restarts += report.restarts;
+    periodic += report.periodic_fires;
+    jumps += report.jumps;
+  }
+  EXPECT_GT(restarts, 0u) << c.label << ": restart leg never exercised";
+  EXPECT_GT(periodic, 0u) << c.label << ": periodic leg never exercised";
+  EXPECT_GT(jumps, 0u) << c.label << ": AdvanceTo leg never exercised";
+}
+
 TEST_P(StaticFacadeTest, LockstepTwinIsByteIdentical) {
   const FacadeCase& c = GetParam();
   for (std::uint64_t seed = 31; seed < 39; ++seed) {
-    auto fac = c.make_static();
-    auto twin = c.make_virtual();
-    const LockstepResult a = RunScript(*fac, seed);
-    const LockstepResult b = RunScript(*twin, seed);
+    const auto [a, b] = c.run_lockstep(seed);
     ASSERT_EQ(a.trace.size(), b.trace.size()) << c.label << " seed " << seed;
     for (std::size_t i = 0; i < a.trace.size(); ++i) {
       ASSERT_EQ(a.trace[i], b.trace[i])
@@ -222,15 +238,17 @@ TEST_P(StaticFacadeTest, LockstepTwinIsByteIdentical) {
   }
 }
 
-// The facade's escape hatch reaches the same object the forwards act on.
+// A caller holding the concrete type reaches the routines and the scheme's own
+// diagnostics (cursor(), …) on the same object.
 TEST(StaticFacadeScheme, SchemeAccessorSeesForwardedState) {
-  StaticTimerFacility<BasicWheel> facility(std::size_t{64});
-  ASSERT_TRUE(facility.StartTimer(5, 1).has_value());
-  EXPECT_EQ(facility.scheme().outstanding(), 1u);
-  EXPECT_EQ(facility.scheme().cursor(), 0u);
-  facility.PerTickBookkeeping();
-  EXPECT_EQ(facility.scheme().cursor(), 1u);
-  EXPECT_EQ(facility.name(), "scheme4-basic-wheel");
+  BasicWheel storage(std::size_t{64});
+  BasicWheel& wheel = storage;
+  ASSERT_TRUE(wheel.StartTimer(5, 1).has_value());
+  EXPECT_EQ(wheel.outstanding(), 1u);
+  EXPECT_EQ(wheel.cursor(), 0u);
+  wheel.PerTickBookkeeping();
+  EXPECT_EQ(wheel.cursor(), 1u);
+  EXPECT_EQ(wheel.name(), "scheme4-basic-wheel");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, StaticFacadeTest,
