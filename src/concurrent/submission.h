@@ -336,7 +336,6 @@ class ShardSubmitQueue {
           if (s == State::kPending) {
             coalesced_restarts_.fetch_add(1, std::memory_order_relaxed);
           }
-          enqueued_restarts_.fetch_add(1, std::memory_order_relaxed);
           result = TimerError::kOk;
           break;
         }
@@ -520,9 +519,6 @@ class ShardSubmitQueue {
 
   std::uint64_t enqueued_starts() const {
     return enqueued_starts_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t enqueued_restarts() const {
-    return enqueued_restarts_.load(std::memory_order_relaxed);
   }
   std::uint64_t coalesced_restarts() const {
     return coalesced_restarts_.load(std::memory_order_relaxed);
@@ -883,7 +879,6 @@ class ShardSubmitQueue {
   MpscRing<Command> ring_;
 
   std::atomic<std::uint64_t> enqueued_starts_{0};
-  std::atomic<std::uint64_t> enqueued_restarts_{0};
   std::atomic<std::uint64_t> coalesced_restarts_{0};
   std::atomic<std::uint64_t> drained_commands_{0};
   std::atomic<std::uint64_t> submit_retries_{0};

@@ -1,5 +1,6 @@
 #include "src/net/timer_server.h"
 
+#include <optional>
 #include <utility>
 
 #include "src/concurrent/sharded_wheel.h"
@@ -10,7 +11,7 @@ namespace twheel::net {
 TimerServer::TimerServer(std::unique_ptr<TimerService> host, Channel& to_client)
     : host_(std::move(host)), to_client_(to_client) {
   host_->set_expiry_handler(
-      [this](RequestId cookie, twheel::Tick now) { OnExpiry(cookie, now); });
+      [this](RequestId id, twheel::Tick now) { OnExpiry(id, now); });
 }
 
 TimerServer::~TimerServer() { StopDispatchPool(); }
@@ -18,30 +19,33 @@ TimerServer::~TimerServer() { StopDispatchPool(); }
 void TimerServer::Register(RequestId cookie, const Packet& request) {
   Stripe& stripe = StripeFor(cookie);
   std::lock_guard<std::mutex> lock(stripe.mutex);
+  auto [reg, inserted] = stripe.timers.FindOrInsert(cookie);
   // Cancel-and-replace: a duplicate set (client retry, or reuse of a timer
-  // name whose fire callback was lost) supersedes the live registration.
-  if (auto it = stripe.timers.find(cookie); it != stripe.timers.end()) {
-    if (host_->StopTimer(it->second.handle) == TimerError::kOk) {
-      stats_.replaced.fetch_add(1, std::memory_order_relaxed);
-    }
-    stripe.timers.erase(it);
+  // name whose fire callback was lost) supersedes the live registration. If
+  // the stop misses, the host already claimed the old timer's final fire, and
+  // its expiry record stays until that fire is delivered.
+  if (!inserted && host_->StopTimer(reg->handle) == TimerError::kOk) {
+    ++stripe.stats.replaced;
+    stripe.armed.Free(reg->armed);
   }
   const bool periodic = request.type == PacketType::kTimerSetPeriodic;
   const Duration interval = static_cast<Duration>(request.arg0);
-  StartResult started =
-      periodic ? host_->StartPeriodic(interval, cookie, request.arg1)
-               : host_->StartTimer(interval, cookie);
-  if (!started.has_value()) {
-    stats_.rejected.fetch_add(1, std::memory_order_relaxed);
-    return;
+  const SlabRef ref =
+      stripe.armed.Allocate(Armed{cookie, periodic ? request.arg1 : 1}).second;
+  if (ref.valid()) {
+    const RequestId id = ArmedId(stripe, ref);
+    StartResult started =
+        periodic ? host_->StartPeriodic(interval, id, request.arg1)
+                 : host_->StartTimer(interval, id);
+    if (started.has_value()) {
+      *reg = Registration{started.value(), ref};
+      ++(periodic ? stripe.stats.periodic_sets : stripe.stats.sets);
+      return;
+    }
+    stripe.armed.Free(ref);
   }
-  Registration reg;
-  reg.handle = started.value();
-  reg.periodic = periodic;
-  reg.remaining = periodic ? request.arg1 : 1;
-  stripe.timers.emplace(cookie, reg);
-  (periodic ? stats_.periodic_sets : stats_.sets)
-      .fetch_add(1, std::memory_order_relaxed);
+  ++stripe.stats.rejected;
+  stripe.timers.EraseAt(reg);
 }
 
 void TimerServer::OnRequest(const Packet& request) {
@@ -54,35 +58,29 @@ void TimerServer::OnRequest(const Packet& request) {
     case PacketType::kTimerRestart: {
       Stripe& stripe = StripeFor(cookie);
       std::lock_guard<std::mutex> lock(stripe.mutex);
-      auto it = stripe.timers.find(cookie);
-      if (it == stripe.timers.end()) {
-        stats_.restart_misses.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
+      const Registration* reg = stripe.timers.Find(cookie);
       // The relink contract keeps the handle valid, so the table entry is
       // untouched; the periodic's cadence and budget continue from the moved
       // deadline (TimerService::RestartTimer doc).
-      if (host_->RestartTimer(it->second.handle, static_cast<Duration>(
-                                                     request.arg0)) ==
-          TimerError::kOk) {
-        stats_.restarts.fetch_add(1, std::memory_order_relaxed);
+      const Duration interval = static_cast<Duration>(request.arg0);
+      if (reg != nullptr && host_->RestartTimer(reg->handle, interval) == TimerError::kOk) {
+        ++stripe.stats.restarts;
       } else {
-        stats_.restart_misses.fetch_add(1, std::memory_order_relaxed);
+        ++stripe.stats.restart_misses;
       }
       return;
     }
     case PacketType::kTimerCancel: {
       Stripe& stripe = StripeFor(cookie);
       std::lock_guard<std::mutex> lock(stripe.mutex);
-      auto it = stripe.timers.find(cookie);
-      if (it == stripe.timers.end() ||
-          host_->StopTimer(it->second.handle) != TimerError::kOk) {
-        stats_.cancel_misses.fetch_add(1, std::memory_order_relaxed);
+      const std::optional<Registration> reg = stripe.timers.Take(cookie);
+      if (reg.has_value() && host_->StopTimer(reg->handle) == TimerError::kOk) {
+        ++stripe.stats.cancels;
+        stripe.armed.Free(reg->armed);
       } else {
-        stats_.cancels.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (it != stripe.timers.end()) {
-        stripe.timers.erase(it);
+        // Unknown, or the host already claimed the final fire: that fire
+        // stays armed and resolves the timer when it is delivered.
+        ++stripe.stats.cancel_misses;
       }
       return;
     }
@@ -94,42 +92,47 @@ void TimerServer::OnRequest(const Packet& request) {
 bool TimerServer::OnWire(const std::uint8_t* data, std::size_t size) {
   std::optional<Packet> decoded = DecodePacket(data, size);
   if (!decoded.has_value()) {
-    stats_.decode_rejects.fetch_add(1, std::memory_order_relaxed);
+    decode_rejects_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   OnRequest(*decoded);
   return true;
 }
 
-void TimerServer::OnExpiry(RequestId cookie, twheel::Tick now) {
-  Packet fire;
+void TimerServer::OnExpiry(RequestId id, twheel::Tick now) {
+  RequestId cookie = 0;
   {
-    Stripe& stripe = StripeFor(cookie);
+    Stripe& stripe = stripes_[id & (kStripes - 1)];
+    const SlabRef ref = ArmedRef(id);
     std::lock_guard<std::mutex> lock(stripe.mutex);
-    auto it = stripe.timers.find(cookie);
-    if (it == stripe.timers.end()) {
-      return;  // raced with a cancel the host resolved differently; drop
+    Armed* armed = stripe.armed.Get(ref);
+    if (armed == nullptr) {
+      return;  // a lap claimed before a committed stop; the stop resolved it
     }
-    Registration& reg = it->second;
-    const bool armed =
-        reg.periodic &&
-        (reg.remaining == TimerService::kRepeatForever || reg.remaining > 1);
-    if (armed) {
-      if (reg.remaining > 1) {
-        --reg.remaining;
+    cookie = armed->cookie;
+    if (armed->remaining == TimerService::kRepeatForever || armed->remaining > 1) {
+      if (armed->remaining > 1) {
+        --armed->remaining;
       }
-      stats_.periodic_laps.fetch_add(1, std::memory_order_relaxed);
+      ++stripe.stats.periodic_laps;
     } else {
-      stripe.timers.erase(it);
+      stripe.armed.Free(ref);
+      // The cookie names a newer registration, or none, if a stop missed
+      // because this fire was already claimed.
+      if (const Registration* reg = stripe.timers.Find(cookie);
+          reg != nullptr && reg->armed == ref) {
+        stripe.timers.EraseAt(reg);
+      }
     }
+    ++stripe.stats.fires_sent;
   }
   // Build and send outside the stripe lock: the send mutex alone serializes
   // concurrent drainers into the single-threaded Channel.
+  Packet fire;
   fire.connection_id = CookieSession(cookie);
   fire.seq = CookieTimer(cookie);
   fire.type = PacketType::kTimerFire;
   fire.arg0 = now;
-  stats_.fires_sent.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(send_mutex_);
   to_client_.Send(fire);
 }
@@ -166,12 +169,15 @@ void TimerServer::StopDispatchPool() {
 }
 
 TimerServerStats TimerServer::stats() const {
-  TimerServerStats snapshot;
-#define TWHEEL_TIMER_SERVER_STAT_LOAD(name) \
-  snapshot.name = stats_.name.load(std::memory_order_relaxed);
-  TWHEEL_TIMER_SERVER_STAT_FIELDS(TWHEEL_TIMER_SERVER_STAT_LOAD)
-#undef TWHEEL_TIMER_SERVER_STAT_LOAD
-  return snapshot;
+  TimerServerStats total;
+  for (const Stripe& stripe : stripes_) {
+    std::lock_guard<std::mutex> lock(stripe.mutex);
+#define TWHEEL_TIMER_SERVER_STAT_ADD(name) total.name += stripe.stats.name;
+    TWHEEL_TIMER_SERVER_STAT_FIELDS(TWHEEL_TIMER_SERVER_STAT_ADD)
+#undef TWHEEL_TIMER_SERVER_STAT_ADD
+  }
+  total.decode_rejects += decode_rejects_.load(std::memory_order_relaxed);
+  return total;
 }
 
 std::size_t TimerServer::registrations() const {

@@ -8,9 +8,12 @@
 // directly observable.
 //
 // Addressing: a session is a connection_id; a timer is the session-local
-// `seq` the client chose. The pair packs into the 64-bit RequestId cookie the
-// timer module already carries, so an expiry dispatch routes back to its
-// session without any per-timer allocation on the server.
+// `seq` the client chose. The pair packs into a 64-bit cookie that names the
+// timer in the session table. The host is armed with a different 64-bit id:
+// the generational slab reference of the registration's expiry record. An
+// expiry resolves that id by array index, and a fire that belongs to an older
+// registration of the same cookie finds a stale reference, so it never
+// consumes a newer one.
 //
 // Loss tolerance: requests are idempotent where the protocol allows it — a
 // duplicate kTimerSet for a live timer replaces the old registration
@@ -23,12 +26,21 @@
 // can hand the clock to a DispatchPool (StartDispatchPool), after which expiry
 // callbacks arrive on N drainer threads at once. The server is built for that:
 // the session table is striped (per-stripe mutexes, stripe chosen by session
-// hash, so drainers touching different sessions never contend), the stats are
-// lock-free atomics, and callback sends are serialized behind a send mutex —
-// the Channel itself is single-threaded by contract. Requests still arrive on
-// one thread (the harness's uplink), racing only the drainers. now() and
-// AdvanceTo() let a concurrent::TickerThread drive the server, and so its pool,
-// from the wall clock.
+// hash, so drainers touching different sessions never contend), each stripe
+// keeps its own counters as plain fields written under the stripe mutex the
+// request or expiry already holds, and callback sends are serialized behind a
+// send mutex — the Channel itself is single-threaded by contract. Requests
+// still arrive on one thread (the harness's uplink), racing only the drainers.
+// now() and AdvanceTo() let a concurrent::TickerThread drive the server, and
+// so its pool, from the wall clock.
+//
+// A sharded host claims a fire under its shard lock and delivers it later,
+// outside every lock. A cancel or replacing set that lands in between finds
+// the host timer already spent (StopTimer misses). The server then keeps the
+// old registration's expiry record until the claimed fire arrives, and counts
+// that fire as fired, so every accepted set ends as exactly one of fired,
+// cancelled or replaced. A periodic lap claimed before a committed stop finds
+// its expiry record freed and is dropped.
 
 #ifndef TWHEEL_SRC_NET_TIMER_SERVER_H_
 #define TWHEEL_SRC_NET_TIMER_SERVER_H_
@@ -38,8 +50,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 
+#include "src/base/flat_map.h"
+#include "src/base/slab_arena.h"
 #include "src/concurrent/dispatch_pool.h"
 #include "src/core/timer_service.h"
 #include "src/net/channel.h"
@@ -62,8 +75,8 @@ constexpr std::uint32_t CookieTimer(RequestId cookie) {
 
 // Every server counter, declared once, in declaration order:
 // TWHEEL_TIMER_SERVER_STAT_FIELDS(X) expands X(name) for each field, and the
-// snapshot struct, the server's atomic mirror and the stats() copy between them
-// are all generated from it.
+// snapshot struct and the stats() sum over the stripes' copies are both
+// generated from it.
 #define TWHEEL_TIMER_SERVER_STAT_FIELDS(X)                                    \
   X(sets)           /* one-shot registrations accepted */                     \
   X(periodic_sets)  /* periodic registrations accepted */                     \
@@ -84,7 +97,7 @@ struct TimerServerStats {
 };
 
 // A field declared outside TWHEEL_TIMER_SERVER_STAT_FIELDS would be missed by
-// the atomic mirror and the snapshot copy.
+// the stats() sum.
 #define TWHEEL_TIMER_SERVER_STAT_ONE(name) +1
 static_assert(sizeof(TimerServerStats) ==
                   (0 TWHEEL_TIMER_SERVER_STAT_FIELDS(TWHEEL_TIMER_SERVER_STAT_ONE)) *
@@ -130,28 +143,47 @@ class TimerServer {
   void StopDispatchPool();
   bool pool_attached() const { return pool_ != nullptr; }
 
-  // Coherent snapshot at quiesce; transiently lagging fields mid-dispatch.
+  // The stripes' counters summed, each stripe read under its lock: coherent
+  // at quiesce, and each stripe's share coherent at any time.
   TimerServerStats stats() const;
   const TimerService& host() const { return *host_; }
   // Timers currently registered (the server-side session table's view).
   std::size_t registrations() const;
 
  private:
+  // The session table's view of a timer: what a restart or cancel needs.
   struct Registration {
     TimerHandle handle;
+    SlabRef armed;  // its expiry record in the stripe's slab
+  };
+  // The expiry side of a registration. It outlives the Registration when a
+  // stop misses, until the fire the host already claimed is delivered.
+  struct Armed {
+    RequestId cookie = 0;
     // Laps still owed, mirroring the host's repeat budget: 0 = forever,
-    // 1 = next fire is final, 0 remaining after it. One-shots store 1.
+    // 1 = next fire is final. One-shots store 1.
     std::uint64_t remaining = 1;
-    bool periodic = false;
   };
 
   // The striped session table. A cookie's stripe is a function of its session
   // id, so one session's set/cancel/fire traffic serializes on one stripe
   // while different sessions proceed in parallel on different drainers.
-  static constexpr std::size_t kStripes = 16;  // power of two
-  struct Stripe {
+  // Cache-line aligned so two drainers writing neighbouring stripes' counters
+  // do not share a line.
+  static constexpr std::uint32_t kStripeBits = 4;
+  static constexpr std::size_t kStripes = std::size_t{1} << kStripeBits;
+  // An armed id packs an expiry record's SlabRef with its stripe: generation
+  // in the high 32 bits, then kSlotBits of slot, then the stripe.
+  static constexpr std::uint32_t kSlotBits = 32 - kStripeBits;
+  struct alignas(64) Stripe {
     mutable std::mutex mutex;
-    std::unordered_map<RequestId, Registration> timers;
+    FlatMap<Registration> timers;  // by cookie
+    // At most 2^kSlotBits records, so every slot fits its id; a set past
+    // that is rejected like one the host refuses.
+    SlabArena<Armed> armed{std::size_t{1} << kSlotBits};
+    // decode_rejects stays 0 here: a reject has no stripe (see
+    // decode_rejects_).
+    TimerServerStats stats;
   };
   Stripe& StripeFor(RequestId cookie) {
     // Fibonacci hash of the session id; sessions are typically small dense
@@ -160,7 +192,18 @@ class TimerServer {
     return stripes_[(h >> 27) & (kStripes - 1)];
   }
 
-  void OnExpiry(RequestId cookie, twheel::Tick now);
+  RequestId ArmedId(const Stripe& stripe, SlabRef ref) const {
+    return (RequestId{ref.generation} << 32) |
+           (RequestId{ref.slot} << kStripeBits) |
+           static_cast<RequestId>(&stripe - stripes_);
+  }
+  static SlabRef ArmedRef(RequestId id) {
+    return SlabRef{static_cast<std::uint32_t>(id >> kStripeBits) &
+                       ((std::uint32_t{1} << kSlotBits) - 1),
+                   static_cast<std::uint32_t>(id >> 32)};
+  }
+
+  void OnExpiry(RequestId id, twheel::Tick now);
   void Register(RequestId cookie, const Packet& request);
 
   std::unique_ptr<TimerService> host_;
@@ -169,13 +212,8 @@ class TimerServer {
   // schedules its deliveries without internal locking.
   std::mutex send_mutex_;
   Stripe stripes_[kStripes];
-
-  struct AtomicStats {
-#define TWHEEL_TIMER_SERVER_STAT_ATOMIC(name) std::atomic<std::uint64_t> name{0};
-    TWHEEL_TIMER_SERVER_STAT_FIELDS(TWHEEL_TIMER_SERVER_STAT_ATOMIC)
-#undef TWHEEL_TIMER_SERVER_STAT_ATOMIC
-  };
-  AtomicStats stats_;
+  // Counted before a request has a cookie, so before any stripe is chosen.
+  std::atomic<std::uint64_t> decode_rejects_{0};
 
   std::unique_ptr<concurrent::DispatchPool> pool_;
 };

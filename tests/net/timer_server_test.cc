@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "src/core/timer_facility.h"
 #include "src/net/timer_server.h"
 #include "src/net/timer_workload.h"
+#include "src/rng/rng.h"
 
 namespace twheel::net {
 namespace {
@@ -383,6 +385,236 @@ TEST(TimerServerPoolTest, TickerPoolDeliversWithoutExternalTicks) {
     network.Step();
   }
   EXPECT_EQ(callbacks.size(), kSessions);
+}
+
+
+// Every accepted set resolved exactly one way: cancelled, replaced, or
+// expired on its final fire.
+void ExpectEachSetResolvedOnce(const TimerServerStats& s) {
+  EXPECT_EQ(s.sets + s.periodic_sets,
+            s.cancels + s.replaced + (s.fires_sent - s.periodic_laps));
+}
+
+// A server on a 1-shard ShardedWheel whose two dispatch halves the test runs
+// by hand, as one DispatchPool drainer would: Claim() is AdvanceShard (the
+// host commits the tick's fires under its shard lock) and Deliver() is
+// DispatchShard (the fires reach the server). A request sent between the two
+// lands where a drainer's claim and its delivery are split by the request
+// thread.
+struct ClaimRaceRig {
+  ClaimRaceRig()
+      : network(MakeTimerService(HostScheme(SchemeId::kScheme3Heap))),
+        downlink(network, /*seed=*/1,
+                 ChannelConfig{.loss_probability = 0.0, .delay_lo = 1,
+                               .delay_hi = 1}),
+        server(MakeHost(&wheel), downlink) {
+    downlink.set_receiver([this](const Packet& p) { callbacks.push_back(p); });
+  }
+
+  static std::unique_ptr<TimerService> MakeHost(
+      concurrent::ShardedWheel** raw) {
+    concurrent::SubmitOptions submit;
+    submit.ring_capacity = 64;
+    submit.registration_capacity = 64;
+    submit.on_full = concurrent::SubmitPolicy::kReject;
+    auto host = std::make_unique<concurrent::ShardedWheel>(1, 64, submit);
+    *raw = host.get();
+    return host;
+  }
+
+  void Claim(Tick to) {
+    ASSERT_EQ(wheel->AdvanceShard(0, to), 1u);
+    wheel->CommitNow(to);
+  }
+  void Deliver() {
+    wheel->DispatchShard(0);
+    network.Step();
+  }
+  void AdvanceTo(Tick to) {
+    server.AdvanceTo(to);
+    network.Step();
+  }
+
+  sim::Simulator network;
+  Channel downlink;
+  concurrent::ShardedWheel* wheel = nullptr;  // owned by `server`
+  TimerServer server;
+  std::vector<Packet> callbacks;
+};
+
+TEST(TimerServerPoolTest, CancelAfterFinalFireIsClaimedCountsTheFire) {
+  ClaimRaceRig rig;
+  rig.server.OnRequest(
+      ServerRig::Request(PacketType::kTimerSet, 7, 1, /*interval=*/1));
+  rig.Claim(1);
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerCancel, 7, 1));
+  EXPECT_EQ(rig.server.stats().cancel_misses, 1u);  // the fire won
+  rig.Deliver();
+  ASSERT_EQ(rig.callbacks.size(), 1u);
+  EXPECT_EQ(rig.callbacks[0].arg0, 1u);
+  const TimerServerStats s = rig.server.stats();
+  EXPECT_EQ(s.fires_sent, 1u);
+  EXPECT_EQ(s.cancels, 0u);
+  ExpectEachSetResolvedOnce(s);
+  EXPECT_EQ(rig.server.registrations(), 0u);
+  EXPECT_EQ(rig.server.host().outstanding(), 0u);
+}
+
+TEST(TimerServerPoolTest, ReplacingSetAfterFinalFireIsClaimedKeepsItsOwnFire) {
+  ClaimRaceRig rig;
+  rig.server.OnRequest(
+      ServerRig::Request(PacketType::kTimerSet, 7, 1, /*interval=*/1));
+  rig.Claim(1);
+  // Due at tick 10. The old timer's stop misses, so nothing is replaced.
+  rig.server.OnRequest(
+      ServerRig::Request(PacketType::kTimerSet, 7, 1, /*interval=*/9));
+  EXPECT_EQ(rig.server.stats().replaced, 0u);
+  rig.Deliver();
+  ASSERT_EQ(rig.callbacks.size(), 1u);
+  EXPECT_EQ(rig.callbacks[0].arg0, 1u);  // the old timer's fire
+  EXPECT_EQ(rig.server.registrations(), 1u) << "the old fire took the new set";
+  rig.AdvanceTo(10);
+  ASSERT_EQ(rig.callbacks.size(), 2u);
+  EXPECT_EQ(rig.callbacks[1].arg0, 10u);  // the new timer's own fire
+  const TimerServerStats s = rig.server.stats();
+  EXPECT_EQ(s.sets, 2u);
+  EXPECT_EQ(s.fires_sent, 2u);
+  ExpectEachSetResolvedOnce(s);
+  EXPECT_EQ(rig.server.registrations(), 0u);
+}
+
+TEST(TimerServerPoolTest, ReplaceAfterLapIsClaimedDropsTheLap) {
+  ClaimRaceRig rig;
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerSetPeriodic, 7, 1,
+                                          /*interval=*/1, /*repeat_for=*/3));
+  rig.Claim(1);
+  // The periodic is still live after a non-final lap, so the stop commits.
+  rig.server.OnRequest(
+      ServerRig::Request(PacketType::kTimerSet, 7, 1, /*interval=*/9));
+  EXPECT_EQ(rig.server.stats().replaced, 1u);
+  rig.Deliver();
+  EXPECT_TRUE(rig.callbacks.empty()) << "a lap of the replaced periodic arrived";
+  EXPECT_EQ(rig.server.registrations(), 1u);
+  rig.AdvanceTo(10);
+  ASSERT_EQ(rig.callbacks.size(), 1u);
+  EXPECT_EQ(rig.callbacks[0].arg0, 10u);
+  const TimerServerStats s = rig.server.stats();
+  EXPECT_EQ(s.fires_sent, 1u);
+  EXPECT_EQ(s.periodic_laps, 0u);
+  ExpectEachSetResolvedOnce(s);
+  EXPECT_EQ(rig.server.registrations(), 0u);
+}
+
+TEST(TimerServerPoolTest, CancelAfterLapIsClaimedDropsTheLap) {
+  ClaimRaceRig rig;
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerSetPeriodic, 7, 1,
+                                          /*interval=*/1, /*repeat_for=*/3));
+  rig.Claim(1);
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerCancel, 7, 1));
+  EXPECT_EQ(rig.server.stats().cancels, 1u);
+  rig.Deliver();
+  rig.AdvanceTo(10);
+  EXPECT_TRUE(rig.callbacks.empty());
+  const TimerServerStats s = rig.server.stats();
+  EXPECT_EQ(s.fires_sent, 0u);
+  ExpectEachSetResolvedOnce(s);
+  EXPECT_EQ(rig.server.registrations(), 0u);
+  EXPECT_EQ(rig.server.host().outstanding(), 0u);
+}
+
+TEST(TimerServerPoolTest, ConcurrentRequestsConserveEveryRegistration) {
+  // A TickerThread drives a 4-drainer pool while this thread sends sets,
+  // periodic sets, restarts and cancels over 256 sessions with short
+  // intervals, so fires are claimed and delivered around the requests all
+  // the time. A second thread polls the counters and the table size. Once
+  // everything drained, each accepted set resolved exactly once.
+  sim::Simulator network(
+      MakeTimerService(HostScheme(SchemeId::kScheme3Heap)));
+  Channel downlink(network, /*seed=*/1,
+                   ChannelConfig{.loss_probability = 0.0, .delay_lo = 1,
+                                 .delay_hi = 1});
+  TimerServer server(ShardedHost(), downlink);
+  std::size_t delivered = 0;
+  downlink.set_receiver([&](const Packet&) { ++delivered; });
+
+  concurrent::DispatchOptions options;
+  options.drainers = 4;
+  ASSERT_TRUE(server.StartDispatchPool(options));
+  concurrent::TickerThread ticker(server, std::chrono::microseconds(50));
+
+  std::atomic<bool> done{false};
+  bool counters_monotone = true;
+  std::thread poller([&] {
+    TimerServerStats last;
+    while (!done.load(std::memory_order_acquire)) {
+      const TimerServerStats now = server.stats();
+      (void)server.registrations();
+      if (now.fires_sent < last.fires_sent || now.sets < last.sets ||
+          now.cancels < last.cancels || now.restarts < last.restarts) {
+        counters_monotone = false;
+      }
+      last = now;
+      std::this_thread::yield();
+    }
+  });
+
+  constexpr std::uint32_t kSessions = 256;
+  rng::Xoshiro256 rng(17);
+  for (int i = 0; i < 20000; ++i) {
+    const auto session = static_cast<std::uint32_t>(rng.NextBounded(kSessions));
+    const std::uint64_t timer = rng.NextBounded(2);
+    const std::uint64_t interval = 1 + rng.NextBounded(6);
+    switch (rng.NextBounded(8)) {
+      case 0:
+      case 1:
+      case 2:
+        server.OnRequest(ServerRig::Request(PacketType::kTimerSet, session,
+                                            timer, interval));
+        break;
+      case 3:
+        server.OnRequest(ServerRig::Request(PacketType::kTimerSetPeriodic,
+                                            session, timer, interval,
+                                            /*repeat_for=*/1 + rng.NextBounded(4)));
+        break;
+      case 4:
+      case 5:
+      case 6:
+        server.OnRequest(ServerRig::Request(PacketType::kTimerRestart, session,
+                                            timer, interval));
+        break;
+      default:
+        server.OnRequest(
+            ServerRig::Request(PacketType::kTimerCancel, session, timer));
+        break;
+    }
+    if (i % 64 == 0) {
+      std::this_thread::yield();
+    }
+  }
+  // Every timer left has a bounded budget, so the ticker drains them all.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (server.registrations() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ticker.Stop();
+  server.StopDispatchPool();  // delivers every fire already claimed
+  done.store(true, std::memory_order_release);
+  poller.join();
+
+  const TimerServerStats s = server.stats();
+  EXPECT_TRUE(counters_monotone);
+  EXPECT_EQ(server.registrations(), 0u);
+  EXPECT_EQ(server.host().outstanding(), 0u);
+  EXPECT_GT(s.fires_sent, 0u);
+  EXPECT_GT(s.cancels + s.replaced, 0u);
+  ExpectEachSetResolvedOnce(s);
+  // No drainer can touch the channel now; every fire sent reaches the client.
+  for (int i = 0; i < 4; ++i) {
+    network.Step();
+  }
+  EXPECT_EQ(delivered, s.fires_sent);
 }
 
 }  // namespace

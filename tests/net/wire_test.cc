@@ -52,6 +52,28 @@ TEST(WireTest, RoundtripsEveryPacketType) {
   }
 }
 
+TEST(WireTest, ByteLayoutIsFixedLittleEndian) {
+  // A hand-written packet with a distinct value in every byte, so a wrong
+  // offset or byte order in either direction shows. Round-trip tests alone
+  // would pass if encode and decode shared the same mistake.
+  constexpr auto kType = static_cast<std::uint8_t>(PacketType::kTimerRestart);
+  const std::array<std::uint8_t, kWirePacketSize> bytes = {
+      0x40, 0x41, 0x42, 0x43,                          // connection_id @0
+      0x50, 0x51, 0x52, 0x53, 0x54, 0x55, 0x56, 0x57,  // seq @4
+      kType,                                           // type @12
+      0x60, 0x61, 0x62, 0x63, 0x64, 0x65, 0x66, 0x67,  // arg0 @13
+      0x70, 0x71, 0x72, 0x73, 0x74, 0x75, 0x76, 0x77,  // arg1 @21
+  };
+  const std::optional<Packet> packet = DecodePacket(bytes.data(), bytes.size());
+  ASSERT_TRUE(packet.has_value());
+  EXPECT_EQ(packet->connection_id, 0x43424140u);
+  EXPECT_EQ(packet->seq, 0x5756555453525150ull);
+  EXPECT_EQ(packet->type, PacketType::kTimerRestart);
+  EXPECT_EQ(packet->arg0, 0x6766656463626160ull);
+  EXPECT_EQ(packet->arg1, 0x7776757473727170ull);
+  EXPECT_EQ(EncodePacket(*packet), bytes);
+}
+
 TEST(WireTest, EveryTruncationIsRejected) {
   const auto bytes = EncodePacket(MakePacket(PacketType::kClusterArm, 1));
   for (std::size_t size = 0; size < kWirePacketSize; ++size) {
