@@ -16,7 +16,9 @@
 //
 // A pointer returned by Find or FindOrInsert stays valid until the next
 // FindOrInsert, Take or EraseAt on the same map: an insert may double the
-// table and an erase may shift entries. Not thread-safe.
+// table and an erase may shift entries. For the same reason the function
+// ForEach calls may change values but must not insert or erase. Not
+// thread-safe.
 
 #ifndef TWHEEL_SRC_BASE_FLAT_MAP_H_
 #define TWHEEL_SRC_BASE_FLAT_MAP_H_
@@ -87,6 +89,17 @@ class FlatMap {
     const auto offset = reinterpret_cast<const unsigned char*>(value) -
                         reinterpret_cast<const unsigned char*>(slots_.get());
     EraseSlot(static_cast<std::size_t>(offset) / sizeof(Slot));
+  }
+
+  // Calls f(key, value) once for every entry, in slot order (which is not
+  // insertion order). `f` may change the value; it must not insert or erase.
+  template <typename F>
+  void ForEach(F&& f) {
+    for (std::size_t i = 0; i <= mask_; ++i) {
+      if (slots_[i].used) {
+        f(slots_[i].key, slots_[i].value);
+      }
+    }
   }
 
   std::size_t size() const { return size_; }

@@ -183,7 +183,7 @@ bool TimerCluster::Set(std::uint64_t key, Duration interval,
   if (interval == 0 || !DeadlineFits(interval)) {
     return false;
   }
-  PendingTimer& entry = timers_[key];
+  PendingTimer& entry = *timers_.FindOrInsert(key).first;
   const bool was_live =
       entry.gen != 0 && entry.state == PendingTimer::State::kLive;
   // A Set superseding a resolved generation aborts its disarm fan-out: the
@@ -220,40 +220,36 @@ bool TimerCluster::Restart(std::uint64_t key, Duration interval) {
   if (interval == 0 || !DeadlineFits(interval)) {
     return false;
   }
-  auto it = timers_.find(key);
-  if (it == timers_.end() ||
-      it->second.state != PendingTimer::State::kLive) {
+  PendingTimer* entry = timers_.Find(key);
+  if (entry == nullptr || entry->state != PendingTimer::State::kLive) {
     ++stats_.restart_misses;
     return false;
   }
-  PendingTimer& entry = it->second;
-  ++entry.gen;
-  entry.deadline = now_ + interval;
-  entry.arm_acked = 0;
+  ++entry->gen;
+  entry->deadline = now_ + interval;
+  entry->arm_acked = 0;
   ++stats_.restarts;
-  events_.push_back({ClientEventKind::kRestarted, key, entry.gen, now_,
-                     entry.deadline});
-  for (std::uint32_t rank = 0; rank < entry.replication; ++rank) {
-    SendArm(key, entry, rank);
+  events_.push_back({ClientEventKind::kRestarted, key, entry->gen, now_,
+                     entry->deadline});
+  for (std::uint32_t rank = 0; rank < entry->replication; ++rank) {
+    SendArm(key, *entry, rank);
   }
-  QueueRetry(key, entry);
+  QueueRetry(key, *entry);
   return true;
 }
 
 bool TimerCluster::Cancel(std::uint64_t key) {
-  auto it = timers_.find(key);
-  if (it == timers_.end() ||
-      it->second.state != PendingTimer::State::kLive) {
+  PendingTimer* entry = timers_.Find(key);
+  if (entry == nullptr || entry->state != PendingTimer::State::kLive) {
     ++stats_.cancel_misses;
     return false;
   }
-  PendingTimer& entry = it->second;
-  entry.state = PendingTimer::State::kCancelled;
+  entry->state = PendingTimer::State::kCancelled;
   --live_count_;
   ++stats_.cancels;
-  events_.push_back({ClientEventKind::kCancelAcked, key, entry.gen, now_,
-                     entry.deadline});
-  BeginDisarm(key, entry, /*fired=*/false);
+  events_.push_back({ClientEventKind::kCancelAcked, key, entry->gen, now_,
+                     entry->deadline});
+  BeginDisarm(key, *entry, /*fired=*/false);
   return true;
 }
 
@@ -323,11 +319,11 @@ void TimerCluster::CoordRetryScan() {
   while (!retry_queue_.empty() && retry_queue_.front().due <= now_) {
     const std::uint64_t key = retry_queue_.front().key;
     retry_queue_.pop_front();
-    auto it = timers_.find(key);
-    if (it == timers_.end()) {
+    PendingTimer* found = timers_.Find(key);
+    if (found == nullptr) {
       continue;
     }
-    PendingTimer& entry = it->second;
+    PendingTimer& entry = *found;
     entry.retry_queued = false;
     bool again = false;
     if (entry.state == PendingTimer::State::kLive) {
@@ -360,9 +356,11 @@ void TimerCluster::CoordRetryScan() {
 }
 
 void TimerCluster::RearmNodeTimers(NodeId node) {
-  for (auto& [key, entry] : timers_) {
+  // Runs only on the async transport (a node-up follows a restart fault), so
+  // its sends re-enter nothing and the walk may send from inside ForEach.
+  timers_.ForEach([this, node](std::uint64_t key, PendingTimer& entry) {
     if (entry.state != PendingTimer::State::kLive) {
-      continue;
+      return;
     }
     for (std::uint32_t rank = 0; rank < entry.replication; ++rank) {
       if (entry.replicas[rank] != node) {
@@ -373,7 +371,7 @@ void TimerCluster::RearmNodeTimers(NodeId node) {
       SendArm(key, entry, rank);
       QueueRetry(key, entry);
     }
-  }
+  });
 }
 
 void TimerCluster::OnCoordMessage(const net::Packet& packet) {
@@ -381,23 +379,19 @@ void TimerCluster::OnCoordMessage(const net::Packet& packet) {
   const NodeId sender = packet.connection_id;
   switch (packet.type) {
     case net::PacketType::kClusterArmAck: {
-      auto it = timers_.find(key);
-      if (it == timers_.end()) {
-        return;
-      }
-      PendingTimer& entry = it->second;
-      if (entry.state == PendingTimer::State::kLive &&
-          entry.gen == static_cast<std::uint32_t>(packet.arg0)) {
-        entry.arm_acked |= 1u << (packet.arg1 & 0xFF);
+      PendingTimer* entry = timers_.Find(key);
+      if (entry != nullptr && entry->state == PendingTimer::State::kLive &&
+          entry->gen == static_cast<std::uint32_t>(packet.arg0)) {
+        entry->arm_acked |= 1u << (packet.arg1 & 0xFF);
       }
       return;
     }
     case net::PacketType::kClusterDisarmAck: {
-      auto it = timers_.find(key);
-      if (it == timers_.end()) {
+      PendingTimer* found = timers_.Find(key);
+      if (found == nullptr) {
         return;
       }
-      PendingTimer& entry = it->second;
+      PendingTimer& entry = *found;
       if (entry.state != PendingTimer::State::kLive && !entry.disarm_done &&
           entry.gen == static_cast<std::uint32_t>(packet.arg0)) {
         entry.disarm_acked |= 1u << (packet.arg1 & 0xFF);
@@ -416,29 +410,29 @@ void TimerCluster::OnCoordMessage(const net::Packet& packet) {
           static_cast<std::uint32_t>(packet.arg1 >> 32) & 0xFF;
       const Tick pop_tick = packet.arg0;
       bool deliver = false;
-      auto it = timers_.find(key);
-      if (it == timers_.end() || gen != it->second.gen) {
+      PendingTimer* entry = timers_.Find(key);
+      if (entry == nullptr || gen != entry->gen) {
         ++stats_.stale_gen_suppressed;
-      } else if (it->second.state == PendingTimer::State::kCancelled) {
+      } else if (entry->state == PendingTimer::State::kCancelled) {
         ++stats_.after_cancel_suppressed;
-      } else if (it->second.state == PendingTimer::State::kFired) {
+      } else if (entry->state == PendingTimer::State::kFired) {
         ++stats_.duplicate_suppressed;
       } else {
         deliver = true;
       }
       if (deliver) {
-        PendingTimer& entry = it->second;
-        entry.state = PendingTimer::State::kFired;
+        entry->state = PendingTimer::State::kFired;
         --live_count_;
         ++stats_.delivered;
         events_.push_back(
             {ClientEventKind::kFired, key, gen, now_, pop_tick});
         // The popping replica resolves via the fire-ack, not a disarm.
-        entry.disarm_acked = 1u << rank;
-        BeginDisarm(key, entry, /*fired=*/true);
+        entry->disarm_acked = 1u << rank;
+        BeginDisarm(key, *entry, /*fired=*/true);
       }
       // Ack the notify regardless of classification so the sender stops
-      // retransmitting; the callback runs last — it may re-enter the cluster.
+      // retransmitting; the callback runs last — it may re-enter the cluster
+      // and insert into timers_, so `entry` is dead from here on.
       net::Packet ack;
       ack.connection_id = kCoordinatorId;
       ack.seq = key;
@@ -479,20 +473,20 @@ void TimerCluster::MakeHost(NodeId node) {
 
 void TimerCluster::OnHostPop(NodeId node, std::uint64_t key) {
   Node& n = nodes_[node];
-  auto it = n.local.find(key);
-  if (it == n.local.end() || it->second.popped) {
+  ReplicaLocal* replica = n.local.Find(key);
+  if (replica == nullptr || replica->popped) {
     ++stats_.orphan_pops;
     return;
   }
-  ReplicaLocal& replica = it->second;
-  replica.popped = true;
-  replica.pop_tick = now_;
+  replica->popped = true;
+  replica->pop_tick = now_;
   ++stats_.pops;
   // Copy everything needed before the first send: with synchronous transport
-  // the notify chain (fire -> fire-ack) erases this very entry re-entrantly.
-  const std::uint32_t gen = replica.gen;
-  const std::uint32_t rank = replica.rank;
-  const std::uint32_t replication = replica.replication;
+  // the notify chain (fire -> fire-ack) erases this very entry re-entrantly,
+  // and the callback's Set may insert into the table and move it.
+  const std::uint32_t gen = replica->gen;
+  const std::uint32_t rank = replica->rank;
+  const std::uint32_t replication = replica->replication;
   PushRetry(n.notify_retry, {now_ + config_.retry_every, key, gen});
   SendFireNotify(node, key, gen, rank, now_);
   // Best-effort lease-extension hints: peers push their takeover lease out
@@ -537,16 +531,13 @@ void TimerCluster::OnNodeMessage(NodeId node, const net::Packet& packet) {
       const std::uint32_t replication =
           static_cast<std::uint32_t>(packet.arg1) & 0xFF;
       const Tick deadline = packet.arg0;
-      auto it = n.local.find(key);
-      if (it != n.local.end() && it->second.gen >= gen) {
+      ReplicaLocal* replica = n.local.Find(key);
+      if (replica != nullptr && replica->gen >= gen) {
         // Duplicate (retried) or stale arm: idempotent, just re-ack.
       } else {
-        if (it != n.local.end()) {
-          if (!it->second.popped) {
-            n.host->StopTimer(it->second.handle);
-          }
-          n.local.erase(it);
-          --replica_entries_;
+        // A newer generation replaces the replica in its slot.
+        if (replica != nullptr && !replica->popped) {
+          n.host->StopTimer(replica->handle);
         }
         // The rank-k lease: arm the HOST scheme for the deadline plus k
         // failover delays (catching up past-due deadlines to the host's next
@@ -557,17 +548,22 @@ void TimerCluster::OnNodeMessage(NodeId node, const net::Packet& packet) {
                             static_cast<Tick>(rank) * config_.failover_delay;
         StartResult started = n.host->StartTimer(target - host_now, key);
         if (!started.has_value()) {
+          if (replica != nullptr) {
+            n.local.EraseAt(replica);
+            --replica_entries_;
+          }
           ++stats_.arm_rejects;  // config error; no ack, coordinator retries
           return;
         }
-        ReplicaLocal replica;
-        replica.gen = gen;
-        replica.rank = rank;
-        replica.replication = replication;
-        replica.deadline = deadline;
-        replica.handle = started.value();
-        n.local.emplace(key, replica);
-        ++replica_entries_;
+        if (replica == nullptr) {
+          replica = n.local.FindOrInsert(key).first;
+          ++replica_entries_;
+        }
+        *replica = ReplicaLocal{.gen = gen,
+                                .rank = rank,
+                                .replication = replication,
+                                .deadline = deadline,
+                                .handle = started.value()};
       }
       net::Packet ack;
       ack.connection_id = node;
@@ -581,10 +577,10 @@ void TimerCluster::OnNodeMessage(NodeId node, const net::Packet& packet) {
     case net::PacketType::kClusterDisarm: {
       const std::uint32_t gen = static_cast<std::uint32_t>(packet.arg0);
       const bool fired = ((packet.arg1 >> 8) & 1u) != 0;
-      auto it = n.local.find(key);
-      if (it != n.local.end() && it->second.gen <= gen) {
-        if (!it->second.popped) {
-          n.host->StopTimer(it->second.handle);
+      const ReplicaLocal* replica = n.local.Find(key);
+      if (replica != nullptr && replica->gen <= gen) {
+        if (!replica->popped) {
+          n.host->StopTimer(replica->handle);
           if (fired) {
             ++stats_.lease_disarms;
           } else {
@@ -593,7 +589,7 @@ void TimerCluster::OnNodeMessage(NodeId node, const net::Packet& packet) {
         }
         // A popped entry's pending notify dies with it: the coordinator has
         // already resolved this generation.
-        n.local.erase(it);
+        n.local.EraseAt(replica);
         --replica_entries_;
       }
       net::Packet ack;
@@ -607,23 +603,22 @@ void TimerCluster::OnNodeMessage(NodeId node, const net::Packet& packet) {
     }
     case net::PacketType::kClusterSuppress: {
       const std::uint32_t gen = static_cast<std::uint32_t>(packet.arg0);
-      auto it = n.local.find(key);
-      if (it != n.local.end() && it->second.gen == gen &&
-          !it->second.popped &&
-          it->second.extensions < kMaxLeaseExtensions) {
-        if (n.host->RestartTimer(it->second.handle,
-                                 config_.failover_delay) == TimerError::kOk) {
-          ++it->second.extensions;
+      ReplicaLocal* replica = n.local.Find(key);
+      if (replica != nullptr && replica->gen == gen && !replica->popped &&
+          replica->extensions < kMaxLeaseExtensions) {
+        if (n.host->RestartTimer(replica->handle, config_.failover_delay) ==
+            TimerError::kOk) {
+          ++replica->extensions;
           ++stats_.lease_extensions;
         }
       }
       return;
     }
     case net::PacketType::kClusterFireAck: {
-      auto it = n.local.find(key);
-      if (it != n.local.end() && it->second.popped &&
-          it->second.gen == static_cast<std::uint32_t>(packet.arg0)) {
-        n.local.erase(it);
+      const ReplicaLocal* replica = n.local.Find(key);
+      if (replica != nullptr && replica->popped &&
+          replica->gen == static_cast<std::uint32_t>(packet.arg0)) {
+        n.local.EraseAt(replica);
         --replica_entries_;
       }
       return;
@@ -652,14 +647,14 @@ void TimerCluster::NodeRetryScan(NodeId node) {
   while (!n.notify_retry.empty() && n.notify_retry.front().due <= now_) {
     const Retry retry = n.notify_retry.front();
     n.notify_retry.pop_front();
-    auto it = n.local.find(retry.key);
-    if (it == n.local.end() || !it->second.popped ||
-        it->second.gen != retry.gen) {
+    const ReplicaLocal* replica = n.local.Find(retry.key);
+    if (replica == nullptr || !replica->popped || replica->gen != retry.gen) {
       continue;  // resolved or superseded since the retry was queued
     }
     ++stats_.notify_retries;
-    SendFireNotify(node, retry.key, retry.gen, it->second.rank,
-                   it->second.pop_tick);
+    // The arguments copy the replica's fields before the send re-enters.
+    SendFireNotify(node, retry.key, retry.gen, replica->rank,
+                   replica->pop_tick);
     PushRetry(n.notify_retry,
               {now_ + config_.retry_every, retry.key, retry.gen});
   }
@@ -678,7 +673,7 @@ void TimerCluster::ApplyFaults() {
           n.alive = false;
           n.host.reset();
           replica_entries_ -= n.local.size();
-          n.local.clear();
+          n.local = {};
           n.notify_retry.clear();
           ++stats_.kills;
         }

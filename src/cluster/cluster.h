@@ -36,6 +36,26 @@
 // seed and schedule are byte-identical, and runs differing only in the host
 // scheme produce the same client-visible trace up to intra-tick order
 // (tests/cluster/cluster_determinism_test.cc).
+//
+// Tables: the coordinator's timers_ and each node's replica table (Node::local)
+// are FlatMaps (src/base/flat_map.h), so a message costs one multiply-shift
+// probe and arming a replica allocates nothing. A FlatMap moves entries when
+// it inserts (doubling) or erases (backward shift), which gives every handler
+// one rule: never hold a pointer into either table across a send that can
+// re-enter the cluster and insert into or erase from that table. Only the
+// synchronous transport re-enters (a send there is a direct call into the
+// receiver); on the async transport a send only schedules a delivery. How
+// the handlers keep the rule:
+//   - A coordinator handler may hold its timers_ entry across sends to nodes.
+//     Their synchronous replies (arm and disarm acks) only Find in timers_,
+//     and nothing erases from it. The one insert reachable from a send is a
+//     client Set in the fire callback, which OnCoordMessage runs after its
+//     last use of the entry.
+//   - A node handler must not hold its replica across a send: the fire notify
+//     chain (fire -> disarm, fire-ack, callback -> Set -> arm) inserts into
+//     and erases from the node tables. OnHostPop and NodeRetryScan copy the
+//     replica's fields before their first send; the arm, disarm and fire-ack
+//     handlers finish with the table before they send their ack.
 
 #ifndef TWHEEL_SRC_CLUSTER_CLUSTER_H_
 #define TWHEEL_SRC_CLUSTER_CLUSTER_H_
@@ -46,10 +66,10 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/base/flat_map.h"
 #include "src/base/types.h"
 #include "src/cluster/fault_schedule.h"
 #include "src/core/timer_facility.h"
@@ -235,7 +255,7 @@ class TimerCluster {
     // early.
     Tick host_base = 0;
     std::unique_ptr<TimerService> host;
-    std::unordered_map<std::uint64_t, ReplicaLocal> local;
+    FlatMap<ReplicaLocal> local;  // by key; see "Tables" above
     // Popped replicas awaiting kClusterFireAck.
     RetryQueue notify_retry;
   };
@@ -297,9 +317,9 @@ class TimerCluster {
   std::vector<Node> nodes_;
   std::vector<std::uint64_t> node_epoch_seen_;
 
-  // Coordinator state. Entries are never erased: a key's full generation
-  // history stays classifiable for the whole episode.
-  std::unordered_map<std::uint64_t, PendingTimer> timers_;
+  // Coordinator state, by key. Entries are never erased: a key's full
+  // generation history stays classifiable for the whole episode.
+  FlatMap<PendingTimer> timers_;
   RetryQueue retry_queue_;  // coordinator arm/disarm retries
   std::size_t live_count_ = 0;
   std::size_t replica_entries_ = 0;  // sum of nodes_[i].local.size()

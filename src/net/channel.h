@@ -13,10 +13,19 @@
 // different orders still produce byte-identical network behaviour, which the
 // cross-scheme protocol tests rely on.
 //
+// A packet's fate uses two draws, the first and second outputs of a SplitMix64
+// stream seeded by its fingerprint: the first is the loss draw, the second
+// picks the delay. Send computes only what can change the fate. A link with
+// loss_probability 0 cannot drop, so it skips the loss draw (the delay still
+// comes from the second output); a one-tick delay window needs no delay draw;
+// a link needing neither skips the fingerprint too. A power-of-two delay
+// spread is a mask, not a division. Every packet's fate is the same as if both
+// draws were always taken.
+//
 // In-flight packets live in a per-channel slab, so the event a Send schedules is a
-// {channel, slot} pair that std::function stores inline: delivering a packet
-// allocates nothing once the slab and the clock's record arena have grown to the
-// link's bandwidth-delay product.
+// {channel, slot} pair that sim::Simulator constructs inline in its event entry:
+// delivering a packet allocates nothing once the slab and the clock's record arena
+// have grown to the link's bandwidth-delay product.
 
 #ifndef TWHEEL_SRC_NET_CHANNEL_H_
 #define TWHEEL_SRC_NET_CHANNEL_H_
@@ -27,6 +36,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "src/base/bits.h"
 #include "src/base/slab_arena.h"
 #include "src/core/timer_service.h"
 #include "src/net/types.h"
@@ -70,20 +80,30 @@ class Channel {
   // packet-identity-determined delay in [delay_lo, delay_hi]. Every packet is
   // counted once in sent() and, once resolved, in dropped() or delivered().
   void Send(const Packet& packet) {
-    sent_.fetch_add(1, std::memory_order_relaxed);
-    rng::SplitMix64 hash(seed_ ^ PacketFingerprint(packet, network_.now()));
-    const double loss_draw = static_cast<double>(hash.Next() >> 11) * 0x1.0p-53;
-    if (loss_draw < config_.loss_probability) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
+    Bump(sent_);
+    // A loss draw lies in [0, 1), so only a positive probability can drop.
+    const bool lossy = config_.loss_probability > 0;
     const Duration spread = config_.delay_hi - config_.delay_lo + 1;
-    const Duration delay = config_.delay_lo + hash.Next() % spread;
+    Duration delay = config_.delay_lo;
+    if (lossy || spread > 1) {
+      rng::SplitMix64 draws(seed_ ^ PacketFingerprint(packet, network_.now()));
+      if (!lossy) {
+        draws.Discard();
+      } else if (static_cast<double>(draws.Next() >> 11) * 0x1.0p-53 <
+                 config_.loss_probability) {
+        Bump(dropped_);
+        return;
+      }
+      if (spread > 1) {
+        const std::uint64_t bits = draws.Next();
+        delay += IsPowerOfTwo(spread) ? bits & (spread - 1) : bits % spread;
+      }
+    }
     const SlabRef ref = in_flight_.Allocate(packet).second;
     if (!network_.After(delay, Delivery{this, ref}).valid()) {
       // A capacity-capped clock refused the event: the packet is lost.
       in_flight_.Free(ref);
-      dropped_.fetch_add(1, std::memory_order_relaxed);
+      Bump(dropped_);
     }
   }
 
@@ -93,6 +113,10 @@ class Channel {
   // harness/monitor threads snapshot these counters without it — so the
   // counters are relaxed atomics, not plain words. A snapshot taken
   // mid-transmission may lag by the in-flight packet; it is never torn.
+  // That same contract gives each counter one writer at a time, so a bump is
+  // a relaxed load and store (Bump), not a locked read-modify-write: no two
+  // increments can race, and readers still see each value whole and in
+  // increasing order.
   std::uint64_t sent() const { return sent_.load(std::memory_order_relaxed); }
   std::uint64_t dropped() const {
     return dropped_.load(std::memory_order_relaxed);
@@ -115,8 +139,13 @@ class Channel {
     // Copy out and free first: the receiver may Send on this channel.
     const Packet packet = *in_flight_.Get(ref);
     in_flight_.Free(ref);
-    delivered_.fetch_add(1, std::memory_order_relaxed);
+    Bump(delivered_);
     receiver_(packet);
+  }
+
+  static void Bump(std::atomic<std::uint64_t>& counter) {
+    counter.store(counter.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
   }
 
   // splitmix64-style finalizer: full-width multiply + xor-shift avalanche, so

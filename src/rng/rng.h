@@ -21,13 +21,18 @@ class SplitMix64 {
   explicit constexpr SplitMix64(std::uint64_t seed) : state_(seed) {}
 
   constexpr std::uint64_t Next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
+    std::uint64_t z = (state_ += kGamma);
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
   }
 
+  // Skips one output without computing it: the k-th output is a pure
+  // function of seed + k * kGamma.
+  constexpr void Discard() { state_ += kGamma; }
+
  private:
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
   std::uint64_t state_;
 };
 

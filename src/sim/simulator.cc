@@ -46,15 +46,9 @@ Simulator::Simulator(std::unique_ptr<TimerService> service)
   });
 }
 
-EventToken Simulator::Schedule(Duration delay, Duration period, Action action) {
-  auto [entry, ref] = entries_.Allocate();
-  if (entry == nullptr) {
-    return EventToken{};
-  }
-  entry->action = std::move(action);
-  entry->period = period;
+EventToken Simulator::Arm(Entry& entry, SlabRef ref, Duration delay) {
   StartResult result =
-      period != 0
+      entry.period != 0
           ? service_->StartPeriodic(delay, PackRef(ref),
                                     TimerService::kRepeatForever)
           : service_->StartTimer(delay, PackRef(ref));
@@ -62,16 +56,13 @@ EventToken Simulator::Schedule(Duration delay, Duration period, Action action) {
     entries_.Free(ref);
     return EventToken{};
   }
-  entry->handle = result.value();
+  entry.handle = result.value();
   return EventToken{ref};
 }
 
-EventToken Simulator::After(Duration delay, Action action) {
-  return Schedule(delay, /*period=*/0, std::move(action));
-}
-
 EventToken Simulator::Every(Duration period, Action action) {
-  return Schedule(period, period, std::move(action));
+  auto [entry, ref] = entries_.Allocate(std::move(action), period);
+  return entry == nullptr ? EventToken{} : Arm(*entry, ref, period);
 }
 
 bool Simulator::Cancel(EventToken token) {

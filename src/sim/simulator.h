@@ -10,7 +10,11 @@
 //
 // Scheduled actions are arbitrary callbacks; the Simulator owns the dispatch table
 // (slab-allocated, generation-checked tokens mirroring TimerHandle semantics) and
-// multiplexes them over the service's single ExpiryHandler via RequestId.
+// multiplexes them over the service's single ExpiryHandler via RequestId. After
+// takes the callable as a template parameter and constructs its std::function
+// once, directly in the event's slab entry: a small callable (net::Channel's
+// two-word delivery event) is stored inline there, with no temporary
+// std::function built at the call site and moved in.
 
 #ifndef TWHEEL_SRC_SIM_SIMULATOR_H_
 #define TWHEEL_SRC_SIM_SIMULATOR_H_
@@ -48,7 +52,11 @@ class Simulator {
   // for the same tick run in scheme-dependent order, which Section 4.2 notes is
   // acceptable for timer-driven systems. Returns an invalid token if the underlying
   // service rejects the interval (range/capacity).
-  EventToken After(Duration delay, Action action);
+  template <typename F>
+  EventToken After(Duration delay, F&& action) {
+    auto [entry, ref] = entries_.Allocate(std::forward<F>(action));
+    return entry == nullptr ? EventToken{} : Arm(*entry, ref, delay);
+  }
 
   // Schedule `action` to run every `period` ticks (first run one period from now),
   // until cancelled. The action may cancel its own token. Built on the service's
@@ -90,12 +98,19 @@ class Simulator {
 
  private:
   struct Entry {
+    template <typename F>
+    explicit Entry(F&& f, Duration every = 0)
+        : action(std::forward<F>(f)), period(every) {}
+
     Action action;
     TimerHandle handle;   // for cancellation
-    Duration period = 0;  // 0 = one-shot; otherwise the Every() re-arm interval
+    Duration period;  // 0 = one-shot; otherwise the Every() re-arm interval
   };
 
-  EventToken Schedule(Duration delay, Duration period, Action action);
+  // Starts the timer for a freshly allocated entry: `delay` ticks out, and
+  // periodic when entry.period is set. If the service refuses, frees the
+  // entry and returns an invalid token.
+  EventToken Arm(Entry& entry, SlabRef ref, Duration delay);
 
   std::unique_ptr<TimerService> service_;
   SlabArena<Entry> entries_;

@@ -2,7 +2,8 @@
 // targeted cases build probe runs by hand from the map's own home() — a run
 // broken in the middle, a run that wraps past the last slot — so backward-shift
 // deletion is checked exactly where it moves entries and where it must not.
-// A seeded differential run against std::unordered_map covers the rest.
+// A seeded differential run against std::unordered_map covers the rest, and
+// ForEach is checked against the same reference after churn on wrapped runs.
 
 #include "src/base/flat_map.h"
 
@@ -222,6 +223,50 @@ TEST(FlatMapTest, ChurnAtASteadySizeNeverGrowsTheTable) {
   EXPECT_EQ(map.size(), live.size());
   for (const std::uint64_t key : live) {
     EXPECT_NE(map.Find(key), nullptr);
+  }
+}
+
+TEST(FlatMapTest, ForEachVisitsEveryEntryOnceAfterWrappedChurn) {
+  // 40 keys homed in the last two slots and the first two of the 64-slot
+  // table, so probe runs wrap past the end and every erase shifts entries
+  // back across it. After each burst of churn ForEach must visit exactly the
+  // reference's keys, each once, with its value.
+  FlatMap<std::uint64_t> map;
+  const std::size_t n = map.capacity();
+  std::vector<std::uint64_t> pool;
+  for (const std::size_t home : {n - 2, n - 1, std::size_t{0}, std::size_t{1}}) {
+    const std::vector<std::uint64_t> keys = KeysWithHome(map, home, 10);
+    pool.insert(pool.end(), keys.begin(), keys.end());
+  }
+  std::unordered_map<std::uint64_t, std::uint64_t> reference;
+  rng::Xoshiro256 rng(18);
+  for (int burst = 0; burst < 200; ++burst) {
+    for (int op = 0; op < 50; ++op) {
+      const std::uint64_t key = pool[rng.NextBounded(pool.size())];
+      if (rng.NextBounded(2) == 0) {
+        const std::uint64_t value = rng.Next();
+        Put(map, key, value);
+        reference[key] = value;
+      } else if (const std::uint64_t* found = map.Find(key); found != nullptr) {
+        map.EraseAt(found);
+        reference.erase(key);
+      }
+    }
+    ASSERT_EQ(map.capacity(), n) << "the churn must stay in one table size";
+    std::unordered_map<std::uint64_t, int> visits;
+    map.ForEach([&](std::uint64_t key, std::uint64_t& value) {
+      ++visits[key];
+      const auto it = reference.find(key);
+      ASSERT_NE(it, reference.end()) << "visited erased key " << key;
+      EXPECT_EQ(value, it->second) << "key " << key;
+      ++value;  // ForEach may change values in place
+      ++it->second;
+    });
+    ASSERT_EQ(visits.size(), reference.size()) << "burst " << burst;
+    for (const auto& [key, count] : visits) {
+      EXPECT_EQ(count, 1) << "key " << key << " visited " << count << " times";
+    }
+    ExpectHolds(map, reference);
   }
 }
 

@@ -1,11 +1,13 @@
 // Channel-level tests: packet-identity hashing (order insensitivity), loss-rate
-// statistics, delay bounds, packet accounting, and the network clock's
-// same-tick delivery order.
+// statistics, delay bounds, packet accounting, pinned packet fates, and the
+// network clock's same-tick delivery order.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -278,6 +280,61 @@ TEST(ChannelTest, PacketRefusedByAFullClockCountsAsDropped) {
   channel.Send(Packet{0, 99, PacketType::kData});
   network.RunUntilIdle();
   EXPECT_EQ(received.back(), 99u);
+}
+
+// The fate of each packet of a fixed 64-packet stream on `link`, one
+// character per packet in send order: its delay in ticks as a hex digit, or
+// 'x' if it was dropped. Four packets go out per tick, over 16 ticks.
+std::string StreamFates(const ChannelConfig& link, std::uint64_t seed) {
+  sim::Simulator network(MakeNetworkClock(link));
+  Channel channel(network, seed, link);
+  constexpr std::size_t kPackets = 64;
+  std::vector<Tick> sent_at(kPackets);
+  std::string fates(kPackets, 'x');
+  channel.set_receiver([&](const Packet& p) {
+    fates[p.seq] = "0123456789abcdef"[network.now() - sent_at[p.seq]];
+  });
+  for (std::uint64_t i = 0; i < kPackets; ++i) {
+    sent_at[i] = network.now();
+    channel.Send(Packet{static_cast<std::uint32_t>(i % 3), i,
+                        i % 4 == 3 ? PacketType::kAck : PacketType::kData});
+    if (i % 4 == 3) {
+      network.Step();
+    }
+  }
+  network.RunUntilIdle();
+  return fates;
+}
+
+TEST(ChannelTest, PacketFatesArePinned) {
+  // Send computes only the draws that can change a fate (channel.h). These
+  // strings were recorded when every packet took both draws; a fast path
+  // that shifts a draw, or takes the delay from the wrong one, changes them.
+  EXPECT_EQ(StreamFates(ChannelConfig{.loss_probability = 0.0, .delay_lo = 1,
+                                      .delay_hi = 1},
+                        21),
+            std::string(64, '1'));
+  EXPECT_EQ(StreamFates(ChannelConfig{.loss_probability = 0.0, .delay_lo = 1,
+                                      .delay_hi = 4},
+                        21),
+            "3322343312222144232121143421423443331333411121131231123123412332");
+  EXPECT_EQ(StreamFates(ChannelConfig{}, 21),  // 5% loss, delays 2..10
+            "24227854a82278562a556939855447939247x4x299a83a57xa25376594434a54");
+}
+
+TEST(ChannelTest, LosslessLinkTakesTheSameDelayDrawAsATinyLoss) {
+  // A link with loss 0 skips its loss draw but must still take the delay from
+  // the second draw. At the smallest positive loss the first draw is taken
+  // (and drops nothing here), so both links deliver every packet alike.
+  for (const Duration hi : {Duration{4}, Duration{10}}) {
+    const ChannelConfig lossless{.loss_probability = 0.0, .delay_lo = 1,
+                                 .delay_hi = hi};
+    ChannelConfig tiny = lossless;
+    tiny.loss_probability = std::numeric_limits<double>::denorm_min();
+    const std::string fates = StreamFates(lossless, 5);
+    EXPECT_EQ(fates.find('x'), std::string::npos);
+    EXPECT_EQ(StreamFates(tiny, 5), fates) << "delay 1.." << hi;
+  }
 }
 
 TEST(NetworkClockTest, TableIsTheNextPowerOfTwoAboveTheLongestDelay) {
