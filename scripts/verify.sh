@@ -70,7 +70,11 @@
 # --benchmark_min_time=0.01`, about a second; the gate fails on a non-zero
 # exit), so the virtual and concrete-type paths of seven schemes run
 # start/stop, restart and periodic ticks on every gate. Its space_at_scale
-# rows are left out: the 100M row needs about 13 GiB. It then checks the
+# rows are left out: the 100M row needs about 13 GiB. Next it runs the
+# sparse-tick rows once, briefly (`build/bench/bench_sparse_tick
+# --benchmark_min_time=0.01`, under a second; the gate fails on a non-zero
+# exit), so the per-tick loop and the batched AdvanceTo walk of five wheels
+# cross a mostly dead 65536-tick span on every gate. It then checks the
 # paper's op-count tables: each deterministic printf experiment
 # named by a file bench/expected/<name>.txt (the ablation, Appendix A.1, Figures
 # 3, 7 and 9, Sections 3.2, 6, 6.2 and 7) must print exactly that file, and the
@@ -183,6 +187,9 @@ for config in "${CONFIGS[@]}"; do
         build/bench/bench_static_dispatch \
           --benchmark_filter='^static_dispatch/' --benchmark_min_time=0.01
         echo "=== [plain] bench_static_dispatch OK ==="
+        echo "=== [plain] bench_sparse_tick ==="
+        build/bench/bench_sparse_tick --benchmark_min_time=0.01
+        echo "=== [plain] bench_sparse_tick OK ==="
         paper_tables
         e2e_smoke
       fi ;;

@@ -4,9 +4,7 @@
 
 namespace twheel {
 
-std::size_t AvlTimers::PerTickBookkeeping() {
-  ++counts_.ticks;
-  ++now_;
+std::size_t AvlTimers::Visit() {
   std::size_t expired = 0;
   while (root_ != nullptr) {
     ColdTimerRecord* min = const_cast<ColdTimerRecord*>(MinimumConst(root_));

@@ -28,7 +28,6 @@ class AvlTimers final : public TimerServiceBase<AvlTimers> {
  public:
   explicit AvlTimers(std::size_t max_timers = 0) : TimerServiceBase(max_timers) {}
 
-  std::size_t PerTickBookkeeping() final;
   std::string_view name() const final { return "scheme3-avl"; }
 
   // Per record: three tree pointers (24) + expiry (8) + cookie (8) + seq (8) +
@@ -40,7 +39,9 @@ class AvlTimers final : public TimerServiceBase<AvlTimers> {
     return profile;
   }
 
-  // Hardware-single-timer capability, like the other peekable schemes.
+  // Hardware-single-timer capability, like the other peekable schemes. The
+  // scheme has no NextVisit for the base's FastForward to walk; nothing in the
+  // tree depends on the clock, so the jump is one assignment.
   std::optional<Tick> NextExpiryHint() const final {
     if (root_ == nullptr) {
       return std::nullopt;
@@ -68,6 +69,8 @@ class AvlTimers final : public TimerServiceBase<AvlTimers> {
   // re-inserts the same node with its new key.
   void Link(TimerRecord* rec) { Insert(&cold(rec)); }
   void Unlink(TimerRecord* rec) { Remove(&cold(rec)); }
+  // Expire while the leftmost node is due.
+  std::size_t Visit();
 
   static bool Less(const ColdTimerRecord* a, const ColdTimerRecord* b) {
     if (a->hot->expiry_tick != b->hot->expiry_tick) {

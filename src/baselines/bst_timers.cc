@@ -26,9 +26,7 @@ void BstTimers::InsertNode(ColdTimerRecord* node) {
   }
 }
 
-std::size_t BstTimers::PerTickBookkeeping() {
-  ++counts_.ticks;
-  ++now_;
+std::size_t BstTimers::Visit() {
   std::size_t expired = 0;
   while (root_ != nullptr) {
     ColdTimerRecord* min = Minimum(root_);

@@ -35,7 +35,6 @@ class BstTimers final : public TimerServiceBase<BstTimers> {
  public:
   explicit BstTimers(std::size_t max_timers = 0) : TimerServiceBase(max_timers) {}
 
-  std::size_t PerTickBookkeeping() final;
   std::string_view name() const final { return "scheme3-bst"; }
 
   // Per record: three tree pointers (24) + expiry (8) + cookie (8) + seq (8).
@@ -45,7 +44,9 @@ class BstTimers final : public TimerServiceBase<BstTimers> {
     return profile;
   }
 
-  // Hardware-single-timer capability: O(height) min peek, O(1) clock jump.
+  // Hardware-single-timer capability: O(height) min peek, O(1) clock jump. The
+  // scheme has no NextVisit for the base's FastForward to walk; nothing in the
+  // tree depends on the clock, so the jump is one assignment.
   std::optional<Tick> NextExpiryHint() const final {
     if (root_ == nullptr) {
       return std::nullopt;
@@ -71,6 +72,8 @@ class BstTimers final : public TimerServiceBase<BstTimers> {
   // restart re-descends the same node with its new key.
   void Link(TimerRecord* rec) { InsertNode(&cold(rec)); }
   void Unlink(TimerRecord* rec) { Remove(&cold(rec)); }
+  // Expire while the leftmost node is due.
+  std::size_t Visit();
 
   static bool Less(const ColdTimerRecord* a, const ColdTimerRecord* b) {
     if (a->hot->expiry_tick != b->hot->expiry_tick) {

@@ -2,9 +2,7 @@
 
 namespace twheel {
 
-std::size_t HeapTimers::PerTickBookkeeping() {
-  ++counts_.ticks;
-  ++now_;
+std::size_t HeapTimers::Visit() {
   std::size_t expired = 0;
   while (!heap_.empty()) {
     TimerRecord* root = heap_[0];

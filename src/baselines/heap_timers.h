@@ -29,7 +29,6 @@ class HeapTimers final : public TimerServiceBase<HeapTimers> {
  public:
   explicit HeapTimers(std::size_t max_timers = 0) : TimerServiceBase(max_timers) {}
 
-  std::size_t PerTickBookkeeping() final;
   std::string_view name() const final { return "scheme3-heap"; }
 
   // Per record: expiry (8) + cookie (8) + seq tiebreak (8) + heap index (4, padded);
@@ -44,7 +43,9 @@ class HeapTimers final : public TimerServiceBase<HeapTimers> {
   // Heap-order invariant check for property tests. O(n).
   bool CheckHeapInvariant() const;
 
-  // Hardware-single-timer capability: O(1) root peek, O(1) clock jump.
+  // Hardware-single-timer capability: O(1) root peek, O(1) clock jump. The
+  // scheme has no NextVisit for the base's FastForward to walk; nothing in the
+  // heap depends on the clock, so the jump is one assignment.
   std::optional<Tick> NextExpiryHint() const final {
     return heap_.empty() ? std::nullopt : std::optional<Tick>(heap_[0]->expiry_tick);
   }
@@ -66,6 +67,8 @@ class HeapTimers final : public TimerServiceBase<HeapTimers> {
     SiftUp(heap_.size() - 1);
   }
   void Unlink(TimerRecord* rec) { RemoveAt(rec->heap_index); }
+  // Expire while the root is due.
+  std::size_t Visit();
   // A restart or periodic re-arm re-keys the record where it sits — the classic
   // decrease/increase-key: it keeps its array slot until one sift settles it
   // (only one of the two can move it). No removal, no reallocation.

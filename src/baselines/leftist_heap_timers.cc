@@ -19,9 +19,7 @@ TimerError LeftistHeapTimers::StopTimer(TimerHandle handle) {
   return TimerError::kOk;
 }
 
-std::size_t LeftistHeapTimers::PerTickBookkeeping() {
-  ++counts_.ticks;
-  ++now_;
+std::size_t LeftistHeapTimers::Visit() {
   std::size_t expired = 0;
   while (root_ != nullptr) {
     if (root_->hot->cancelled) {

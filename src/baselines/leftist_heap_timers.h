@@ -38,7 +38,6 @@ class LeftistHeapTimers final : public TimerServiceBase<LeftistHeapTimers> {
   // root. A cancelled record still holds its arena slot, and the base's
   // RestartTimer refuses it with kNoSuchTimer like any stale handle.
   TimerError StopTimer(TimerHandle handle) final;
-  std::size_t PerTickBookkeeping() final;
   std::string_view name() const final { return "scheme3-leftist"; }
 
   // Per record: two child pointers (16) + expiry (8) + cookie (8) + seq (8) +
@@ -78,6 +77,8 @@ class LeftistHeapTimers final : public TimerServiceBase<LeftistHeapTimers> {
     root_->parent = nullptr;
   }
   void Unlink(TimerRecord* rec) { Detach(&cold(rec)); }
+  // Discard cancelled roots and expire due ones.
+  std::size_t Visit();
 
   static bool Less(const ColdTimerRecord* a, const ColdTimerRecord* b) {
     if (a->hot->expiry_tick != b->hot->expiry_tick) {

@@ -43,9 +43,7 @@ void SortedListTimers::Link(TimerRecord* rec) {
   }
 }
 
-std::size_t SortedListTimers::PerTickBookkeeping() {
-  ++counts_.ticks;
-  ++now_;
+std::size_t SortedListTimers::Visit() {
   std::size_t expired = 0;
   // "PER_TICK_PROCESSING need only increment the current time of day, and compare it
   // with the head of the list" (Section 3.2).

@@ -49,7 +49,6 @@ class SortedListTimers final : public TimerServiceBase<SortedListTimers> {
     }
   }
 
-  std::size_t PerTickBookkeeping() final;
   std::string_view name() const final {
     return direction_ == SearchDirection::kFromFront ? "scheme2-sorted-front"
                                                      : "scheme2-sorted-rear";
@@ -71,7 +70,9 @@ class SortedListTimers final : public TimerServiceBase<SortedListTimers> {
     return head == nullptr ? 0 : head->expiry_tick;
   }
 
-  // Hardware-single-timer capability: O(1) head peek, O(1) clock jump.
+  // Hardware-single-timer capability: O(1) head peek, O(1) clock jump. The
+  // scheme has no NextVisit for the base's FastForward to walk; nothing in the
+  // list depends on the clock, so the jump is one assignment.
   std::optional<Tick> NextExpiryHint() const final {
     const TimerRecord* head = list_.front();
     return head == nullptr ? std::nullopt : std::optional<Tick>(head->expiry_tick);
@@ -92,6 +93,8 @@ class SortedListTimers final : public TimerServiceBase<SortedListTimers> {
   // absolute expiry; the O(1) unlink through the double links.
   void Link(TimerRecord* rec);
   void Unlink(TimerRecord* rec) { rec->Unlink(); }
+  // Compare the head with the clock; expire while it is due.
+  std::size_t Visit();
 
   SearchDirection direction_;
   IntrusiveList<TimerRecord> list_;

@@ -2,9 +2,7 @@
 
 namespace twheel {
 
-std::size_t UnorderedTimers::PerTickBookkeeping() {
-  ++counts_.ticks;
-  ++now_;
+std::size_t UnorderedTimers::Visit() {
   if (records_.empty()) {
     ++counts_.empty_slot_checks;
     return 0;

@@ -49,7 +49,6 @@ class UnorderedTimers final : public TimerServiceBase<UnorderedTimers> {
     }
   }
 
-  std::size_t PerTickBookkeeping() final;
   std::string_view name() const final {
     return mode_ == Scheme1Mode::kDecrement ? "scheme1-unordered"
                                             : "scheme1-unordered-compare";
@@ -74,6 +73,8 @@ class UnorderedTimers final : public TimerServiceBase<UnorderedTimers> {
     records_.PushFront(rec);
   }
   void Unlink(TimerRecord* rec) { rec->Unlink(); }
+  // DECREMENT every outstanding timer; expire those reaching zero.
+  std::size_t Visit();
 
   Scheme1Mode mode_;
   IntrusiveList<TimerRecord> records_;

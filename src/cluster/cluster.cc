@@ -559,10 +559,10 @@ void TimerCluster::OnNodeMessage(NodeId node, const net::Packet& packet) {
           replica = n.local.FindOrInsert(key).first;
           ++replica_entries_;
         }
-        *replica = ReplicaLocal{.gen = gen,
+        *replica = ReplicaLocal{.deadline = deadline,
+                                .gen = gen,
                                 .rank = rank,
                                 .replication = replication,
-                                .deadline = deadline,
                                 .handle = started.value()};
       }
       net::Packet ack;

@@ -63,7 +63,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -220,16 +219,19 @@ class TimerCluster {
   std::uint64_t link_drops() const;
 
  private:
+  // Fields are ordered 8-byte, then 4-byte, then 1-byte, so no padding sits
+  // between them.
   struct ReplicaLocal {
+    Tick deadline = 0;  // the client deadline (rank offset not included)
+    Tick pop_tick = 0;
     std::uint32_t gen = 0;
     std::uint32_t rank = 0;
     std::uint32_t replication = 1;
-    Tick deadline = 0;  // the client deadline (rank offset not included)
+    std::uint32_t extensions = 0;
     TimerHandle handle{};
     bool popped = false;
-    Tick pop_tick = 0;
-    std::uint32_t extensions = 0;
   };
+  static_assert(sizeof(ReplicaLocal) == 48);
 
   // A retransmission due at `due`. Every push is keyed now() + retry_every
   // (Lawn's single-TTL case), so a FIFO is already in deadline order.
@@ -238,7 +240,34 @@ class TimerCluster {
     std::uint64_t key = 0;
     std::uint32_t gen = 0;  // Node::notify_retry only
   };
-  using RetryQueue = std::deque<Retry>;
+  // A FIFO that keeps its buffer: a pop advances a head index, and the
+  // consumed prefix is erased once it passes half the buffer, so a steady
+  // push/pop rate reuses one allocation (a std::deque frees each drained
+  // block and allocates a fresh one).
+  class RetryQueue {
+   public:
+    bool empty() const { return head_ == items_.size(); }
+    const Retry& front() const { return items_[head_]; }
+    const Retry& back() const { return items_.back(); }
+    void push_back(const Retry& retry) { items_.push_back(retry); }
+    void pop_front() {
+      if (++head_ == items_.size()) {
+        clear();
+      } else if (2 * head_ > items_.size()) {
+        items_.erase(items_.begin(),
+                     items_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
+    }
+    void clear() {
+      items_.clear();
+      head_ = 0;
+    }
+
+   private:
+    std::vector<Retry> items_;
+    std::size_t head_ = 0;  // items_[0, head_) are consumed
+  };
 
   struct Node {
     bool alive = true;
@@ -260,20 +289,22 @@ class TimerCluster {
     RetryQueue notify_retry;
   };
 
+  // Ordered by field size, like ReplicaLocal.
   struct PendingTimer {
-    std::uint32_t gen = 0;
     Tick deadline = 0;
+    std::uint32_t gen = 0;
     std::uint32_t replication = 1;
     std::array<NodeId, kMaxReplication> replicas{};
     std::uint32_t arm_acked = 0;     // bitmask by rank
     std::uint32_t disarm_acked = 0;  // bitmask by rank
+    std::uint32_t disarm_round = 0;
     enum class State : std::uint8_t { kLive, kFired, kCancelled };
     State state = State::kLive;
     bool disarm_fired_flag = false;  // disarm reason: delivered fire vs cancel
-    std::uint32_t disarm_round = 0;
     bool disarm_done = true;  // no disarm fan-out outstanding
     bool retry_queued = false;
   };
+  static_assert(sizeof(PendingTimer) == 64);
 
   // Replica placement (see ReplicaSetFor).
   NodeId ReplicaStart(std::uint64_t key) const;

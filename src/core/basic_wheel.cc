@@ -9,7 +9,8 @@ BasicWheel::BasicWheel(std::size_t max_interval, OverflowPolicy policy,
     : TimerServiceBase(max_timers),
       policy_(policy),
       slots_(max_interval),
-      occupancy_(max_interval) {
+      occupancy_(max_interval),
+      slot_of_(max_interval) {
   TWHEEL_ASSERT_MSG(max_interval >= 2, "wheel needs at least two slots");
 }
 
@@ -22,15 +23,9 @@ BasicWheel::~BasicWheel() {
   }
 }
 
-std::size_t BasicWheel::PerTickBookkeeping() {
-  ++counts_.ticks;
-  ++now_;
-  cursor_ = (cursor_ + 1) % slots_.size();
-  return DrainCursorSlot();
-}
-
-std::size_t BasicWheel::DrainCursorSlot() {
-  IntrusiveList<TimerRecord>& slot = slots_[cursor_];
+std::size_t BasicWheel::Visit() {
+  const std::size_t index = cursor();
+  IntrusiveList<TimerRecord>& slot = slots_[index];
   if (slot.empty()) {
     // "If the element is 0 (no list of timers waiting to expire), no more work is
     // done on that timer tick."
@@ -41,7 +36,7 @@ std::size_t BasicWheel::DrainCursorSlot() {
   // slot can never hold timers for a future revolution. Splice the whole slot out
   // in O(1): handlers may re-arm into the wheel (never into this slot — intervals
   // are >= 1 and < MaxInterval) without racing the batch walk.
-  occupancy_.Clear(cursor_);
+  occupancy_.Clear(index);
   IntrusiveList<TimerRecord> pending;
   pending.SpliceAll(slot);
   std::size_t expired = 0;
@@ -60,50 +55,13 @@ std::size_t BasicWheel::DrainCursorSlot() {
   return expired;
 }
 
-std::size_t BasicWheel::AdvanceTo(Tick target) {
-  TWHEEL_ASSERT_MSG(target >= now_, "AdvanceTo target is in the past");
-  ++counts_.batch_advances;
-  std::size_t expired = 0;
-  while (now_ < target) {
-    const Duration remaining = target - now_;
-    const std::optional<std::size_t> dist = occupancy_.NextSetDistance(cursor_);
-    if (!dist.has_value() || *dist > remaining) {
-      // Nothing due on (now, target]: jump clock and cursor in one step.
-      counts_.ticks += remaining;
-      counts_.slots_skipped += remaining;
-      cursor_ = (cursor_ + remaining) % slots_.size();
-      now_ = target;
-      break;
-    }
-    counts_.ticks += *dist;
-    counts_.slots_skipped += *dist - 1;
-    cursor_ = (cursor_ + *dist) % slots_.size();
-    now_ += *dist;
-    expired += DrainCursorSlot();
-  }
-  return expired;
-}
-
-std::optional<Tick> BasicWheel::NextExpiryHint() const {
-  const std::optional<std::size_t> dist = occupancy_.NextSetDistance(cursor_);
+std::optional<Tick> BasicWheel::NextVisit() const {
+  const std::optional<std::size_t> dist = occupancy_.NextSetDistance(cursor());
   if (!dist.has_value()) {
     return std::nullopt;
   }
   return now_ + *dist;
 }
-
-bool BasicWheel::FastForward(Tick target) {
-  TWHEEL_ASSERT(target >= now_);
-  const std::optional<Tick> next = NextExpiryHint();
-  TWHEEL_ASSERT_MSG(!next.has_value() || target < *next,
-                    "FastForward would skip an expiry");
-  const Duration delta = target - now_;
-  counts_.slots_skipped += delta;
-  cursor_ = (cursor_ + delta) % slots_.size();
-  now_ = target;
-  return true;
-}
-
 
 template class TimerServiceBase<BasicWheel>;
 

@@ -22,10 +22,12 @@
 // scheme in the library the same canonical expiry order, which the differential
 // tests rely on.
 //
-// An occupancy bitmap (base/bitmap.h) mirrors slot emptiness so AdvanceTo can jump
-// the cursor straight to the next populated slot. Because intervals are < wheel
-// size, the bitmap distance from the cursor is exactly the distance to the next
-// expiry, which also makes NextExpiryHint / FastForward exact for this scheme.
+// An occupancy bitmap (base/bitmap.h) mirrors slot emptiness so the base's
+// AdvanceTo can jump the cursor straight to the next populated slot. Because
+// intervals are < wheel size, the bitmap distance from the cursor is exactly the
+// distance to the next expiry, which also makes NextExpiryHint / FastForward exact
+// for this scheme. The cursor is now() mod the wheel size, so a jump moves only
+// the clock.
 
 #ifndef TWHEEL_SRC_CORE_BASIC_WHEEL_H_
 #define TWHEEL_SRC_CORE_BASIC_WHEEL_H_
@@ -35,6 +37,7 @@
 #include <vector>
 
 #include "src/base/bitmap.h"
+#include "src/base/bits.h"
 #include "src/base/intrusive_list.h"
 #include "src/core/timer_service.h"
 
@@ -50,16 +53,11 @@ class BasicWheel final : public TimerServiceBase<BasicWheel> {
 
   ~BasicWheel() override;
 
-  std::size_t PerTickBookkeeping() final;
-  std::size_t AdvanceTo(Tick target) final;
-  // Exact: cursor-to-next-set-bit distance (intervals < wheel size, so the slot
-  // under the cursor is never occupied outside a drain).
-  std::optional<Tick> NextExpiryHint() const final;
-  bool FastForward(Tick target) final;
   std::string_view name() const final { return "scheme4-basic-wheel"; }
 
   std::size_t max_interval() const { return slots_.size(); }
-  std::size_t cursor() const { return cursor_; }
+  // The paper's "current time pointer".
+  std::size_t cursor() const { return slot_of_(now_); }
 
   // Fixed: one list head per slot plus the occupancy bitmap — the memory-for-speed
   // trade of a bucket sort ("it is difficult to justify 2^32 words of memory to
@@ -89,7 +87,7 @@ class BasicWheel final : public TimerServiceBase<BasicWheel> {
   // O(1): append at slot cursor + interval / unlink, keeping the slot's
   // occupancy bit in step (a restart moves the record between two slots).
   void Link(TimerRecord* rec) {
-    const std::size_t index = (cursor_ + rec->interval) % slots_.size();
+    const std::size_t index = slot_of_(rec->expiry_tick);
     rec->home_slot = static_cast<std::uint32_t>(index);
     slots_[index].PushBack(rec);
     occupancy_.Set(index);
@@ -103,12 +101,16 @@ class BasicWheel final : public TimerServiceBase<BasicWheel> {
 
   // Expire everything in the slot under the cursor. The whole slot is spliced into
   // a local batch first, so handlers that re-arm timers never race the walk.
-  std::size_t DrainCursorSlot();
+  std::size_t Visit();
+  // The next occupied slot. Exact, so it is also NextExpiryHint: intervals are
+  // < the wheel size, so the slot under the cursor is empty outside a drain and
+  // a slot's distance from the cursor is its records' distance to expiry.
+  std::optional<Tick> NextVisit() const;
 
   OverflowPolicy policy_;
   std::vector<IntrusiveList<TimerRecord>> slots_;
   OccupancyBitmap occupancy_;
-  std::size_t cursor_ = 0;  // the paper's "current time pointer"
+  FastModulus slot_of_;  // tick -> slot: mod the wheel size
 };
 
 

@@ -22,13 +22,7 @@ HashedWheelSorted::~HashedWheelSorted() {
   }
 }
 
-std::size_t HashedWheelSorted::PerTickBookkeeping() {
-  ++counts_.ticks;
-  ++now_;
-  return VisitCursorBucket();
-}
-
-std::size_t HashedWheelSorted::VisitCursorBucket() {
+std::size_t HashedWheelSorted::Visit() {
   const std::size_t index = now_ & mask();
   IntrusiveList<TimerRecord>& bucket = slots_[index];
   if (bucket.empty()) {
@@ -64,29 +58,12 @@ std::size_t HashedWheelSorted::VisitCursorBucket() {
   return expired;
 }
 
-std::size_t HashedWheelSorted::AdvanceTo(Tick target) {
-  TWHEEL_ASSERT_MSG(target >= now_, "AdvanceTo target is in the past");
-  ++counts_.batch_advances;
-  std::size_t expired = 0;
-  while (now_ < target) {
-    const Duration remaining = target - now_;
-    // Jump to the next occupied bucket. Unlike Scheme 6 there is no per-visit
-    // mutation: a stop there is one head comparison (possibly finding the head due
-    // on a later revolution) — still far cheaper than probing every empty slot.
-    const std::optional<std::size_t> dist =
-        occupancy_.NextSetDistance(now_ & mask());
-    if (!dist.has_value() || *dist > remaining) {
-      counts_.ticks += remaining;
-      counts_.slots_skipped += remaining;
-      now_ = target;
-      break;
-    }
-    counts_.ticks += *dist;
-    counts_.slots_skipped += *dist - 1;
-    now_ += *dist;
-    expired += VisitCursorBucket();
+std::optional<Tick> HashedWheelSorted::NextVisit() const {
+  const std::optional<std::size_t> dist = occupancy_.NextSetDistance(now_ & mask());
+  if (!dist.has_value()) {
+    return std::nullopt;
   }
-  return expired;
+  return now_ + *dist;
 }
 
 std::optional<Tick> HashedWheelSorted::NextExpiryHint() const {
@@ -106,8 +83,7 @@ bool HashedWheelSorted::FastForward(Tick target) {
   const std::optional<Tick> next = NextExpiryHint();
   TWHEEL_ASSERT_MSG(!next.has_value() || target < *next,
                     "FastForward would skip an expiry");
-  // Bucket order is keyed by absolute revolution numbers, so a pure clock jump
-  // needs no per-revolution maintenance (the cursor is now & mask).
+  // The cursor is now & mask, so the jump moves only the clock.
   counts_.slots_skipped += target - now_;
   now_ = target;
   return true;

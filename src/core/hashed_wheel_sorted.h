@@ -46,11 +46,14 @@ class HashedWheelSorted final : public TimerServiceBase<HashedWheelSorted> {
 
   ~HashedWheelSorted() override;
 
-  std::size_t PerTickBookkeeping() final;
-  std::size_t AdvanceTo(Tick target) final;
   // Exact, O(occupied buckets): each occupied bucket's head is its minimum (the
   // Scheme 2 sort order), so the hint is the least head expiry over set bits.
+  // NextVisit is only the next occupied bucket, whose head may be due a
+  // revolution later.
   std::optional<Tick> NextExpiryHint() const final;
+  // A pure clock jump rather than the base's walk: buckets are keyed by
+  // absolute revolution, so dead time needs no visit, and walking the occupied
+  // buckets on the way would add a head comparison at each.
   bool FastForward(Tick target) final;
   std::string_view name() const final { return "scheme5-hashed-sorted"; }
 
@@ -107,7 +110,11 @@ class HashedWheelSorted final : public TimerServiceBase<HashedWheelSorted> {
   std::uint64_t mask() const { return slots_.size() - 1; }
 
   // Head-compare drain of the bucket under the current time.
-  std::size_t VisitCursorBucket();
+  std::size_t Visit();
+  // The next occupied bucket. Unlike Scheme 6 a visit there mutates nothing: it
+  // is one head comparison, possibly finding the head due on a later
+  // revolution — still far cheaper than probing every empty slot.
+  std::optional<Tick> NextVisit() const;
 
   std::uint32_t shift_;  // log2(table_size)
   std::vector<IntrusiveList<TimerRecord>> slots_;

@@ -22,13 +22,7 @@ HashedWheelUnsorted::~HashedWheelUnsorted() {
   }
 }
 
-std::size_t HashedWheelUnsorted::PerTickBookkeeping() {
-  ++counts_.ticks;
-  ++now_;
-  return VisitCursorBucket();
-}
-
-std::size_t HashedWheelUnsorted::VisitCursorBucket() {
+std::size_t HashedWheelUnsorted::Visit() {
   const std::size_t index = now_ & mask();
   IntrusiveList<TimerRecord>& bucket = slots_[index];
   if (bucket.empty()) {
@@ -69,37 +63,12 @@ std::size_t HashedWheelUnsorted::VisitCursorBucket() {
   return expired;
 }
 
-std::size_t HashedWheelUnsorted::AdvanceTo(Tick target) {
-  TWHEEL_ASSERT_MSG(target >= now_, "AdvanceTo target is in the past");
-  ++counts_.batch_advances;
-  return BatchAdvance(target, /*count_ticks=*/true);
-}
-
-std::size_t HashedWheelUnsorted::BatchAdvance(Tick target, bool count_ticks) {
-  std::size_t expired = 0;
-  while (now_ < target) {
-    const Duration remaining = target - now_;
-    // Next occupied bucket ahead of the cursor; distance table_size() means the
-    // cursor's own bucket, one full revolution away. Every occupied bucket must be
-    // visited (rounds decrement), so the jump stops there even if nothing is due.
-    const std::optional<std::size_t> dist =
-        occupancy_.NextSetDistance(now_ & mask());
-    if (!dist.has_value() || *dist > remaining) {
-      if (count_ticks) {
-        counts_.ticks += remaining;
-      }
-      counts_.slots_skipped += remaining;
-      now_ = target;
-      break;
-    }
-    if (count_ticks) {
-      counts_.ticks += *dist;
-    }
-    counts_.slots_skipped += *dist - 1;
-    now_ += *dist;
-    expired += VisitCursorBucket();
+std::optional<Tick> HashedWheelUnsorted::NextVisit() const {
+  const std::optional<std::size_t> dist = occupancy_.NextSetDistance(now_ & mask());
+  if (!dist.has_value()) {
+    return std::nullopt;
   }
-  return expired;
+  return now_ + *dist;
 }
 
 std::optional<Tick> HashedWheelUnsorted::NextExpiryHint() const {
@@ -113,19 +82,6 @@ std::optional<Tick> HashedWheelUnsorted::NextExpiryHint() const {
     }
   });
   return best;
-}
-
-bool HashedWheelUnsorted::FastForward(Tick target) {
-  TWHEEL_ASSERT(target >= now_);
-  const std::optional<Tick> next = NextExpiryHint();
-  TWHEEL_ASSERT_MSG(!next.has_value() || target < *next,
-                    "FastForward would skip an expiry");
-  // Unlike the pure cursor jump of BasicWheel, revolution counts must still be
-  // maintained: the walk visits occupied buckets it crosses (decrementing rounds)
-  // but, per the precondition, can never dispatch an expiry.
-  const std::size_t fired = BatchAdvance(target, /*count_ticks=*/false);
-  TWHEEL_ASSERT_MSG(fired == 0, "FastForward dispatched an expiry");
-  return true;
 }
 
 

@@ -22,9 +22,10 @@
 // Batched advancement caveat specific to this scheme: rounds counts *cursor visits
 // remaining*, so an occupied bucket must still be visited (and its residents
 // decremented) once per revolution even when nothing in it is due — only empty
-// buckets can be skipped outright. AdvanceTo therefore stops at every occupied
-// bucket the cursor crosses; with a sparse table that is still a popcount-sized
-// number of stops instead of one probe per tick.
+// buckets can be skipped outright. NextVisit therefore names every occupied
+// bucket the cursor crosses, and AdvanceTo and FastForward stop at each; with a
+// sparse table that is still a popcount-sized number of stops instead of one
+// probe per tick.
 
 #ifndef TWHEEL_SRC_CORE_HASHED_WHEEL_UNSORTED_H_
 #define TWHEEL_SRC_CORE_HASHED_WHEEL_UNSORTED_H_
@@ -47,13 +48,11 @@ class HashedWheelUnsorted final : public TimerServiceBase<HashedWheelUnsorted> {
 
   ~HashedWheelUnsorted() override;
 
-  std::size_t PerTickBookkeeping() final;
-  std::size_t AdvanceTo(Tick target) final;
   // Exact, but O(n) in outstanding timers: the bitmap confines the scan to live
   // buckets, within which each record's absolute expiry is examined. Use for
-  // jump-driving sparse wheels, not as a hot-path query.
+  // jump-driving sparse wheels, not as a hot-path query. NextVisit is only the
+  // next occupied bucket, which may hold nothing but round decrements.
   std::optional<Tick> NextExpiryHint() const final;
-  bool FastForward(Tick target) final;
   std::string_view name() const final { return "scheme6-hashed-unsorted"; }
 
   std::size_t table_size() const { return slots_.size(); }
@@ -100,10 +99,12 @@ class HashedWheelUnsorted final : public TimerServiceBase<HashedWheelUnsorted> {
 
   // The Scheme 1 sweep of the bucket under the current time: decrement every
   // resident's revolution count, expire those reaching zero.
-  std::size_t VisitCursorBucket();
-  // Shared body of AdvanceTo / FastForward; `count_ticks` is false for FastForward
-  // ("the hardware intercepts all clock ticks").
-  std::size_t BatchAdvance(Tick target, bool count_ticks);
+  std::size_t Visit();
+  // The next occupied bucket ahead of the cursor; distance table_size() means
+  // the cursor's own bucket, one full revolution away. Every occupied bucket
+  // must be visited (rounds decrement), so a jump stops there even if nothing
+  // is due.
+  std::optional<Tick> NextVisit() const;
 
   std::uint32_t shift_;  // log2(table_size)
   std::vector<IntrusiveList<TimerRecord>> slots_;

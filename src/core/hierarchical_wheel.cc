@@ -48,13 +48,7 @@ HierarchicalWheel::~HierarchicalWheel() {
   }
 }
 
-std::size_t HierarchicalWheel::PerTickBookkeeping() {
-  ++counts_.ticks;
-  ++now_;
-  return RunVisitsAtNow();
-}
-
-std::size_t HierarchicalWheel::RunVisitsAtNow() {
+std::size_t HierarchicalWheel::Visit() {
   std::size_t expired = VisitSlot(0, levels_[0].SlotOf(now_));
   // Advance the coarser arrays whenever a full revolution of the next-finer one
   // completes — the work the paper's built-in "60 second timer" does. Granularities
@@ -198,7 +192,7 @@ std::size_t HierarchicalWheel::VisitSlot(std::size_t level, std::size_t slot_ind
   return expired;
 }
 
-std::optional<Tick> HierarchicalWheel::NextOccupiedVisitTick() const {
+std::optional<Tick> HierarchicalWheel::NextVisit() const {
   std::optional<Tick> best;
   for (const Level& lv : levels_) {
     const std::uint64_t unit = lv.UnitOf(now_);
@@ -212,35 +206,6 @@ std::optional<Tick> HierarchicalWheel::NextOccupiedVisitTick() const {
     }
   }
   return best;
-}
-
-std::size_t HierarchicalWheel::AdvanceTo(Tick target) {
-  TWHEEL_ASSERT_MSG(target >= now_, "AdvanceTo target is in the past");
-  ++counts_.batch_advances;
-  return BatchAdvance(target, /*count_ticks=*/true);
-}
-
-std::size_t HierarchicalWheel::BatchAdvance(Tick target, bool count_ticks) {
-  std::size_t expired = 0;
-  while (now_ < target) {
-    const std::optional<Tick> next = NextOccupiedVisitTick();
-    const Tick stop = (next.has_value() && *next < target) ? *next : target;
-    // Credit the slot probes the per-tick loop would have made on (now, stop) —
-    // and at `stop` itself when nothing is visited there — one per level whose
-    // cursor moves, all provably landing on empty slots.
-    const Tick probe_limit = (next.has_value() && *next == stop) ? stop - 1 : stop;
-    for (const Level& lv : levels_) {
-      counts_.slots_skipped += lv.UnitOf(probe_limit) - lv.UnitOf(now_);
-    }
-    if (count_ticks) {
-      counts_.ticks += stop - now_;
-    }
-    now_ = stop;
-    if (next.has_value() && *next == stop) {
-      expired += RunVisitsAtNow();
-    }
-  }
-  return expired;
 }
 
 std::optional<Tick> HierarchicalWheel::NextExpiryHint() const {
@@ -265,20 +230,7 @@ std::optional<Tick> HierarchicalWheel::NextExpiryHint() const {
   // kNone fires whole slots at their visit, so the earliest occupied visit is
   // exact; kSingleStep may migrate at that visit instead, making this a
   // conservative (never-late) lower bound — see the header contract.
-  return NextOccupiedVisitTick();
-}
-
-bool HierarchicalWheel::FastForward(Tick target) {
-  TWHEEL_ASSERT(target >= now_);
-  const std::optional<Tick> next = NextExpiryHint();
-  TWHEEL_ASSERT_MSG(!next.has_value() || target < *next,
-                    "FastForward would skip an expiry");
-  // Unlike the flat wheels, dead time may still contain visits that *migrate*
-  // records downward (kFull); the batch walk performs them but, per the
-  // precondition, can never dispatch an expiry.
-  const std::size_t fired = BatchAdvance(target, /*count_ticks=*/false);
-  TWHEEL_ASSERT_MSG(fired == 0, "FastForward dispatched an expiry");
-  return true;
+  return NextVisit();
 }
 
 std::size_t HierarchicalWheel::LevelPopulationSlow(std::size_t level) const {

@@ -82,15 +82,13 @@ class HierarchicalWheel final : public TimerServiceBase<HierarchicalWheel> {
 
   ~HierarchicalWheel() override;
 
-  std::size_t PerTickBookkeeping() final;
-  std::size_t AdvanceTo(Tick target) final;
   // kFull: exact — earliest absolute expiry among residents (bitmap-confined O(n)
-  // scan). kNone: exact — the earliest occupied-slot visit fires everything in
-  // that slot. kSingleStep: a conservative lower bound (the earliest occupied
-  // visit may migrate rather than fire); never later than the true next expiry,
-  // which is what jump-drivers need.
+  // scan), since its NextVisit may only migrate. kNone: exact — NextVisit, the
+  // earliest occupied-slot visit, fires everything in that slot. kSingleStep:
+  // NextVisit again, a conservative lower bound (the earliest occupied visit may
+  // migrate rather than fire); never later than the true next expiry, which is
+  // what jump-drivers need.
   std::optional<Tick> NextExpiryHint() const final;
-  bool FastForward(Tick target) final;
   std::string_view name() const final { return "scheme7-hierarchical"; }
 
   std::size_t num_levels() const { return levels_.size(); }
@@ -197,7 +195,7 @@ class HierarchicalWheel final : public TimerServiceBase<HierarchicalWheel> {
   std::size_t VisitSlot(std::size_t level, std::size_t slot_index);
   // The visits the per-tick loop performs at the current (already advanced) tick:
   // level 0, then each coarser level whose granularity divides now.
-  std::size_t RunVisitsAtNow();
+  std::size_t Visit();
   // Earliest future tick at which any level's cursor visits an occupied slot.
   // Every visit between now and that tick would only probe empty slots. Sound
   // because a level's current-unit slot was fully drained when its unit began, so
@@ -205,10 +203,16 @@ class HierarchicalWheel final : public TimerServiceBase<HierarchicalWheel> {
   // d in [1, size_L] (d == size_L for a slot one full revolution out, which is
   // exactly NextSetDistance's distance-size convention), and its visit tick is
   // (unit + d) * granularity_L.
-  std::optional<Tick> NextOccupiedVisitTick() const;
-  // Shared body of AdvanceTo / FastForward; `count_ticks` is false for
-  // FastForward ("the hardware intercepts all clock ticks").
-  std::size_t BatchAdvance(Tick target, bool count_ticks);
+  std::optional<Tick> NextVisit() const;
+  // The per-tick loop probes one slot per level whose cursor moves, so a jump
+  // over (from, to] skips each level's unit count.
+  Duration SkippedProbes(Tick from, Tick to) const {
+    Duration probes = 0;
+    for (const Level& lv : levels_) {
+      probes += lv.UnitOf(to) - lv.UnitOf(from);
+    }
+    return probes;
+  }
 
   std::vector<Level> levels_;
   Duration span_ = 1;  // product of level sizes

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/base/bitmap.h"
+#include "src/base/bits.h"
 #include "src/base/intrusive_list.h"
 #include "src/core/timer_service.h"
 
@@ -36,13 +37,6 @@ class HybridWheel final : public TimerServiceBase<HybridWheel> {
 
   ~HybridWheel() override;
 
-  std::size_t PerTickBookkeeping() final;
-  std::size_t AdvanceTo(Tick target) final;
-  // Exact: min(wheel's cursor-to-next-set-bit distance, overflow list head). Both
-  // sides are exact — the wheel's because intervals there are < wheel size, the
-  // annex's because it is ordered by absolute expiry.
-  std::optional<Tick> NextExpiryHint() const final;
-  bool FastForward(Tick target) final;
   std::string_view name() const final { return "scheme4-2-hybrid"; }
 
   std::size_t wheel_size() const { return slots_.size(); }
@@ -67,7 +61,7 @@ class HybridWheel final : public TimerServiceBase<HybridWheel> {
   // (wheel<->wheel, wheel<->annex) are one O(1) unlink and this placement.
   void Link(TimerRecord* rec) {
     if (rec->interval < slots_.size()) {
-      const std::size_t index = (cursor_ + rec->interval) % slots_.size();
+      const std::size_t index = slot_of_(rec->expiry_tick);
       rec->home_slot = static_cast<std::uint32_t>(index);
       slots_[index].PushBack(rec);
       occupancy_.Set(index);
@@ -99,13 +93,19 @@ class HybridWheel final : public TimerServiceBase<HybridWheel> {
 
   // Expire the slot under the cursor (splice-drain, as BasicWheel) and then any
   // due heads of the overflow annex. Returns expiries dispatched.
+  std::size_t Visit();
   std::size_t DrainCursorSlot();
   std::size_t DrainDueOverflow();
+  // The earlier of the wheel's next occupied slot and the annex head. Exact, so
+  // it is also NextExpiryHint: the wheel's side because intervals there are <
+  // wheel size, the annex's because it is ordered by absolute expiry (its head
+  // is strictly in the future outside a drain).
+  std::optional<Tick> NextVisit() const;
 
   std::vector<IntrusiveList<TimerRecord>> slots_;
   IntrusiveList<TimerRecord> overflow_;  // Scheme 2 list, ascending absolute expiry
   OccupancyBitmap occupancy_;            // wheel slots only; the annex has a head
-  std::size_t cursor_ = 0;
+  FastModulus slot_of_;                  // tick -> slot: mod the wheel size
 };
 
 

@@ -22,9 +22,7 @@ ChipAssistedWheel::~ChipAssistedWheel() {
   }
 }
 
-std::size_t ChipAssistedWheel::PerTickBookkeeping() {
-  ++counts_.ticks;
-  ++now_;
+std::size_t ChipAssistedWheel::Visit() {
   // Chip side: the counter steps; a clear busy bit costs the host nothing — note
   // that unlike the plain Scheme 6 wheel, no host-side empty_slot_check is charged.
   ++chip_scans_;

@@ -43,7 +43,6 @@ class ChipAssistedWheel final : public TimerServiceBase<ChipAssistedWheel> {
 
   ~ChipAssistedWheel() override;
 
-  std::size_t PerTickBookkeeping() final;
   std::string_view name() const final { return "scheme6-chip-assisted"; }
 
   std::size_t table_size() const { return busy_.size(); }
@@ -91,6 +90,10 @@ class ChipAssistedWheel final : public TimerServiceBase<ChipAssistedWheel> {
   }
 
   std::uint64_t mask() const { return busy_.size() - 1; }
+
+  // One chip scan step; on a busy slot, the host interrupt and its Scheme 6
+  // sweep of the queue.
+  std::size_t Visit();
 
   // Host side: mark X busy/free in the chip's memory (one message each).
   void NotifyBusy(std::size_t slot_index) {

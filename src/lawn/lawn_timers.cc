@@ -67,13 +67,7 @@ void LawnTimers::InsertOverflow(TimerRecord* rec) {
   }
 }
 
-std::size_t LawnTimers::PerTickBookkeeping() {
-  ++counts_.ticks;
-  ++now_;
-  return DrainDueAtNow();
-}
-
-std::size_t LawnTimers::DrainDueAtNow() {
+std::size_t LawnTimers::Visit() {
   std::size_t expired = 0;
   // Index loop re-reads size(): an expiry handler may start a timer with a
   // fresh TTL, growing the deque mid-drain. The new bucket's head is a timer
@@ -112,40 +106,7 @@ std::size_t LawnTimers::DrainListHead(IntrusiveList<TimerRecord>& list) {
   return expired;
 }
 
-std::size_t LawnTimers::AdvanceTo(Tick target) {
-  TWHEEL_ASSERT_MSG(target >= now_, "AdvanceTo target is in the past");
-  ++counts_.batch_advances;
-  return BatchAdvance(target, /*count_ticks=*/true);
-}
-
-std::size_t LawnTimers::BatchAdvance(Tick target, bool count_ticks) {
-  std::size_t expired = 0;
-  while (now_ < target) {
-    const Duration remaining = target - now_;
-    // Hop straight to the earliest bucket-head expiry; every tick in between
-    // would only probe heads that are not due. Re-queried each lap so handler
-    // starts landing inside the window are never overshot.
-    const std::optional<Tick> next = NextExpiryHint();
-    if (!next.has_value() || *next > target) {
-      if (count_ticks) {
-        counts_.ticks += remaining;
-      }
-      counts_.slots_skipped += remaining;
-      now_ = target;
-      break;
-    }
-    const Duration dist = *next - now_;
-    if (count_ticks) {
-      counts_.ticks += dist;
-    }
-    counts_.slots_skipped += dist - 1;
-    now_ = *next;
-    expired += DrainDueAtNow();
-  }
-  return expired;
-}
-
-std::optional<Tick> LawnTimers::NextExpiryHint() const {
+std::optional<Tick> LawnTimers::NextVisit() const {
   std::optional<Tick> best;
   for (const Bucket& bucket : buckets_) {
     const TimerRecord* head = bucket.list.front();
@@ -158,19 +119,6 @@ std::optional<Tick> LawnTimers::NextExpiryHint() const {
     best = head->expiry_tick;
   }
   return best;
-}
-
-bool LawnTimers::FastForward(Tick target) {
-  TWHEEL_ASSERT(target >= now_);
-  const std::optional<Tick> next = NextExpiryHint();
-  TWHEEL_ASSERT_MSG(!next.has_value() || target < *next,
-                    "FastForward would skip an expiry");
-  // Nothing in the store depends on the cursor position — buckets are keyed by
-  // TTL, not by time — so crossing dead time is a clock assignment. Skipped
-  // ticks are not counted ("the hardware intercepts all clock ticks").
-  counts_.slots_skipped += target - now_;
-  now_ = target;
-  return true;
 }
 
 }  // namespace twheel::lawn

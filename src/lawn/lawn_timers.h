@@ -73,13 +73,6 @@ class LawnTimers final : public TimerServiceBase<LawnTimers> {
 
   ~LawnTimers() override;
 
-  std::size_t PerTickBookkeeping() final;
-  std::size_t AdvanceTo(Tick target) final;
-  // Exact: the minimum over bucket heads (each head is its bucket's earliest
-  // expiry by the bucket-sorted invariant) plus the overflow head. O(distinct
-  // TTLs), independent of population.
-  std::optional<Tick> NextExpiryHint() const final;
-  bool FastForward(Tick target) final;
   std::string_view name() const final { return "scheme8-lawn"; }
 
   std::uint32_t slop_bits() const { return slop_bits_; }
@@ -131,11 +124,14 @@ class LawnTimers final : public TimerServiceBase<LawnTimers> {
   // Pop every due head at the (already advanced) current tick, in bucket-index
   // order then the overflow list — the dispatch order the batched paths must
   // reproduce exactly.
-  std::size_t DrainDueAtNow();
+  std::size_t Visit();
   std::size_t DrainListHead(IntrusiveList<TimerRecord>& list);
-  // Shared body of AdvanceTo / FastForward; `count_ticks` is false for
-  // FastForward ("the hardware intercepts all clock ticks").
-  std::size_t BatchAdvance(Tick target, bool count_ticks);
+  // The minimum over bucket heads (each head is its bucket's earliest expiry by
+  // the bucket-sorted invariant) plus the overflow head. Exact, so it is also
+  // NextExpiryHint; O(distinct TTLs), independent of population. Nothing in the
+  // store depends on a cursor — buckets are keyed by TTL, not by time — so a
+  // jump between heads is a clock assignment.
+  std::optional<Tick> NextVisit() const;
 
   std::size_t max_distinct_ttls_;
   std::uint32_t slop_bits_;

@@ -27,9 +27,7 @@ TegasWheel::~TegasWheel() {
   }
 }
 
-std::size_t TegasWheel::PerTickBookkeeping() {
-  ++counts_.ticks;
-  ++now_;
+std::size_t TegasWheel::Visit() {
   const std::size_t n = slots_.size();
   const std::size_t rotation = policy_ == RotatePolicy::kFullCycle ? n : n / 2;
   if (now_ % rotation == 0) {

@@ -47,7 +47,6 @@ class TegasWheel final : public TimerServiceBase<TegasWheel> {
 
   ~TegasWheel() override;
 
-  std::size_t PerTickBookkeeping() final;
   std::string_view name() const final {
     return policy_ == RotatePolicy::kFullCycle ? "tegas-wheel-full"
                                                : "tegas-wheel-half";
@@ -85,6 +84,9 @@ class TegasWheel final : public TimerServiceBase<TegasWheel> {
   }
   void Unlink(TimerRecord* rec) { rec->Unlink(); }
 
+  // Rotate when the cycle (or half-cycle) turns, then expire the slot under
+  // the current time.
+  std::size_t Visit();
   // Move overflow entries due before `horizon` into the array.
   void DrainOverflow(Tick horizon);
 

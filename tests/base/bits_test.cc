@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/base/bits.h"
+#include "src/rng/rng.h"
 
 namespace twheel {
 namespace {
@@ -57,6 +58,29 @@ TEST(BitsTest, ConstexprUsable) {
   static_assert(NextPowerOfTwo(33) == 64);
   static_assert(Log2Floor(64) == 6);
   SUCCEED();
+}
+
+TEST(BitsTest, FastModulusMatchesTheDivideInstruction) {
+  const std::uint64_t divisors[] = {1,          2,          3,
+                                    7,          60,         64,
+                                    100,        4095,       65536,
+                                    (1ULL << 32) - 1,       (1ULL << 32) + 1,
+                                    1ULL << 63, (1ULL << 63) + 1, ~0ULL};
+  rng::Xoshiro256 gen(0xfa57);
+  for (std::uint64_t d : divisors) {
+    const FastModulus mod(d);
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    const std::uint64_t edges[] = {0,        1,           d - 1,           d,
+                                   d + 1,    2 * d - 1,   kMax,            kMax - 1,
+                                   kMax - d, kMax / d * d, kMax / d * d - 1};
+    for (std::uint64_t n : edges) {
+      EXPECT_EQ(mod(n), n % d) << n << " mod " << d;
+    }
+    for (int i = 0; i < 20000; ++i) {
+      const std::uint64_t n = gen.Next() >> gen.NextBounded(64);
+      ASSERT_EQ(mod(n), n % d) << n << " mod " << d;
+    }
+  }
 }
 
 }  // namespace

@@ -195,13 +195,19 @@ TEST(PeriodicRegressionTest, DefaultRestartRefusesInsteadOfLosingTheCookie) {
 }
 
 // A minimal TimerServiceBase derivative over a plain vector. It supplies only
-// the Link/Unlink hooks and a tick loop, so the restart and periodic paths it
+// the Link/Unlink/Visit hooks, so the restart, periodic and tick paths it
 // exercises are exactly the base's.
 class FallbackService final : public TimerServiceBase<FallbackService> {
  public:
-  std::size_t PerTickBookkeeping() override {
-    ++counts_.ticks;
-    ++now_;
+  std::string_view name() const override { return "fallback"; }
+  SpaceProfile Space() const override { return {}; }
+
+ private:
+  friend class TimerServiceBase<FallbackService>;
+
+  void Link(TimerRecord* rec) { live_.push_back(rec); }
+  void Unlink(TimerRecord* rec) { std::erase(live_, rec); }
+  std::size_t Visit() {
     // Collect the due set first: a periodic lap relinks (erase + push_back)
     // while the loop dispatches.
     std::vector<TimerRecord*> due;
@@ -218,14 +224,6 @@ class FallbackService final : public TimerServiceBase<FallbackService> {
     }
     return due.size();
   }
-  std::string_view name() const override { return "fallback"; }
-  SpaceProfile Space() const override { return {}; }
-
- private:
-  friend class TimerServiceBase<FallbackService>;
-
-  void Link(TimerRecord* rec) { live_.push_back(rec); }
-  void Unlink(TimerRecord* rec) { std::erase(live_, rec); }
 
   std::vector<TimerRecord*> live_;
 };
