@@ -55,9 +55,11 @@
 # `ctest -L cluster` in any build directory runs just them.
 #
 # The `clock`-labelled tests (ticker_test, ticker_stress_test, tsan_stress_test,
-# dispatch_pool_test) are the suites whose threads pace themselves off the wall
-# clock, so an interleaving bug there shows up as a rare flake rather than a
-# steady failure. The plain leg (not --quick) therefore reruns them after the
+# dispatch_pool_test, timer_server_test) are the suites whose threads pace
+# themselves off the wall clock, so an interleaving bug there shows up as a rare
+# flake rather than a steady failure. timer_server_test is there for its
+# TickerThread and DispatchPool cases, in which drainers deliver check-ins (the
+# host fires of lazily restarted timers) while the test thread sends requests. The plain leg (not --quick) therefore reruns them after the
 # full suite with `ctest -L clock --repeat until-fail:50`: each clock test must
 # pass 50 consecutive runs. CTEST_ARGS applies to the rerun too.
 #

@@ -44,54 +44,40 @@ ShardedWheel::ShardedWheel(std::size_t shards, std::size_t table_size,
 }
 
 StartResult ShardedWheel::StartTimer(Duration interval, RequestId request_id) {
-  const std::uint32_t index = static_cast<std::uint32_t>(
-      next_shard_.fetch_add(1, std::memory_order_relaxed) & (shards_.size() - 1));
-  client_starts_.fetch_add(1, std::memory_order_relaxed);
-  if (interval == 0) {
-    return TimerError::kZeroInterval;  // match the inner wheel's policy
-  }
-  // Capture the absolute deadline now, enqueue the command. A tick racing this
-  // call may advance the clock before the command drains; the drain then
-  // registers the remaining interval (min 1), so the timer fires at
-  // max(deadline, drain tick + 1). A deadline past the end of Tick is refused
-  // as the inner wheel would refuse it.
-  const Tick now = now_.load(std::memory_order_acquire);
-  if (interval > std::numeric_limits<Tick>::max() - now) {
-    return TimerError::kIntervalOutOfRange;
-  }
-  const Tick deadline = now + interval;
-  StartResult result = shards_[index]->submit->SubmitStart(request_id, deadline);
-  if (!result.has_value()) {
-    return result;
-  }
-  live_.fetch_add(1, std::memory_order_relaxed);
-  const TimerHandle local = result.value();
-  return TimerHandle{(index << kShardShift) | local.slot, local.generation};
+  return Submit(interval, request_id, /*period=*/0, /*repeat_for=*/0);
 }
 
 StartResult ShardedWheel::StartPeriodic(Duration interval, RequestId request_id,
                                         std::uint64_t repeat_for) {
+  // The cadence and repeat budget travel in the registration entry, and the
+  // word carries the sticky periodic bit (see ShardSubmitQueue::SubmitStart).
+  StartResult result = Submit(interval, request_id, /*period=*/interval, repeat_for);
+  if (result.has_value()) {
+    client_periodic_starts_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return result;
+}
+
+StartResult ShardedWheel::Submit(Duration interval, RequestId request_id,
+                                 Duration period, std::uint64_t repeat_for) {
   const std::uint32_t index = static_cast<std::uint32_t>(
       next_shard_.fetch_add(1, std::memory_order_relaxed) & (shards_.size() - 1));
-  client_starts_.fetch_add(1, std::memory_order_relaxed);
-  if (interval == 0) {
-    return TimerError::kZeroInterval;  // match the inner wheel's policy
-  }
-  // Same path as StartTimer; the cadence and repeat budget travel in the
-  // registration entry, and the word carries the sticky periodic bit (see
-  // ShardSubmitQueue::SubmitStartPeriodic).
+  ShardSubmitQueue& submit = *shards_[index]->submit;
+  // Capture the absolute deadline now, enqueue the command. A tick racing this
+  // call may advance the clock before the command drains; the drain then
+  // registers the remaining interval (min 1), so the timer fires at
+  // max(deadline, drain tick + 1). A zero interval, or a deadline past the end
+  // of Tick, is refused as the inner wheel would refuse it.
   const Tick now = now_.load(std::memory_order_acquire);
-  if (interval > std::numeric_limits<Tick>::max() - now) {
-    return TimerError::kIntervalOutOfRange;
+  if (interval == 0 || interval > std::numeric_limits<Tick>::max() - now) {
+    submit.CountRefusedStart();
+    return interval == 0 ? TimerError::kZeroInterval
+                         : TimerError::kIntervalOutOfRange;
   }
-  const Tick deadline = now + interval;
-  StartResult result = shards_[index]->submit->SubmitStartPeriodic(
-      request_id, deadline, interval, repeat_for);
+  StartResult result = submit.SubmitStart(request_id, now + interval, period, repeat_for);
   if (!result.has_value()) {
     return result;
   }
-  live_.fetch_add(1, std::memory_order_relaxed);
-  client_periodic_starts_.fetch_add(1, std::memory_order_relaxed);
   const TimerHandle local = result.value();
   return TimerHandle{(index << kShardShift) | local.slot, local.generation};
 }
@@ -109,12 +95,8 @@ TimerError ShardedWheel::StopTimer(TimerHandle handle) {
   // The CAS inside SubmitCancel is the commit point; kOk means the timer can no
   // longer fire, whether or not its start command has even drained yet
   // (pending-cancel reconciliation).
-  const TimerError err = shards_[index]->submit->SubmitCancel(
-      handle.slot & kSlotMask, handle.generation);
-  if (err == TimerError::kOk) {
-    live_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  return err;
+  return shards_[index]->submit->SubmitCancel(handle.slot & kSlotMask,
+                                              handle.generation);
 }
 
 TimerError ShardedWheel::RestartTimer(TimerHandle handle, Duration new_interval) {
@@ -130,7 +112,7 @@ TimerError ShardedWheel::RestartTimer(TimerHandle handle, Duration new_interval)
   }
   // Capture the new absolute deadline and commit via the entry word
   // (reserve-commit-publish, see SubmitRestart). A restart is neither a start
-  // nor a cancel, so live_ is untouched either way.
+  // nor a cancel, so outstanding() is untouched either way.
   const Tick now = now_.load(std::memory_order_acquire);
   if (new_interval > std::numeric_limits<Tick>::max() - now) {
     return TimerError::kIntervalOutOfRange;
@@ -165,7 +147,8 @@ std::size_t ShardedWheel::AdvanceTo(Tick target) {
   // shard whose cursor already passed `target` is skipped rather than
   // over-advanced — driving the wheel afterwards re-converges every shard onto
   // `target`.
-  std::vector<std::pair<RequestId, Tick>> fires;
+  std::vector<std::pair<RequestId, Tick>> fires = std::move(fires_);
+  fires.clear();
   for (const auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -182,7 +165,10 @@ std::size_t ShardedWheel::AdvanceTo(Tick target) {
     std::stable_sort(fires.begin(), fires.end(),
                      [](const auto& a, const auto& b) { return a.second < b.second; });
   }
-  return Dispatch(fires);
+  const std::size_t dispatched = Dispatch(fires);
+  fires.clear();
+  fires_ = std::move(fires);
+  return dispatched;
 }
 
 void ShardedWheel::StepShard(Shard& shard, Tick target,
@@ -211,18 +197,17 @@ void ShardedWheel::StepShard(Shard& shard, Tick target,
     switch (shard.submit->ClaimFire(index, generation, &client_id)) {
       case ShardSubmitQueue::FireResolution::kDeliver:
         fires.emplace_back(client_id, when);
-        client_fired_laps_.fetch_add(1, std::memory_order_relaxed);
+        ++shard.fired_laps;
         break;
       case ShardSubmitQueue::FireResolution::kDeliverFinal:
         fires.emplace_back(client_id, when);
-        client_expiries_.fetch_add(1, std::memory_order_relaxed);
-        live_.fetch_sub(1, std::memory_order_relaxed);
+        ++shard.expiries;
         break;
       case ShardSubmitQueue::FireResolution::kStopInner:
         // Rare path (a cancel whose prompt-removal command was dropped, caught
         // at the cancelled periodic's next fire): stop the ghost inner record
-        // under the mutex this step holds. live_ was already decremented by
-        // the cancel's commit.
+        // under the mutex this step holds. The cancel's commit already counted
+        // the timer's end.
         shard.submit->ReclaimCancelledPeriodic(index, generation, *shard.wheel);
         break;
       case ShardSubmitQueue::FireResolution::kSuppress:
@@ -379,26 +364,51 @@ bool ShardedWheel::FastForward(Tick target) {
 }
 
 std::size_t ShardedWheel::outstanding() const {
-  // Started minus {fired, cancelled}; counts timers still awaiting their drain
-  // as outstanding (the client holds a live handle for them).
-  return static_cast<std::size_t>(live_.load(std::memory_order_relaxed));
+  // Per shard, the ends (final fires, committed cancels, refused starts) are
+  // read before the starts, so the difference cannot underflow (see
+  // ShardSubmitQueue::starts).
+  std::uint64_t live = 0;
+  for (const auto& shard_ptr : shards_) {
+    std::uint64_t ended = 0;
+    {
+      std::lock_guard<std::mutex> lock(shard_ptr->mutex);
+      ended = shard_ptr->expiries;
+    }
+    const ShardSubmitQueue& submit = *shard_ptr->submit;
+    ended += submit.committed_cancels() + submit.refused_starts();
+    live += submit.starts() - ended;
+  }
+  return static_cast<std::size_t>(live);
 }
 
 metrics::OpCounts ShardedWheel::counts() const {
   metrics::OpCounts merged;
+  std::uint64_t starts = 0;
+  std::uint64_t expiries = 0;
+  std::uint64_t fired_laps = 0;
   for (const auto& shard_ptr : shards_) {
-    merged.enqueued_starts += shard_ptr->submit->enqueued_starts();
-    merged.drained_commands += shard_ptr->submit->drained_commands();
-    merged.submit_retries += shard_ptr->submit->submit_retries();
-    merged.restart_coalesced += shard_ptr->submit->coalesced_restarts();
-    std::lock_guard<std::mutex> lock(shard_ptr->mutex);
-    merged += shard_ptr->wheel->counts();
+    const ShardSubmitQueue& submit = *shard_ptr->submit;
+    merged.drained_commands += submit.drained_commands();
+    merged.submit_retries += submit.submit_retries();
+    merged.restart_coalesced += submit.coalesced_restarts();
+    {
+      std::lock_guard<std::mutex> lock(shard_ptr->mutex);
+      merged += shard_ptr->wheel->counts();
+      expiries += shard_ptr->expiries;
+      fired_laps += shard_ptr->fired_laps;
+    }
+    // Refusals before starts, as in outstanding().
+    const std::uint64_t refused = submit.refused_starts();
+    const std::uint64_t shard_starts = submit.starts();
+    merged.enqueued_starts += shard_starts - refused;
+    starts += shard_starts;
   }
   // Ticks are per-shard internally; report wall ticks.
   merged.ticks = now_.load(std::memory_order_relaxed);
   // Report the client's view of START_TIMER: the inner wheels only see the
-  // drained registrations (and never see cancelled-before-drain starts).
-  merged.start_calls = client_starts_.load(std::memory_order_relaxed);
+  // drained registrations (and never see cancelled-before-drain starts). Each
+  // shard's count only grows, so neither does the sum.
+  merged.start_calls = starts;
   // Same for restarts: one committed client restart may surface in the inner
   // wheels as a relink, a relink-after-suppressed-fire (a fresh inner start),
   // or nothing at all (cancelled before its command drained).
@@ -417,8 +427,8 @@ metrics::OpCounts ShardedWheel::counts() const {
   // is exact at quiesce whenever no start was rejected, no matter how many
   // drainers raced (each start resolves exactly once as a delivered final
   // fire, a committed cancel, or a live registration).
-  merged.expiries = client_expiries_.load(std::memory_order_relaxed);
-  merged.periodic_fires = client_fired_laps_.load(std::memory_order_relaxed);
+  merged.expiries = expiries;
+  merged.periodic_fires = fired_laps;
   merged.stop_calls = client_stops_.load(std::memory_order_relaxed);
   merged.dispatch_batches = dispatch_batches_.load(std::memory_order_relaxed);
   merged.dispatch_steals = dispatch_steals_.load(std::memory_order_relaxed);

@@ -88,6 +88,8 @@ class ShardedWheel final : public TimerService {
   // shard's expiries are claimed before any handler runs; a multi-tick batch
   // is re-merged into chronological order (FIFO within a tick) before
   // dispatch outside the locks.
+  // One driver at a time calls PerTickBookkeeping and AdvanceTo (a handler may
+  // call them re-entrantly); the batch buffer is reused across calls.
   std::size_t AdvanceTo(Tick target) final;
   // Minimum of the shards' hints, folding in each shard's pending-submission
   // deadline minimum, so a hint taken after a completed
@@ -99,10 +101,16 @@ class ShardedWheel final : public TimerService {
   std::optional<Tick> NextExpiryHint() const final;
   bool FastForward(Tick target) final;
   Tick now() const final { return now_.load(std::memory_order_relaxed); }
+  // Started minus {fired, cancelled}, summed over the shards' counters; timers
+  // whose start command has not drained yet count (the client holds a live
+  // handle for them). Read while producers and drainers run, it may count a
+  // timer that is just ending but never goes negative (see
+  // ShardSubmitQueue::starts).
   std::size_t outstanding() const final;
   // Snapshot merged across shards; by value so nothing shared escapes the locks.
-  // Client-view counts (see the atomics below) plus the submission counters
+  // Client-view counts (see the counters below) plus the submission counters
   // (enqueued_starts, drained_commands, submit_retries, restart_coalesced).
+  // start_calls never decreases between two reads.
   metrics::OpCounts counts() const final;
   std::string_view name() const final { return "scheme6-sharded-mpsc"; }
   void set_expiry_handler(ExpiryHandler handler) final;
@@ -213,6 +221,13 @@ class ShardedWheel final : public TimerService {
     // Delivery-order bookkeeping; written under dispatch rights only.
     std::uint64_t dispatched_seq = 0;
     Tick last_dispatched_when = 0;
+    // Client-view deliveries claimed by this shard's step, written under
+    // `mutex` only: final fires (one-shots and final periodic laps) and
+    // non-final laps. The inner wheel's own expiries also count ghost fires
+    // (a cancelled timer whose prompt removal lost the race to its own
+    // expiry), which the claim suppresses; these count what the client got.
+    std::uint64_t expiries = 0;
+    std::uint64_t fired_laps = 0;
 
     ~Shard();  // frees batches left on the stack (defensive; Stop() drains)
   };
@@ -229,33 +244,26 @@ class ShardedWheel final : public TimerService {
   void StepShard(Shard& shard, Tick target,
                  std::vector<std::pair<RequestId, Tick>>& fires);
   std::size_t Dispatch(const std::vector<std::pair<RequestId, Tick>>& fires);
+  // StartTimer (period 0) and StartPeriodic (period = interval).
+  StartResult Submit(Duration interval, RequestId request_id, Duration period,
+                     std::uint64_t repeat_for);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> next_shard_{0};
   std::atomic<Tick> now_{0};
-  // Started minus {fired, cancelled}, maintained without locks.
-  std::atomic<std::uint64_t> live_{0};
-  // Client-level StartTimer invocations (including rejects). The inner wheels
-  // count start_calls only at drain, and a cancelled-before-drain start never
-  // reaches them, so counts() reports this instead.
-  std::atomic<std::uint64_t> client_starts_{0};
-  // Committed (kOk) RestartTimer calls; the client-level analogue of
-  // restart_calls (inner wheels only see the drained relinks).
+  // AdvanceTo's batch of claimed fires, kept between calls so a warm tick
+  // allocates nothing. A call moves it out for its whole run, so a handler's
+  // nested AdvanceTo finds it empty and builds its own.
+  std::vector<std::pair<RequestId, Tick>> fires_;
+  // The client's view of the routines that the inner wheels see only at drain
+  // (or not at all, for a timer cancelled before its start drained). Starts,
+  // final fires and committed cancels are counted per shard (the submission
+  // queue and Shard::expiries) and summed on read; these are the rest:
+  // committed (kOk) RestartTimer calls, accepted StartPeriodic calls, and
+  // every StopTimer attempt — the semantics a single-threaded scheme gives
+  // those fields.
   std::atomic<std::uint64_t> client_restarts_{0};
-  // Successful client StartPeriodic calls (the inner wheels count
-  // periodic_starts only at drain).
   std::atomic<std::uint64_t> client_periodic_starts_{0};
-  // Client-visible deliveries and stop attempts. The inner wheels' expiries
-  // include suppressed ghost fires (a cancelled timer whose prompt removal lost
-  // the race to its own expiry), and their stop_calls only count drained
-  // removal commands, so a counts() snapshot built from inner totals cannot
-  // satisfy the conservation law under concurrent drainers. These count
-  // at the claim / submit commit points instead: client_expiries_ on
-  // kDeliverFinal (one-shot fires and final periodic laps), client_fired_laps_
-  // on kDeliver (non-final laps), client_stops_ on every StopTimer attempt —
-  // the semantics a single-threaded scheme gives those fields.
-  std::atomic<std::uint64_t> client_expiries_{0};
-  std::atomic<std::uint64_t> client_fired_laps_{0};
   std::atomic<std::uint64_t> client_stops_{0};
   // DispatchPool accounting (see OpCounts::dispatch_batches/dispatch_steals).
   std::atomic<std::uint64_t> dispatch_batches_{0};

@@ -153,28 +153,22 @@ class ShardSubmitQueue {
 
   // Mint a handle and enqueue the start command. `deadline` is the absolute
   // expiry tick captured by the caller (now + interval). The returned handle's
-  // slot is the *local* entry index; the wheel ORs in its shard bits.
-  StartResult SubmitStart(RequestId client_id, Tick deadline) {
-    return StartCommon(client_id, deadline, /*period=*/0, /*repeats=*/0);
-  }
-
-  // Periodic variant: the first fire is at `deadline`, subsequent fires every
-  // `period` ticks, `repeats` times in total (0 = forever). The entry's word
-  // carries the sticky periodic bit from publish on; the cadence and budget
-  // travel in entry fields written before the publish.
-  StartResult SubmitStartPeriodic(RequestId client_id, Tick deadline,
-                                  Duration period, std::uint64_t repeats) {
-    return StartCommon(client_id, deadline, period, repeats);
-  }
-
- private:
-  StartResult StartCommon(RequestId client_id, Tick deadline, Duration period,
-                          std::uint64_t repeats) {
+  // slot is the *local* entry index; the wheel ORs in its shard bits. A
+  // nonzero `period` starts a periodic: the first fire is at `deadline`,
+  // subsequent fires every `period` ticks, `repeats` times in total (0 =
+  // forever). Its entry's word carries the sticky periodic bit from publish
+  // on; the cadence and budget travel in entry fields written before the
+  // publish.
+  StartResult SubmitStart(RequestId client_id, Tick deadline, Duration period = 0,
+                          std::uint64_t repeats = 0) {
+    // Counted before the entry is published (see starts()).
+    starts_.fetch_add(1, std::memory_order_relaxed);
     std::uint64_t retries = 0;
     std::uint32_t index;
     while (!AllocEntry(&index, &retries)) {
       if (policy_ == SubmitPolicy::kReject) {
         FlushRetries(retries);
+        refused_starts_.fetch_add(1, std::memory_order_release);
         return TimerError::kNoCapacity;
       }
       std::this_thread::yield();  // kSpin: wait for the drainer to reclaim
@@ -202,14 +196,20 @@ class ShardSubmitQueue {
                        std::memory_order_release);
       FreeEntry(index);
       FlushRetries(retries);
+      refused_starts_.fetch_add(1, std::memory_order_release);
       return TimerError::kNoCapacity;
     }
-    enqueued_starts_.fetch_add(1, std::memory_order_relaxed);
     FlushRetries(retries);
     return TimerHandle{index, generation};
   }
 
- public:
+  // A start the wheel refused before it reached the queue (a zero interval, or
+  // a deadline past the end of Tick): counted as a start and as a refusal.
+  void CountRefusedStart() {
+    starts_.fetch_add(1, std::memory_order_relaxed);
+    refused_starts_.fetch_add(1, std::memory_order_release);
+  }
+
   // Commit a cancel (one CAS on the word) and enqueue the removal command.
   // Returns kOk iff this call won the timer — i.e. the timer can no longer
   // fire. The command enqueue is best-effort under kReject (lazy reclamation
@@ -242,6 +242,7 @@ class ShardSubmitQueue {
       if (entry.word.compare_exchange_weak(
               word, (word & kStickyMask) | Pack(generation, desired),
               std::memory_order_acq_rel, std::memory_order_acquire)) {
+        committed_cancels_.fetch_add(1, std::memory_order_release);
         break;
       }
       submit_retries_.fetch_add(1, std::memory_order_relaxed);
@@ -517,8 +518,20 @@ class ShardSubmitQueue {
 
   // ---- Accounting ----------------------------------------------------------
 
-  std::uint64_t enqueued_starts() const {
-    return enqueued_starts_.load(std::memory_order_relaxed);
+  // Starts this shard was handed, refused ones included. Each is counted before
+  // its entry is published, and each end of a timer is counted with release
+  // order after it (a refusal on the starting thread, a committed cancel after
+  // its CAS, a final fire after the drain that read the published command). So
+  // a reader that loads refused_starts() and committed_cancels() (acquire) and
+  // the shard's fire count (under the shard mutex) before starts() never sees
+  // a timer end before it started: starts minus ends cannot underflow.
+  std::uint64_t starts() const { return starts_.load(std::memory_order_relaxed); }
+  std::uint64_t refused_starts() const {
+    return refused_starts_.load(std::memory_order_acquire);
+  }
+  // Cancels whose CAS committed (StopTimer returned kOk).
+  std::uint64_t committed_cancels() const {
+    return committed_cancels_.load(std::memory_order_acquire);
   }
   std::uint64_t coalesced_restarts() const {
     return coalesced_restarts_.load(std::memory_order_relaxed);
@@ -878,7 +891,9 @@ class ShardSubmitQueue {
   alignas(64) std::atomic<Tick> earliest_pending_{kNoPending};
   MpscRing<Command> ring_;
 
-  std::atomic<std::uint64_t> enqueued_starts_{0};
+  std::atomic<std::uint64_t> starts_{0};
+  std::atomic<std::uint64_t> refused_starts_{0};
+  std::atomic<std::uint64_t> committed_cancels_{0};
   std::atomic<std::uint64_t> coalesced_restarts_{0};
   std::atomic<std::uint64_t> drained_commands_{0};
   std::atomic<std::uint64_t> submit_retries_{0};

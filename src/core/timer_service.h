@@ -36,6 +36,7 @@
 #include <limits>
 #include <optional>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "src/base/assert.h"
@@ -428,10 +429,18 @@ class TimerServiceBase : public TimerService {
     return requires(const Scheme& scheme) { scheme.NextVisit(); };
   }
 
-  // The hops of AdvanceTo and FastForward (see the class comment). A member
+  // Whether the scheme keeps NextVisit as its NextExpiryHint: it does not
+  // declare its own (an inherited member's address has the base's type).
+  static constexpr bool HintIsNextVisit() {
+    return std::is_same_v<decltype(&Scheme::NextExpiryHint),
+                          std::optional<Tick> (TimerServiceBase::*)() const>;
+  }
+
+  // The hops of AdvanceTo and FastForward (see the class comment), starting
+  // from `next`, the scheme's NextVisit at the current now_. A member
   // template, so it is compiled only for schemes that hop.
   template <bool kCountTicks>
-  std::size_t HopTo(Tick target);
+  std::size_t HopTo(Tick target, std::optional<Tick> next);
 
   // Allocate and pre-fill a hot/cold record pair; nullptr when the arena is full.
   // The arena placement-news both records fresh, so a recycled slot cannot
@@ -570,7 +579,7 @@ std::size_t TimerServiceBase<Scheme>::AdvanceTo(Tick target) {
   if constexpr (Hops()) {
     TWHEEL_ASSERT_MSG(target >= now_, "AdvanceTo target is in the past");
     ++counts_.batch_advances;
-    return HopTo</*kCountTicks=*/true>(target);
+    return HopTo</*kCountTicks=*/true>(target, self().NextVisit());
   } else {
     return TimerService::AdvanceTo(target);
   }
@@ -585,8 +594,10 @@ bool TimerServiceBase<Scheme>::FastForward(Tick target) {
                       "FastForward would skip an expiry");
     // "The hardware intercepts all clock ticks": the ticks crossed are not
     // counted. Visits on the way still run (Scheme 6 decrements rounds, Scheme
-    // 7 migrates), and by the precondition none of them fires.
-    const std::size_t fired = HopTo</*kCountTicks=*/false>(target);
+    // 7 migrates), and by the precondition none of them fires. Where the hint
+    // is NextVisit, the value just read is the walk's first hop.
+    const std::size_t fired = HopTo</*kCountTicks=*/false>(
+        target, HintIsNextVisit() ? next : self().NextVisit());
     TWHEEL_ASSERT_MSG(fired == 0, "FastForward dispatched an expiry");
     return true;
   } else {
@@ -605,12 +616,9 @@ std::optional<Tick> TimerServiceBase<Scheme>::NextExpiryHint() const {
 
 template <typename Scheme>
 template <bool kCountTicks>
-std::size_t TimerServiceBase<Scheme>::HopTo(Tick target) {
+std::size_t TimerServiceBase<Scheme>::HopTo(Tick target, std::optional<Tick> next) {
   std::size_t expired = 0;
   while (now_ < target) {
-    // Re-read after every visit: a handler's start may file a visit inside the
-    // remaining span.
-    const std::optional<Tick> next = self().NextVisit();
     TWHEEL_ASSERT(!next.has_value() || *next > now_);
     const bool visit = next.has_value() && *next <= target;
     const Tick stop = visit ? *next : target;
@@ -621,6 +629,9 @@ std::size_t TimerServiceBase<Scheme>::HopTo(Tick target) {
     now_ = stop;
     if (visit) {
       expired += self().Visit();
+      // Re-read after every visit: a handler's start may file a visit inside
+      // the remaining span.
+      next = self().NextVisit();
     }
   }
   return expired;

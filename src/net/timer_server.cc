@@ -1,5 +1,7 @@
 #include "src/net/timer_server.h"
 
+#include <algorithm>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -16,36 +18,128 @@ TimerServer::TimerServer(std::unique_ptr<TimerService> host, Channel& to_client)
 
 TimerServer::~TimerServer() { StopDispatchPool(); }
 
+namespace {
+
+// An interval as a Registration::span: saturated to 32 bits, which only makes
+// a lazy restart rarer.
+std::uint32_t SpanOf(Duration interval) {
+  return static_cast<std::uint32_t>(
+      std::min<Duration>(interval, std::numeric_limits<std::uint32_t>::max()));
+}
+
+}  // namespace
+
+TimerServer::Stopped TimerServer::StopRegistration(Stripe& stripe,
+                                                   const Registration& reg) {
+  if (host_->StopTimer(reg.handle) == TimerError::kOk) {
+    stripe.armed.Free(reg.armed);
+    return Stopped::kCancelled;
+  }
+  if (!reg.checkin) {
+    // The host already claimed the final fire: its expiry record stays until
+    // that fire is delivered, and the fire resolves the timer.
+    return Stopped::kMissed;
+  }
+  // The host claimed a check-in, which is not an expiry: the timer is due at
+  // its recorded deadline. The expiry record goes either way, so the check-in
+  // is dropped when it is delivered.
+  stripe.armed.Free(reg.armed);
+  return reg.deadline > host_->now() ? Stopped::kCancelled : Stopped::kFireOwed;
+}
+
 void TimerServer::Register(RequestId cookie, const Packet& request) {
   Stripe& stripe = StripeFor(cookie);
-  std::lock_guard<std::mutex> lock(stripe.mutex);
-  auto [reg, inserted] = stripe.timers.FindOrInsert(cookie);
-  // Cancel-and-replace: a duplicate set (client retry, or reuse of a timer
-  // name whose fire callback was lost) supersedes the live registration. If
-  // the stop misses, the host already claimed the old timer's final fire, and
-  // its expiry record stays until that fire is delivered.
-  if (!inserted && host_->StopTimer(reg->handle) == TimerError::kOk) {
-    ++stripe.stats.replaced;
-    stripe.armed.Free(reg->armed);
-  }
-  const bool periodic = request.type == PacketType::kTimerSetPeriodic;
-  const Duration interval = static_cast<Duration>(request.arg0);
-  const SlabRef ref =
-      stripe.armed.Allocate(Armed{cookie, periodic ? request.arg1 : 1}).second;
-  if (ref.valid()) {
-    const RequestId id = ArmedId(stripe, ref);
-    StartResult started =
-        periodic ? host_->StartPeriodic(interval, id, request.arg1)
-                 : host_->StartTimer(interval, id);
-    if (started.has_value()) {
-      *reg = Registration{started.value(), ref};
-      ++(periodic ? stripe.stats.periodic_sets : stripe.stats.sets);
-      return;
+  bool fire_owed = false;
+  twheel::Tick owed_at = 0;
+  {
+    std::lock_guard<std::mutex> lock(stripe.mutex);
+    auto [reg, inserted] = stripe.timers.FindOrInsert(cookie);
+    // Cancel-and-replace: a duplicate set (client retry, or reuse of a timer
+    // name whose fire callback was lost) supersedes the live registration,
+    // which ends as StopRegistration says.
+    if (!inserted) {
+      switch (StopRegistration(stripe, *reg)) {
+        case Stopped::kCancelled:
+          ++stripe.stats.replaced;
+          break;
+        case Stopped::kMissed:
+          break;
+        case Stopped::kFireOwed:
+          ++stripe.stats.fires_sent;
+          fire_owed = true;
+          owed_at = reg->deadline;
+          break;
+      }
     }
-    stripe.armed.Free(ref);
+    const bool periodic = request.type == PacketType::kTimerSetPeriodic;
+    const Duration interval = static_cast<Duration>(request.arg0);
+    const SlabRef ref =
+        stripe.armed.Allocate(Armed{cookie, periodic ? request.arg1 : 1}).second;
+    bool accepted = false;
+    if (ref.valid()) {
+      const RequestId id = ArmedId(stripe, ref);
+      // A periodic keeps no deadline and a span of 0: it is never restarted
+      // lazily.
+      const twheel::Tick deadline = periodic ? 0 : host_->now() + interval;
+      const StartResult started = periodic
+                                      ? host_->StartPeriodic(interval, id, request.arg1)
+                                      : host_->StartTimer(interval, id);
+      if (started.has_value()) {
+        *reg = Registration{started.value(), ref, deadline,
+                            periodic ? 0 : SpanOf(interval), /*checkin=*/false};
+        ++(periodic ? stripe.stats.periodic_sets : stripe.stats.sets);
+        accepted = true;
+      } else {
+        stripe.armed.Free(ref);
+      }
+    }
+    if (!accepted) {
+      ++stripe.stats.rejected;
+      stripe.timers.EraseAt(reg);
+    }
   }
-  ++stripe.stats.rejected;
-  stripe.timers.EraseAt(reg);
+  if (fire_owed) {
+    SendFire(cookie, owed_at);
+  }
+}
+
+bool TimerServer::Restart(Registration& reg, Duration interval) {
+  // The relink contract keeps the handle valid, so the table entry keeps it;
+  // a periodic's cadence and budget continue from the moved deadline
+  // (TimerService::RestartTimer doc).
+  if (reg.span == 0) {
+    return host_->RestartTimer(reg.handle, interval) == TimerError::kOk;
+  }
+  const twheel::Tick now = host_->now();
+  // A deadline past the end of Tick is for the host to refuse.
+  const bool fits = interval <= std::numeric_limits<twheel::Tick>::max() - now;
+  // Lazy: a one-shot not yet due, moved no earlier (so not by 0), by an
+  // interval the host already accepted for it. Its host timer checks in at
+  // the old deadline.
+  if (fits && interval <= reg.span && reg.deadline > now &&
+      now + interval >= reg.deadline) {
+    reg.checkin = reg.checkin || now + interval != reg.deadline;
+    reg.deadline = now + interval;
+    return true;
+  }
+  switch (host_->RestartTimer(reg.handle, interval)) {
+    case TimerError::kOk:
+      reg.deadline = now + interval;
+      reg.checkin = false;
+      reg.span = std::max(reg.span, SpanOf(interval));
+      return true;
+    case TimerError::kNoSuchTimer:
+      // The host claimed a check-in that is not delivered yet. The timer is
+      // due at its recorded deadline; until then the restart moves it, and
+      // the check-in re-arms (or fires) at the new deadline.
+      if (fits && reg.checkin && reg.deadline > now) {
+        reg.deadline = now + interval;
+        return true;
+      }
+      return false;
+    default:
+      return false;
+  }
 }
 
 void TimerServer::OnRequest(const Packet& request) {
@@ -58,12 +152,8 @@ void TimerServer::OnRequest(const Packet& request) {
     case PacketType::kTimerRestart: {
       Stripe& stripe = StripeFor(cookie);
       std::lock_guard<std::mutex> lock(stripe.mutex);
-      const Registration* reg = stripe.timers.Find(cookie);
-      // The relink contract keeps the handle valid, so the table entry is
-      // untouched; the periodic's cadence and budget continue from the moved
-      // deadline (TimerService::RestartTimer doc).
-      const Duration interval = static_cast<Duration>(request.arg0);
-      if (reg != nullptr && host_->RestartTimer(reg->handle, interval) == TimerError::kOk) {
+      Registration* reg = stripe.timers.Find(cookie);
+      if (reg != nullptr && Restart(*reg, static_cast<Duration>(request.arg0))) {
         ++stripe.stats.restarts;
       } else {
         ++stripe.stats.restart_misses;
@@ -72,16 +162,26 @@ void TimerServer::OnRequest(const Packet& request) {
     }
     case PacketType::kTimerCancel: {
       Stripe& stripe = StripeFor(cookie);
-      std::lock_guard<std::mutex> lock(stripe.mutex);
-      const std::optional<Registration> reg = stripe.timers.Take(cookie);
-      if (reg.has_value() && host_->StopTimer(reg->handle) == TimerError::kOk) {
-        ++stripe.stats.cancels;
-        stripe.armed.Free(reg->armed);
-      } else {
-        // Unknown, or the host already claimed the final fire: that fire
-        // stays armed and resolves the timer when it is delivered.
+      twheel::Tick owed_at = 0;
+      {
+        std::lock_guard<std::mutex> lock(stripe.mutex);
+        const std::optional<Registration> reg = stripe.timers.Take(cookie);
+        const Stopped stopped =
+            reg.has_value() ? StopRegistration(stripe, *reg) : Stopped::kMissed;
+        if (stopped == Stopped::kCancelled) {
+          ++stripe.stats.cancels;
+          return;
+        }
+        // Unknown, or the host already claimed the timer's fire: a final fire
+        // resolves the timer when it is delivered, an owed one is sent here.
         ++stripe.stats.cancel_misses;
+        if (stopped == Stopped::kMissed) {
+          return;
+        }
+        ++stripe.stats.fires_sent;
+        owed_at = reg->deadline;
       }
+      SendFire(cookie, owed_at);
       return;
     }
     default:
@@ -99,15 +199,18 @@ bool TimerServer::OnWire(const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
-void TimerServer::OnExpiry(RequestId id, twheel::Tick now) {
+void TimerServer::OnExpiry(RequestId id, twheel::Tick when) {
   RequestId cookie = 0;
+  twheel::Tick fired_at = when;
   {
     Stripe& stripe = stripes_[id & (kStripes - 1)];
     const SlabRef ref = ArmedRef(id);
     std::lock_guard<std::mutex> lock(stripe.mutex);
     Armed* armed = stripe.armed.Get(ref);
     if (armed == nullptr) {
-      return;  // a lap claimed before a committed stop; the stop resolved it
+      // A lap claimed before a committed stop, or a check-in claimed before a
+      // cancel or set; that request resolved it.
+      return;
     }
     cookie = armed->cookie;
     if (armed->remaining == TimerService::kRepeatForever || armed->remaining > 1) {
@@ -116,23 +219,50 @@ void TimerServer::OnExpiry(RequestId id, twheel::Tick now) {
       }
       ++stripe.stats.periodic_laps;
     } else {
-      stripe.armed.Free(ref);
       // The cookie names a newer registration, or none, if a stop missed
       // because this fire was already claimed.
-      if (const Registration* reg = stripe.timers.Find(cookie);
-          reg != nullptr && reg->armed == ref) {
+      Registration* reg = stripe.timers.Find(cookie);
+      if (reg != nullptr && reg->armed != ref) {
+        reg = nullptr;
+      }
+      if (reg != nullptr && reg->checkin && reg->deadline > when) {
+        // A check-in: a lazy restart moved the deadline past this fire.
+        ++stripe.stats.checkins;
+        const twheel::Tick now = host_->now();
+        if (reg->deadline > now) {
+          const StartResult rearmed = host_->StartTimer(reg->deadline - now, id);
+          if (rearmed.has_value()) {
+            reg->handle = rearmed.value();
+            reg->checkin = false;
+            return;
+          }
+          ++stripe.stats.rejected;
+          stripe.armed.Free(ref);
+          stripe.timers.EraseAt(reg);
+          return;
+        }
+        // A batched advance already crossed the recorded deadline.
+        fired_at = reg->deadline;
+      }
+      stripe.armed.Free(ref);
+      if (reg != nullptr) {
         stripe.timers.EraseAt(reg);
       }
     }
     ++stripe.stats.fires_sent;
   }
-  // Build and send outside the stripe lock: the send mutex alone serializes
-  // concurrent drainers into the single-threaded Channel.
+  SendFire(cookie, fired_at);
+}
+
+void TimerServer::SendFire(RequestId cookie, twheel::Tick at) {
+  // Built and sent outside the stripe lock: the send mutex alone serializes
+  // concurrent drainers (and a request that owes a fire) into the
+  // single-threaded Channel.
   Packet fire;
   fire.connection_id = CookieSession(cookie);
   fire.seq = CookieTimer(cookie);
   fire.type = PacketType::kTimerFire;
-  fire.arg0 = now;
+  fire.arg0 = at;
   std::lock_guard<std::mutex> lock(send_mutex_);
   to_client_.Send(fire);
 }

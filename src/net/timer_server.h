@@ -41,6 +41,50 @@
 // that fire as fired, so every accepted set ends as exactly one of fired,
 // cancelled or replaced. A periodic lap claimed before a committed stop finds
 // its expiry record freed and is dropped.
+//
+// Restarts. Section 2's retransmission timer is restarted by nearly every ACK
+// and almost never expires, so a kTimerRestart of a live one-shot is lazy when
+// it can be: if the new deadline (now() + interval) is no earlier than the one
+// recorded for the registration, the interval is no longer than one the host
+// already accepted for it, and the recorded deadline is still ahead of now(),
+// the server only records the new deadline, under the stripe mutex the request
+// holds, and makes no host call. The host timer then fires at its old deadline
+// as a *check-in*: OnExpiry re-arms it with StartTimer(recorded - now()),
+// keeping the same expiry record and storing the new handle on the
+// registration, and sends nothing. If the host's clock already reached the
+// recorded deadline (a batched advance crossed both), the check-in sends the
+// fire at once with arg0 = the recorded deadline. Restarts to an earlier
+// deadline or by a longer interval, restarts of periodics, cancels and
+// replacing sets call the host as before. A check-in is counted in
+// stats().checkins.
+//
+// A claimed check-in is not an expiry. A cancel, replacing set or restart that
+// finds its host timer spent because a check-in was claimed and not yet
+// delivered (a DispatchPool split) resolves against the recorded deadline:
+// while it is ahead of now(), the cancel or set wins (the expiry record is
+// freed, so the check-in is dropped on delivery) and the restart records its
+// deadline; once now() reached it, the fire wins: a cancel or set sends it
+// itself with arg0 = the recorded deadline, and a restart misses. If the host
+// refuses a check-in's re-arm (capacity), the timer is dropped: the
+// registration and its expiry record go, nothing is sent, and the refusal is
+// counted in both checkins and rejected. (A check-in starts a host timer from
+// inside the expiry handler, so a ShardedWheel host should refuse rather than
+// wait: under SubmitPolicy::kSpin a full ring would make the handler wait for
+// a drain that only its own thread can run.) So every accepted set ends
+// exactly once — fired, cancelled, replaced, or refused at a check-in:
+//
+//   sets + periodic_sets == cancels + replaced + (fires_sent - periodic_laps)
+//                           + check-ins refused
+//
+// Never early. A fire's arg0 is never before the deadline the client last
+// set, and the host had reached tick arg0 when the fire was sent. Without a
+// DispatchPool arg0 is exactly that deadline, through Tick() or a batched
+// AdvanceTo alike. Under a pool a drainer may deliver a check-in after its
+// shard has already advanced past the recorded deadline; the re-armed timer
+// then fires at the shard's next step, late, and its arg0 says so. Inside one
+// multi-tick ShardedWheel batch the fires go out in host tick order, and a
+// check-in that fires at once carries its recorded deadline at its
+// check-in's place, so arg0 need not be non-decreasing within a batch.
 
 #ifndef TWHEEL_SRC_NET_TIMER_SERVER_H_
 #define TWHEEL_SRC_NET_TIMER_SERVER_H_
@@ -88,6 +132,8 @@ constexpr std::uint32_t CookieTimer(RequestId cookie) {
   X(cancel_misses)  /* kTimerCancel for an unknown timer */                   \
   X(fires_sent)     /* kTimerFire callbacks handed to the channel */          \
   X(periodic_laps)  /* fires that left the registration armed */              \
+  X(checkins)       /* host fires at a lazily restarted one-shot's old     */ \
+                    /* deadline: re-armed, fired, or refused (see above)   */ \
   X(decode_rejects) /* OnWire buffers that failed DecodePacket */
 
 struct TimerServerStats {
@@ -155,6 +201,16 @@ class TimerServer {
   struct Registration {
     TimerHandle handle;
     SlabRef armed;  // its expiry record in the stripe's slab
+    // One-shots: the deadline the client last asked for. The host timer may
+    // be armed earlier (see `checkin`), never later. 0 for a periodic.
+    twheel::Tick deadline = 0;
+    // The longest interval the host accepted for this one-shot, saturated to
+    // 32 bits; a restart by no more than this may be lazy. 0 for a periodic,
+    // which is never restarted lazily.
+    std::uint32_t span = 0;
+    // The host timer is armed earlier than `deadline` and will fire as a
+    // check-in.
+    bool checkin = false;
   };
   // The expiry side of a registration. It outlives the Registration when a
   // stop misses, until the fire the host already claimed is delivered.
@@ -203,8 +259,24 @@ class TimerServer {
                    static_cast<std::uint32_t>(id >> 32)};
   }
 
-  void OnExpiry(RequestId id, twheel::Tick now);
+  // How StopRegistration ended a registration's host timer.
+  enum class Stopped : std::uint8_t {
+    kCancelled,  // the registration never fires
+    kMissed,     // the host claimed its final fire, which resolves it on delivery
+    kFireOwed,   // its recorded deadline passed while a check-in was claimed:
+                 // the caller sends the fire
+  };
+
+  void OnExpiry(RequestId id, twheel::Tick when);
   void Register(RequestId cookie, const Packet& request);
+  // A kTimerRestart of a live registration, under its stripe's mutex; false
+  // is a miss.
+  bool Restart(Registration& reg, Duration interval);
+  // Stops `reg`'s host timer for a cancel or a replacing set, under its
+  // stripe's mutex, freeing its expiry record unless a claimed final fire
+  // still needs it (see the file comment).
+  Stopped StopRegistration(Stripe& stripe, const Registration& reg);
+  void SendFire(RequestId cookie, twheel::Tick at);
 
   std::unique_ptr<TimerService> host_;
   Channel& to_client_;

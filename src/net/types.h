@@ -29,7 +29,8 @@ enum class PacketType : std::uint8_t {
   kTimerSetPeriodic,  // arg0 = interval, arg1 = repeat_for (0 = forever)
   kTimerRestart,      // arg0 = new interval
   kTimerCancel,
-  kTimerFire,  // server -> client callback; arg0 = server tick at dispatch
+  kTimerFire,  // server -> client callback; arg0 = the tick the timer fired
+               //   at (timer_server.h, "Never early")
   // Replication protocol (src/cluster/): the coordinator fans a client timer
   // out to R replicas; the rank-0 replica owns the pop and survivors take the
   // lease over rank by rank after `failover_delay` (DESIGN.md "Replication

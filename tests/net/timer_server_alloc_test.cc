@@ -14,6 +14,7 @@
 #include <new>
 #include <vector>
 
+#include "src/concurrent/sharded_wheel.h"
 #include "src/core/timer_facility.h"
 #include "src/net/channel.h"
 #include "src/net/timer_server.h"
@@ -126,6 +127,67 @@ TEST(TimerServerAllocTest, WarmRequestRoundAllocatesNothing) {
   EXPECT_EQ(server.registrations(), 0u);
   EXPECT_EQ(allocations, 0u) << "heap allocations in " << round.size()
                              << " warm requests";
+}
+
+TEST(TimerServerAllocTest, WarmShardedTicksWithCheckInsAllocateNothing) {
+  // The benchmark's server shape: a 2-shard ShardedWheel of 1024 slots with
+  // rings and tables of 2048 under kReject, and a lossless one-tick reply
+  // channel. Every session's timer is restarted lazily every 8 ticks, so its
+  // host timer checks in and re-arms every 64 ticks or so; every 16th session
+  // is never restarted, fires, and is set again by the reply's receiver.
+  FacilityConfig network_clock;
+  network_clock.scheme = SchemeId::kScheme3Heap;
+  sim::Simulator network(MakeTimerService(network_clock));
+  Channel downlink(network, /*seed=*/1,
+                   ChannelConfig{.loss_probability = 0.0, .delay_lo = 1,
+                                 .delay_hi = 1});
+  concurrent::SubmitOptions submit;
+  submit.ring_capacity = 2048;
+  submit.registration_capacity = 2048;
+  submit.on_full = concurrent::SubmitPolicy::kReject;
+  TimerServer server(std::make_unique<concurrent::ShardedWheel>(2, 1024, submit),
+                     downlink);
+
+  constexpr std::uint32_t kSessions = 1024;
+  constexpr std::uint64_t kInterval = 64;
+  std::uint64_t fires = 0;
+  downlink.set_receiver([&](const Packet& fire) {
+    ++fires;
+    const auto set = Encoded(PacketType::kTimerSet, fire.connection_id, kInterval);
+    server.OnWire(set.data(), set.size());
+  });
+  for (std::uint32_t s = 0; s < kSessions; ++s) {
+    const auto set = Encoded(PacketType::kTimerSet, s, kInterval);
+    server.OnWire(set.data(), set.size());
+  }
+  std::uint64_t tick = 0;
+  const auto run_ticks = [&](int ticks) {
+    for (int i = 0; i < ticks; ++i, ++tick) {
+      for (std::uint32_t s = static_cast<std::uint32_t>(tick % 8); s < kSessions; s += 8) {
+        if (s % 16 != 15) {
+          const auto restart = Encoded(PacketType::kTimerRestart, s, kInterval);
+          server.OnWire(restart.data(), restart.size());
+        }
+      }
+      server.Tick();
+      network.Step();
+    }
+  };
+
+  run_ticks(1000);  // warm-up: tables, arenas, rings and batch buffers grow
+  const TimerServerStats before = server.stats();
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  run_ticks(1000);
+  g_counting.store(false, std::memory_order_relaxed);
+  const std::uint64_t allocations = g_allocations.load(std::memory_order_relaxed);
+
+  const TimerServerStats after = server.stats();
+  EXPECT_GT(after.checkins - before.checkins, 10000u);
+  EXPECT_GT(after.fires_sent - before.fires_sent, 500u);
+  EXPECT_EQ(after.rejected + after.restart_misses, 0u);
+  EXPECT_EQ(fires, after.fires_sent);
+  EXPECT_EQ(allocations, 0u) << "heap allocations in 1000 warm ticks";
 }
 
 }  // namespace

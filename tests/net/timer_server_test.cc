@@ -1,14 +1,18 @@
 // The networked timer server: protocol semantics over scripted packets, the
 // lossless end-to-end conservation law, loss tolerance, cross-scheme
-// determinism, and the primed large-population path.
+// determinism, the primed large-population path, and lazy restarts with the
+// check-ins that resolve them.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <ostream>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/concurrent/sharded_wheel.h"
@@ -33,12 +37,14 @@ FacilityConfig HostScheme(SchemeId id) {
 // with the host and network clocks stepped in lockstep.
 struct ServerRig {
   explicit ServerRig(SchemeId scheme = SchemeId::kScheme6HashedUnsorted)
+      : ServerRig(MakeTimerService(HostScheme(scheme))) {}
+  explicit ServerRig(std::unique_ptr<TimerService> host)
       : network(std::make_unique<sim::Simulator>(
             MakeTimerService(HostScheme(SchemeId::kScheme3Heap)))),
         downlink(*network, /*seed=*/1,
                  ChannelConfig{.loss_probability = 0.0, .delay_lo = 1,
                                .delay_hi = 1}),
-        server(MakeTimerService(HostScheme(scheme)), downlink) {
+        server(std::move(host), downlink) {
     downlink.set_receiver(
         [this](const Packet& p) { callbacks.push_back(p); });
   }
@@ -48,6 +54,11 @@ struct ServerRig {
       server.Tick();
       network->Step();
     }
+  }
+  // One batched advance, then the network step that delivers its callbacks.
+  void AdvanceTo(twheel::Tick target) {
+    server.AdvanceTo(target);
+    network->Step();
   }
 
   static Packet Request(PacketType type, std::uint32_t session,
@@ -402,20 +413,21 @@ void ExpectEachSetResolvedOnce(const TimerServerStats& s) {
 // lands where a drainer's claim and its delivery are split by the request
 // thread.
 struct ClaimRaceRig {
-  ClaimRaceRig()
+  // `capacity` sizes the host's command ring and registration table.
+  explicit ClaimRaceRig(std::size_t capacity = 64)
       : network(MakeTimerService(HostScheme(SchemeId::kScheme3Heap))),
         downlink(network, /*seed=*/1,
                  ChannelConfig{.loss_probability = 0.0, .delay_lo = 1,
                                .delay_hi = 1}),
-        server(MakeHost(&wheel), downlink) {
+        server(MakeHost(&wheel, capacity), downlink) {
     downlink.set_receiver([this](const Packet& p) { callbacks.push_back(p); });
   }
 
   static std::unique_ptr<TimerService> MakeHost(
-      concurrent::ShardedWheel** raw) {
+      concurrent::ShardedWheel** raw, std::size_t capacity) {
     concurrent::SubmitOptions submit;
-    submit.ring_capacity = 64;
-    submit.registration_capacity = 64;
+    submit.ring_capacity = capacity;
+    submit.registration_capacity = capacity;
     submit.on_full = concurrent::SubmitPolicy::kReject;
     auto host = std::make_unique<concurrent::ShardedWheel>(1, 64, submit);
     *raw = host.get();
@@ -522,6 +534,152 @@ TEST(TimerServerPoolTest, CancelAfterLapIsClaimedDropsTheLap) {
   EXPECT_EQ(rig.server.host().outstanding(), 0u);
 }
 
+// --- Lazy restarts: a restart that only records a deadline -----------------
+
+// A one-shot set at tick 0 for 8 ticks, lazily restarted at tick 4 to 12; the
+// ClaimRaceRig cases below then claim its check-in at tick 8.
+void SetAndRestartLazily(ClaimRaceRig& rig) {
+  rig.server.OnRequest(
+      ServerRig::Request(PacketType::kTimerSet, 7, 1, /*interval=*/8));
+  rig.AdvanceTo(4);
+  rig.server.OnRequest(
+      ServerRig::Request(PacketType::kTimerRestart, 7, 1, /*interval=*/8));
+  ASSERT_EQ(rig.server.stats().restarts, 1u);
+  ASSERT_EQ(rig.wheel->counts().restart_calls, 0u) << "the restart called the host";
+}
+
+TEST(TimerServerPoolTest, CancelAfterCheckInIsClaimedCancels) {
+  ClaimRaceRig rig;
+  SetAndRestartLazily(rig);
+  rig.Claim(8);
+  // The claimed fire is a check-in; the timer is due at 12, so the cancel
+  // wins although the host's StopTimer misses.
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerCancel, 7, 1));
+  EXPECT_EQ(rig.server.stats().cancels, 1u);
+  rig.Deliver();
+  rig.AdvanceTo(20);
+  EXPECT_TRUE(rig.callbacks.empty());
+  const TimerServerStats s = rig.server.stats();
+  EXPECT_EQ(s.cancel_misses, 0u);
+  EXPECT_EQ(s.fires_sent, 0u);
+  EXPECT_EQ(s.checkins, 0u) << "a dropped check-in was counted";
+  ExpectEachSetResolvedOnce(s);
+  EXPECT_EQ(rig.server.registrations(), 0u);
+  EXPECT_EQ(rig.server.host().outstanding(), 0u);
+}
+
+TEST(TimerServerPoolTest, ReplacingSetAfterCheckInIsClaimedReplaces) {
+  ClaimRaceRig rig;
+  SetAndRestartLazily(rig);
+  rig.Claim(8);
+  rig.server.OnRequest(
+      ServerRig::Request(PacketType::kTimerSet, 7, 1, /*interval=*/3));
+  EXPECT_EQ(rig.server.stats().replaced, 1u);
+  rig.Deliver();
+  EXPECT_TRUE(rig.callbacks.empty()) << "the claimed check-in fired";
+  rig.AdvanceTo(20);
+  ASSERT_EQ(rig.callbacks.size(), 1u);
+  EXPECT_EQ(rig.callbacks[0].arg0, 11u);  // the new timer's own fire
+  const TimerServerStats s = rig.server.stats();
+  EXPECT_EQ(s.sets, 2u);
+  EXPECT_EQ(s.fires_sent, 1u);
+  ExpectEachSetResolvedOnce(s);
+  EXPECT_EQ(rig.server.registrations(), 0u);
+  EXPECT_EQ(rig.server.host().outstanding(), 0u);
+}
+
+TEST(TimerServerPoolTest, LaterRestartAfterCheckInIsClaimedMovesTheFire) {
+  ClaimRaceRig rig;
+  SetAndRestartLazily(rig);
+  rig.Claim(8);
+  rig.server.OnRequest(
+      ServerRig::Request(PacketType::kTimerRestart, 7, 1, /*interval=*/8));
+  rig.Deliver();  // the check-in re-arms at 16, not at 12
+  EXPECT_TRUE(rig.callbacks.empty());
+  rig.AdvanceTo(15);
+  EXPECT_TRUE(rig.callbacks.empty()) << "fired at a superseded deadline";
+  rig.AdvanceTo(20);
+  ASSERT_EQ(rig.callbacks.size(), 1u);
+  EXPECT_EQ(rig.callbacks[0].arg0, 16u);
+  const TimerServerStats s = rig.server.stats();
+  EXPECT_EQ(s.restarts, 2u);
+  EXPECT_EQ(s.checkins, 1u);
+  ExpectEachSetResolvedOnce(s);
+  EXPECT_EQ(rig.server.registrations(), 0u);
+  EXPECT_EQ(rig.server.host().outstanding(), 0u);
+}
+
+TEST(TimerServerPoolTest, EarlierRestartAfterCheckInIsClaimedMovesTheFire) {
+  ClaimRaceRig rig;
+  SetAndRestartLazily(rig);
+  rig.Claim(8);
+  // Due at 10, before the recorded 12: the host call misses on the claimed
+  // check-in, and the restart resolves against the recorded deadline.
+  rig.server.OnRequest(
+      ServerRig::Request(PacketType::kTimerRestart, 7, 1, /*interval=*/2));
+  EXPECT_EQ(rig.server.stats().restarts, 2u);
+  EXPECT_EQ(rig.server.stats().restart_misses, 0u);
+  rig.Deliver();
+  rig.AdvanceTo(20);
+  ASSERT_EQ(rig.callbacks.size(), 1u);
+  EXPECT_EQ(rig.callbacks[0].arg0, 10u);
+  const TimerServerStats s = rig.server.stats();
+  EXPECT_EQ(s.checkins, 1u);
+  ExpectEachSetResolvedOnce(s);
+  EXPECT_EQ(rig.server.registrations(), 0u);
+  EXPECT_EQ(rig.server.host().outstanding(), 0u);
+}
+
+TEST(TimerServerPoolTest, CancelAfterClaimedCheckInsDeadlinePassedSendsTheFire) {
+  ClaimRaceRig rig;
+  SetAndRestartLazily(rig);
+  rig.Claim(8);
+  // The host's clock reaches the recorded deadline before the check-in is
+  // delivered: the fire wins, and the cancel that finds it sends it.
+  EXPECT_EQ(rig.wheel->AdvanceShard(0, 12), 0u);
+  rig.wheel->CommitNow(12);
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerCancel, 7, 1));
+  EXPECT_EQ(rig.server.stats().cancel_misses, 1u);
+  rig.Deliver();
+  ASSERT_EQ(rig.callbacks.size(), 1u);
+  EXPECT_EQ(rig.callbacks[0].arg0, 12u);
+  rig.AdvanceTo(20);
+  EXPECT_EQ(rig.callbacks.size(), 1u) << "the dropped check-in fired too";
+  const TimerServerStats s = rig.server.stats();
+  EXPECT_EQ(s.cancels, 0u);
+  EXPECT_EQ(s.fires_sent, 1u);
+  ExpectEachSetResolvedOnce(s);
+  EXPECT_EQ(rig.server.registrations(), 0u);
+  EXPECT_EQ(rig.server.host().outstanding(), 0u);
+}
+
+TEST(TimerServerPoolTest, RefusedCheckInReArmDropsTheTimer) {
+  ClaimRaceRig rig(/*capacity=*/2);
+  SetAndRestartLazily(rig);
+  rig.Claim(8);  // frees the timer's host entry
+  // Two more sets take both host entries and both ring cells, so the
+  // check-in's re-arm finds no room.
+  rig.server.OnRequest(
+      ServerRig::Request(PacketType::kTimerSet, 8, 1, /*interval=*/4));
+  rig.server.OnRequest(
+      ServerRig::Request(PacketType::kTimerSet, 9, 1, /*interval=*/4));
+  rig.Deliver();
+  TimerServerStats s = rig.server.stats();
+  EXPECT_EQ(s.checkins, 1u);
+  EXPECT_EQ(s.rejected, 1u);
+  EXPECT_EQ(rig.server.registrations(), 2u) << "the refused timer stayed registered";
+  rig.AdvanceTo(20);
+  ASSERT_EQ(rig.callbacks.size(), 2u);  // only the two later sets fire
+  for (const Packet& fire : rig.callbacks) {
+    EXPECT_NE(fire.connection_id, 7u);
+  }
+  // The resolution law with a refused check-in: it ends the set it belongs to.
+  s = rig.server.stats();
+  EXPECT_EQ(s.sets, s.cancels + s.replaced + (s.fires_sent - s.periodic_laps) + 1);
+  EXPECT_EQ(rig.server.registrations(), 0u);
+  EXPECT_EQ(rig.server.host().outstanding(), 0u);
+}
+
 TEST(TimerServerPoolTest, ConcurrentRequestsConserveEveryRegistration) {
   // A TickerThread drives a 4-drainer pool while this thread sends sets,
   // periodic sets, restarts and cancels over 256 sessions with short
@@ -615,6 +773,130 @@ TEST(TimerServerPoolTest, ConcurrentRequestsConserveEveryRegistration) {
     network.Step();
   }
   EXPECT_EQ(delivered, s.fires_sent);
+}
+
+// The host kinds a lazy restart must behave the same on: list-, heap-, wheel-
+// and hierarchy-based schemes, whose handlers run at the fire's tick inside a
+// batched advance, and a ShardedWheel, which claims a whole batch first and
+// dispatches it after the advance.
+struct LazyHostCase {
+  const char* label;
+  std::unique_ptr<TimerService> (*make)();
+};
+inline void PrintTo(const LazyHostCase& c, std::ostream* os) { *os << c.label; }
+
+std::vector<LazyHostCase> LazyHostCases() {
+  return {
+      {"scheme2",
+       [] { return MakeTimerService(HostScheme(SchemeId::kScheme2SortedFront)); }},
+      {"scheme3", [] { return MakeTimerService(HostScheme(SchemeId::kScheme3Heap)); }},
+      {"scheme6",
+       [] { return MakeTimerService(HostScheme(SchemeId::kScheme6HashedUnsorted)); }},
+      {"scheme7",
+       [] { return MakeTimerService(HostScheme(SchemeId::kScheme7Hierarchical)); }},
+      {"sharded", &ShardedHost},
+  };
+}
+
+class LazyRestartTest : public ::testing::TestWithParam<LazyHostCase> {};
+
+TEST_P(LazyRestartTest, FiresAtTheLastDeadlineUnderTick) {
+  ServerRig rig(GetParam().make());
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerSet, 3, 0, /*interval=*/10));
+  rig.Tick(4);
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerRestart, 3, 0, /*interval=*/10));
+  rig.Tick(3);
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerRestart, 3, 0, /*interval=*/10));
+  EXPECT_EQ(rig.server.stats().restarts, 2u);
+  EXPECT_EQ(rig.server.host().counts().restart_calls, 0u) << "a restart called the host";
+  rig.Tick(3);  // tick 10: the host timer checks in and re-arms for 17
+  EXPECT_TRUE(rig.callbacks.empty());
+  EXPECT_EQ(rig.server.stats().checkins, 1u);
+  rig.Tick(6);
+  EXPECT_TRUE(rig.callbacks.empty()) << "fired before the last deadline";
+  rig.Tick(1);
+  ASSERT_EQ(rig.callbacks.size(), 1u);
+  EXPECT_EQ(rig.callbacks[0].arg0, 17u);
+  rig.Tick(30);
+  EXPECT_EQ(rig.callbacks.size(), 1u);
+  const TimerServerStats s = rig.server.stats();
+  EXPECT_EQ(s.checkins, 1u);
+  ExpectEachSetResolvedOnce(s);
+  EXPECT_EQ(rig.server.registrations(), 0u);
+  EXPECT_EQ(rig.server.host().outstanding(), 0u);
+}
+
+TEST_P(LazyRestartTest, FiresAtTheLastDeadlineUnderOneAdvance) {
+  ServerRig rig(GetParam().make());
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerSet, 3, 0, /*interval=*/10));
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerSet, 4, 0, /*interval=*/12));
+  rig.Tick(4);
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerRestart, 3, 0, /*interval=*/10));
+  // One advance crosses the check-in at 10, the other timer at 12 and the
+  // recorded deadline at 14.
+  rig.AdvanceTo(20);
+  ASSERT_EQ(rig.callbacks.size(), 2u);
+  for (const Packet& fire : rig.callbacks) {
+    EXPECT_EQ(fire.arg0, fire.connection_id == 3 ? 14u : 12u);
+  }
+  const TimerServerStats s = rig.server.stats();
+  EXPECT_EQ(s.checkins, 1u);
+  ExpectEachSetResolvedOnce(s);
+  EXPECT_EQ(rig.server.registrations(), 0u);
+  EXPECT_EQ(rig.server.host().outstanding(), 0u);
+}
+
+TEST_P(LazyRestartTest, EarlierLongerAndPeriodicRestartsStayEager) {
+  ServerRig rig(GetParam().make());
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerSet, 1, 0, /*interval=*/20));
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerSet, 2, 0, /*interval=*/5));
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerSetPeriodic, 3, 0,
+                                          /*interval=*/6, /*repeat_for=*/2));
+  rig.Tick(2);
+  // Earlier than the recorded 20, longer than the accepted 5, and a periodic:
+  // each moves the host timer.
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerRestart, 1, 0, /*interval=*/5));
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerRestart, 2, 0, /*interval=*/8));
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerRestart, 3, 0, /*interval=*/4));
+  EXPECT_EQ(rig.server.host().counts().restart_calls, 3u);
+  // The eager restart raised what the host accepted for session 2 to 8, so a
+  // restart by 8 is lazy now.
+  rig.Tick(1);
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerRestart, 2, 0, /*interval=*/8));
+  EXPECT_EQ(rig.server.host().counts().restart_calls, 3u);
+  rig.AdvanceTo(30);
+  ASSERT_EQ(rig.callbacks.size(), 4u);
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> fires;
+  for (const Packet& fire : rig.callbacks) {
+    fires.emplace_back(fire.connection_id, fire.arg0);
+  }
+  std::sort(fires.begin(), fires.end());
+  const std::vector<std::pair<std::uint32_t, std::uint64_t>> expected = {
+      {1, 7}, {2, 11}, {3, 6}, {3, 12}};
+  EXPECT_EQ(fires, expected);
+  const TimerServerStats s = rig.server.stats();
+  EXPECT_EQ(s.restarts, 4u);
+  EXPECT_EQ(s.checkins, 1u);  // session 2's host timer at 10
+  ExpectEachSetResolvedOnce(s);
+  EXPECT_EQ(rig.server.registrations(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Hosts, LazyRestartTest, ::testing::ValuesIn(LazyHostCases()),
+                         [](const auto& param_info) { return param_info.param.label; });
+
+TEST(LazyRestartRangeTest, RestartPastTheHostsRangeStaysEager) {
+  // Scheme 7 over 16x16x16 slots takes intervals up to 3840. A restart past
+  // that is refused by the host and leaves the timer at its old deadline; a
+  // lazy path would have recorded it and failed at the check-in.
+  ServerRig rig(SchemeId::kScheme7Hierarchical);
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerSet, 5, 0, /*interval=*/3000));
+  rig.Tick(10);
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerRestart, 5, 0, /*interval=*/5000));
+  EXPECT_EQ(rig.server.stats().restart_misses, 1u);
+  rig.AdvanceTo(3000);
+  ASSERT_EQ(rig.callbacks.size(), 1u);
+  EXPECT_EQ(rig.callbacks[0].arg0, 3000u);
+  EXPECT_EQ(rig.server.stats().checkins, 0u);
 }
 
 }  // namespace

@@ -2,9 +2,8 @@
 // against a concurrently advancing ShardedWheel, and the episode logs are
 // checked against the deferred-visibility contract — see
 // src/verify/concurrent_driver.h for the invariants and the modes. The
-// *LockedSharded episodes are named for the wheel's former locked mode; they
-// now run the widest geometry here, eight shards of 32 slots, so intervals up
-// to max_interval lap each inner table.
+// *EightShards episodes run the widest geometry here, eight shards of 32
+// slots, so intervals up to max_interval lap each inner table.
 //
 // Episode count is env-tunable: TWHEEL_TORTURE_EPISODES (default 50 per
 // producer count). scripts/verify.sh reduces it under sanitizers, where each
@@ -106,7 +105,7 @@ TEST(ConcurrentTortureTest, ManualRaceMpscRejectBackpressure) {
   }
 }
 
-TEST(ConcurrentTortureTest, ManualRaceLockedSharded) {
+TEST(ConcurrentTortureTest, ManualRaceEightShards) {
   const std::size_t episodes = Episodes(2);
   for (std::size_t producers : kProducerCounts) {
     for (std::size_t ep = 0; ep < episodes; ++ep) {
@@ -163,7 +162,7 @@ TEST(ConcurrentTortureTest, LockstepOracleMpsc) {
   }
 }
 
-TEST(ConcurrentTortureTest, LockstepOracleLockedSharded) {
+TEST(ConcurrentTortureTest, LockstepOracleEightShards) {
   const std::size_t episodes = Episodes(4);
   for (std::size_t producers : kProducerCounts) {
     for (std::size_t ep = 0; ep < episodes; ++ep) {

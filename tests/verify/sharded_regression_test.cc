@@ -198,8 +198,7 @@ void ExpectOneTickIsOneTick(std::size_t shards, std::uint64_t seed) {
       << ", batch_advances " << a.batch_advances << " vs " << b.batch_advances;
 }
 
-// Named for the wheel's former locked mode; now the eight-shard twin.
-TEST(ShardedWheelRegressionTest, OneTickIsOneTickWhateverTheEntryPointLocked) {
+TEST(ShardedWheelRegressionTest, OneTickIsOneTickWhateverTheEntryPointEightShards) {
   ExpectOneTickIsOneTick(/*shards=*/8, /*seed=*/3);
 }
 

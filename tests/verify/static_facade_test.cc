@@ -253,7 +253,7 @@ TEST(StaticFacadeScheme, SchemeAccessorSeesForwardedState) {
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, StaticFacadeTest,
                          ::testing::ValuesIn(AllFacadeCases()),
-                         [](const auto& info) { return info.param.label; });
+                         [](const auto& param_info) { return param_info.param.label; });
 
 }  // namespace
 }  // namespace twheel::verify
