@@ -147,6 +147,23 @@ class MpscRing {
     return drained;
   }
 
+  // Consumer-side scan, serialized with Drain by the same external lock: calls
+  // `fn` on every published value not yet drained, in ticket order, without
+  // consuming any. Unlike Drain it does not stop at a reserved-but-unpublished
+  // cell; it skips it and reads on up to the last claimed ticket. So a value
+  // whose Publish happens-before the call is always visited, whatever slower
+  // ticket sits in front of it.
+  template <typename Fn>
+  void ForEachPending(Fn&& fn) const {
+    const std::uint64_t end = enqueue_pos_.load(std::memory_order_acquire);
+    for (std::uint64_t pos = dequeue_pos_; pos < end; ++pos) {
+      const Cell& cell = cells_[pos & mask_];
+      if (cell.sequence.load(std::memory_order_acquire) == pos + 1) {
+        fn(cell.value);
+      }
+    }
+  }
+
   // Consumer-side view (racy if called from a producer): true when the next
   // cell in ticket order holds no published value.
   bool EmptyFromConsumer() const {

@@ -51,17 +51,17 @@ StartResult ShardedWheel::StartPeriodic(Duration interval, RequestId request_id,
                                         std::uint64_t repeat_for) {
   // The cadence and repeat budget travel in the registration entry, and the
   // word carries the sticky periodic bit (see ShardSubmitQueue::SubmitStart).
-  StartResult result = Submit(interval, request_id, /*period=*/interval, repeat_for);
-  if (result.has_value()) {
-    client_periodic_starts_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return result;
+  return Submit(interval, request_id, /*period=*/interval, repeat_for);
 }
 
 StartResult ShardedWheel::Submit(Duration interval, RequestId request_id,
                                  Duration period, std::uint64_t repeat_for) {
-  const std::uint32_t index = static_cast<std::uint32_t>(
-      next_shard_.fetch_add(1, std::memory_order_relaxed) & (shards_.size() - 1));
+  // Round-robin placement is a balance heuristic, not a contract: producers
+  // racing the load and store may pick the same shard, which costs nothing.
+  const std::uint64_t placed = next_shard_.load(std::memory_order_relaxed);
+  next_shard_.store(placed + 1, std::memory_order_relaxed);
+  const std::uint32_t index =
+      static_cast<std::uint32_t>(placed & (shards_.size() - 1));
   ShardSubmitQueue& submit = *shards_[index]->submit;
   // Capture the absolute deadline now, enqueue the command. A tick racing this
   // call may advance the clock before the command drains; the drain then
@@ -90,8 +90,6 @@ TimerError ShardedWheel::StopTimer(TimerHandle handle) {
   if (index >= shards_.size()) {
     return TimerError::kNoSuchTimer;
   }
-  // Client-view attempt count (see counts()).
-  client_stops_.fetch_add(1, std::memory_order_relaxed);
   // The CAS inside SubmitCancel is the commit point; kOk means the timer can no
   // longer fire, whether or not its start command has even drained yet
   // (pending-cancel reconciliation).
@@ -117,13 +115,8 @@ TimerError ShardedWheel::RestartTimer(TimerHandle handle, Duration new_interval)
   if (new_interval > std::numeric_limits<Tick>::max() - now) {
     return TimerError::kIntervalOutOfRange;
   }
-  const Tick deadline = now + new_interval;
-  const TimerError err = shards_[index]->submit->SubmitRestart(
-      handle.slot & kSlotMask, handle.generation, deadline);
-  if (err == TimerError::kOk) {
-    client_restarts_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return err;
+  return shards_[index]->submit->SubmitRestart(
+      handle.slot & kSlotMask, handle.generation, now + new_interval);
 }
 
 std::size_t ShardedWheel::DrainSubmissions() {
@@ -131,6 +124,7 @@ std::size_t ShardedWheel::DrainSubmissions() {
   for (auto& shard_ptr : shards_) {
     std::lock_guard<std::mutex> lock(shard_ptr->mutex);
     total += shard_ptr->submit->Drain(*shard_ptr->wheel);
+    shard_ptr->submit->ReturnFreed();
   }
   return total;
 }
@@ -215,6 +209,9 @@ void ShardedWheel::StepShard(Shard& shard, Tick target,
     }
   }
   shard.collected.clear();
+  // Entries this step reclaimed, at the drain and in the claims, go back to
+  // the free list together.
+  shard.submit->ReturnFreed();
 }
 
 std::size_t ShardedWheel::AdvanceShard(std::uint32_t shard_index, Tick target) {
@@ -364,72 +361,71 @@ bool ShardedWheel::FastForward(Tick target) {
 }
 
 std::size_t ShardedWheel::outstanding() const {
-  // Per shard, the ends (final fires, committed cancels, refused starts) are
-  // read before the starts, so the difference cannot underflow (see
-  // ShardSubmitQueue::starts).
+  // Per shard, accepted starts minus final fires and committed cancels. The
+  // dropped-cancel count is read before the commands are counted, so every
+  // timer counted as ended has its start counted too (see
+  // ShardSubmitQueue::dropped_cancels): the difference cannot underflow.
   std::uint64_t live = 0;
   for (const auto& shard_ptr : shards_) {
-    std::uint64_t ended = 0;
-    {
-      std::lock_guard<std::mutex> lock(shard_ptr->mutex);
-      ended = shard_ptr->expiries;
-    }
     const ShardSubmitQueue& submit = *shard_ptr->submit;
-    ended += submit.committed_cancels() + submit.refused_starts();
-    live += submit.starts() - ended;
+    const std::uint64_t dropped = submit.dropped_cancels();
+    std::lock_guard<std::mutex> lock(shard_ptr->mutex);
+    const ShardSubmitQueue::Tally tally = submit.Count();
+    live += tally.starts - tally.cancels - dropped - shard_ptr->expiries;
   }
   return static_cast<std::size_t>(live);
 }
 
 metrics::OpCounts ShardedWheel::counts() const {
   metrics::OpCounts merged;
-  std::uint64_t starts = 0;
   std::uint64_t expiries = 0;
   std::uint64_t fired_laps = 0;
+  std::uint64_t drained = 0;
+  ShardSubmitQueue::Tally calls;
+  // Client calls that publish no command: refused starts, cancels whose
+  // command a full ring dropped, and stops that missed.
+  std::uint64_t refused = 0;
+  std::uint64_t uncommanded_stops = 0;
   for (const auto& shard_ptr : shards_) {
     const ShardSubmitQueue& submit = *shard_ptr->submit;
-    merged.drained_commands += submit.drained_commands();
-    merged.submit_retries += submit.submit_retries();
-    merged.restart_coalesced += submit.coalesced_restarts();
     {
       std::lock_guard<std::mutex> lock(shard_ptr->mutex);
       merged += shard_ptr->wheel->counts();
       expiries += shard_ptr->expiries;
       fired_laps += shard_ptr->fired_laps;
+      drained += submit.drained_commands();
+      calls += submit.Count();
     }
-    // Refusals before starts, as in outstanding().
-    const std::uint64_t refused = submit.refused_starts();
-    const std::uint64_t shard_starts = submit.starts();
-    merged.enqueued_starts += shard_starts - refused;
-    starts += shard_starts;
+    refused += submit.refused_starts();
+    uncommanded_stops += submit.dropped_cancels() + submit.stop_misses();
+    merged.submit_retries += submit.submit_retries();
   }
   // Ticks are per-shard internally; report wall ticks.
   merged.ticks = now_.load(std::memory_order_relaxed);
-  // Report the client's view of START_TIMER: the inner wheels only see the
-  // drained registrations (and never see cancelled-before-drain starts). Each
-  // shard's count only grows, so neither does the sum.
-  merged.start_calls = starts;
-  // Same for restarts: one committed client restart may surface in the inner
-  // wheels as a relink, a relink-after-suppressed-fire (a fresh inner start),
-  // or nothing at all (cancelled before its command drained).
-  merged.restart_calls = client_restarts_.load(std::memory_order_relaxed);
-  // And for periodic registrations (the off-cadence first-fire relink at drain
-  // is bookkeeping, not a client restart — it is already excluded by the
-  // restart_calls override above).
-  merged.periodic_starts = client_periodic_starts_.load(std::memory_order_relaxed);
-  // Client-view deliveries and stop attempts: the inner wheels count ghost
-  // expiries (a cancelled timer whose prompt removal lost the race to its own
-  // collection — the claim suppresses the fire, but the inner wheel already
-  // counted it) and only the drained removal commands. Under N concurrent
-  // drainers those races are routine, so the snapshot reports the claim-point
-  // counters instead; with them the conservation law
+  // The client's view of the routines, which the inner wheels see only at
+  // drain or not at all: a cancelled-before-drain start never reaches them, a
+  // committed restart may surface as a relink, a fresh inner start (after a
+  // suppressed fire) or nothing, and a drained periodic's off-cadence first
+  // fire is an inner relink that no client asked for. Every term only grows,
+  // so start_calls never decreases between two reads.
+  merged.start_calls = calls.starts + refused;
+  merged.enqueued_starts = calls.starts;
+  merged.periodic_starts = calls.periodic_starts;
+  merged.restart_calls = calls.restarts;
+  merged.restart_coalesced = calls.coalesced_restarts;
+  merged.stop_calls = calls.cancels + uncommanded_stops;
+  merged.drained_commands = drained;
+  // Client-view deliveries: the inner wheels count ghost expiries (a cancelled
+  // timer whose prompt removal lost the race to its own collection — the claim
+  // suppresses the fire, but the inner wheel already counted it). Under N
+  // concurrent drainers those races are routine, so the snapshot reports the
+  // claim-point counters instead; with them the conservation law
   //   start_calls == expiries + successful cancels + outstanding
   // is exact at quiesce whenever no start was rejected, no matter how many
   // drainers raced (each start resolves exactly once as a delivered final
   // fire, a committed cancel, or a live registration).
   merged.expiries = expiries;
   merged.periodic_fires = fired_laps;
-  merged.stop_calls = client_stops_.load(std::memory_order_relaxed);
   merged.dispatch_batches = dispatch_batches_.load(std::memory_order_relaxed);
   merged.dispatch_steals = dispatch_steals_.load(std::memory_order_relaxed);
   return merged;

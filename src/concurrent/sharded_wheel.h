@@ -101,16 +101,19 @@ class ShardedWheel final : public TimerService {
   std::optional<Tick> NextExpiryHint() const final;
   bool FastForward(Tick target) final;
   Tick now() const final { return now_.load(std::memory_order_relaxed); }
-  // Started minus {fired, cancelled}, summed over the shards' counters; timers
-  // whose start command has not drained yet count (the client holds a live
-  // handle for them). Read while producers and drainers run, it may count a
-  // timer that is just ending but never goes negative (see
-  // ShardSubmitQueue::starts).
+  // Accepted starts minus {final fires, committed cancels}, summed over the
+  // shards; timers whose start command has not drained yet count (the client
+  // holds a live handle for them). Each shard's calls are counted from its
+  // commands, drained and still in the ring, under its mutex (see
+  // ShardSubmitQueue::Count), so single-threaded the value is exact right after
+  // every call. Read while producers and drainers run, it may count a timer
+  // that is just ending but never goes negative.
   std::size_t outstanding() const final;
   // Snapshot merged across shards; by value so nothing shared escapes the locks.
-  // Client-view counts (see the counters below) plus the submission counters
-  // (enqueued_starts, drained_commands, submit_retries, restart_coalesced).
-  // start_calls never decreases between two reads.
+  // Client-view counts plus the submission counters (enqueued_starts,
+  // drained_commands, submit_retries, restart_coalesced), exact right after
+  // every call in the same way as outstanding(). start_calls never decreases
+  // between two reads.
   metrics::OpCounts counts() const final;
   std::string_view name() const final { return "scheme6-sharded-mpsc"; }
   void set_expiry_handler(ExpiryHandler handler) final;
@@ -249,22 +252,13 @@ class ShardedWheel final : public TimerService {
                      std::uint64_t repeat_for);
 
   std::vector<std::unique_ptr<Shard>> shards_;
+  // Round-robin start placement: a relaxed load and store, no RMW.
   std::atomic<std::uint64_t> next_shard_{0};
   std::atomic<Tick> now_{0};
   // AdvanceTo's batch of claimed fires, kept between calls so a warm tick
   // allocates nothing. A call moves it out for its whole run, so a handler's
   // nested AdvanceTo finds it empty and builds its own.
   std::vector<std::pair<RequestId, Tick>> fires_;
-  // The client's view of the routines that the inner wheels see only at drain
-  // (or not at all, for a timer cancelled before its start drained). Starts,
-  // final fires and committed cancels are counted per shard (the submission
-  // queue and Shard::expiries) and summed on read; these are the rest:
-  // committed (kOk) RestartTimer calls, accepted StartPeriodic calls, and
-  // every StopTimer attempt — the semantics a single-threaded scheme gives
-  // those fields.
-  std::atomic<std::uint64_t> client_restarts_{0};
-  std::atomic<std::uint64_t> client_periodic_starts_{0};
-  std::atomic<std::uint64_t> client_stops_{0};
   // DispatchPool accounting (see OpCounts::dispatch_batches/dispatch_steals).
   std::atomic<std::uint64_t> dispatch_batches_{0};
   std::atomic<std::uint64_t> dispatch_steals_{0};

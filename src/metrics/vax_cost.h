@@ -29,10 +29,13 @@ struct VaxCostModel {
   double expire = 9.0;          // remove expired timer and dispatch EXPIRY_PROCESSING
   double compare = 1.0;         // one comparison during an insertion search
 
-  // Total instruction estimate for a batch of operations.
+  // Total instruction estimate for a batch of operations. The paper prices no
+  // in-place restart; a relink does what a STOP_TIMER unlink and a START_TIMER
+  // link-in do, so it is charged as both.
   double Total(const OpCounts& c) const {
     return insert * static_cast<double>(c.insert_link_ops) +
            unlink * static_cast<double>(c.delete_unlink_ops) +
+           (unlink + insert) * static_cast<double>(c.restart_relink_ops) +
            skip_empty * static_cast<double>(c.empty_slot_checks) +
            decrement * static_cast<double>(c.decrement_visits) +
            expire * static_cast<double>(c.expiry_dispatches) +

@@ -355,8 +355,11 @@ TortureReport RunRace(TimerService& sut, const TortureOptions& options) {
       return report;
     }
   }
+  // A ShardedWheel counts the calls from its commands, not at the calls, so
+  // its counts() is checked against the producers' own tallies at quiesce.
+  const bool counted = dynamic_cast<concurrent::ShardedWheel*>(&sut) != nullptr;
   const metrics::OpCounts base_counts =
-      pool_mode ? sut.counts() : metrics::OpCounts{};
+      counted ? sut.counts() : metrics::OpCounts{};
 
   const Tick base = sut.now();
   FireLog fire_log;
@@ -447,6 +450,29 @@ TortureReport RunRace(TimerService& sut, const TortureOptions& options) {
 
   QuiesceAfterRace(sut, options, report);
   CheckRaceLogs(logs, fire_log, report);
+  if (counted && report.ok) {
+    const metrics::OpCounts end = sut.counts();
+    const std::uint64_t starts = end.start_calls - base_counts.start_calls;
+    const std::uint64_t periodic = end.periodic_starts - base_counts.periodic_starts;
+    const std::uint64_t stops = end.stop_calls - base_counts.stop_calls;
+    const std::uint64_t restarts = end.restart_calls - base_counts.restart_calls;
+    if (starts != report.starts + report.start_rejects ||
+        periodic != report.periodic_starts ||
+        stops != report.cancels + report.cancel_misses ||
+        restarts != report.restarts) {
+      report.ok = false;
+      report.violation = Format(
+          "counts() disagrees with the calls made: start_calls %llu for %zu, "
+          "periodic_starts %llu for %zu, stop_calls %llu for %zu, "
+          "restart_calls %llu for %zu kOk restarts",
+          static_cast<unsigned long long>(starts),
+          report.starts + report.start_rejects,
+          static_cast<unsigned long long>(periodic), report.periodic_starts,
+          static_cast<unsigned long long>(stops),
+          report.cancels + report.cancel_misses,
+          static_cast<unsigned long long>(restarts), report.restarts);
+    }
+  }
   if (pool_mode) {
     auto fail = [&report](std::string message) {
       if (report.ok) {

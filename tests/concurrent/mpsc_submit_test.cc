@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -266,6 +269,101 @@ TEST(MpscSubmitTest, SpaceIncludesSubmissionStructures) {
                                 ShardSubmitQueue(Generous()).FixedBytes();
   EXPECT_EQ(wheel.Space().fixed_bytes, 2 * per_shard)
       << "rings and registration tables must be accounted";
+}
+
+// The counting contract: counts() and outstanding() are exact right after
+// every client call, with no tick or drain in between, whichever way the call
+// ends. One shard, a ring of 4 and a table of 4, so each refusal is reached on
+// purpose.
+struct CallCounts {
+  std::uint64_t start_calls = 0;
+  std::uint64_t enqueued_starts = 0;
+  std::uint64_t periodic_starts = 0;
+  std::uint64_t stop_calls = 0;
+  std::uint64_t restart_calls = 0;
+  std::uint64_t restart_coalesced = 0;
+  std::uint64_t drained_commands = 0;
+  std::uint64_t outstanding = 0;
+  bool operator==(const CallCounts&) const = default;
+};
+
+void PrintTo(const CallCounts& c, std::ostream* os) {
+  *os << "{starts " << c.start_calls << ", enqueued " << c.enqueued_starts
+      << ", periodic " << c.periodic_starts << ", stops " << c.stop_calls
+      << ", restarts " << c.restart_calls << ", coalesced "
+      << c.restart_coalesced << ", drained " << c.drained_commands
+      << ", outstanding " << c.outstanding << "}";
+}
+
+CallCounts Read(const ShardedWheel& wheel) {
+  const metrics::OpCounts counts = wheel.counts();
+  return {counts.start_calls,       counts.enqueued_starts,
+          counts.periodic_starts,   counts.stop_calls,
+          counts.restart_calls,     counts.restart_coalesced,
+          counts.drained_commands,  wheel.outstanding()};
+}
+
+TEST(MpscSubmitTest, CountsAreExactRightAfterEveryCall) {
+  SubmitOptions submit;
+  submit.ring_capacity = 4;
+  submit.registration_capacity = 4;
+  submit.on_full = SubmitPolicy::kReject;
+  ShardedWheel wheel(1, 64, submit);
+  FireLog log;
+  Capture(wheel, log);
+  wheel.PerTickBookkeeping();  // now() == 1, so a deadline can pass Tick's end
+  EXPECT_EQ(Read(wheel), (CallCounts{0, 0, 0, 0, 0, 0, 0, 0}));
+
+  // Ring: one-shot a, periodic p (4 ticks, 2 laps).
+  const StartResult a = wheel.StartTimer(10, 1);
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(Read(wheel), (CallCounts{1, 1, 0, 0, 0, 0, 0, 1})) << "one-shot start";
+  const StartResult p = wheel.StartPeriodic(4, 2, 2);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(Read(wheel), (CallCounts{2, 2, 1, 0, 0, 0, 0, 2})) << "periodic start";
+  EXPECT_EQ(wheel.StartTimer(0, 3).error(), TimerError::kZeroInterval);
+  EXPECT_EQ(Read(wheel), (CallCounts{3, 2, 1, 0, 0, 0, 0, 2})) << "zero interval";
+  EXPECT_EQ(wheel.StartTimer(std::numeric_limits<Duration>::max(), 4).error(),
+            TimerError::kIntervalOutOfRange);
+  EXPECT_EQ(Read(wheel), (CallCounts{4, 2, 1, 0, 0, 0, 0, 2})) << "out of range";
+  // Ring: a, p, restart of a (still pending, so it coalesces), b: full.
+  EXPECT_EQ(wheel.RestartTimer(a.value(), 6), TimerError::kOk);
+  EXPECT_EQ(Read(wheel), (CallCounts{4, 2, 1, 0, 1, 1, 0, 2})) << "coalesced restart";
+  const StartResult b = wheel.StartTimer(10, 5);
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(Read(wheel), (CallCounts{5, 3, 1, 0, 1, 1, 0, 3})) << "start filling the ring";
+  EXPECT_EQ(wheel.StartTimer(10, 6).error(), TimerError::kNoCapacity);
+  EXPECT_EQ(Read(wheel), (CallCounts{6, 3, 1, 0, 1, 1, 0, 3})) << "full ring";
+  EXPECT_EQ(wheel.StopTimer(b.value()), TimerError::kOk);
+  EXPECT_EQ(Read(wheel), (CallCounts{6, 3, 1, 1, 1, 1, 0, 2})) << "cancel, command dropped";
+  EXPECT_EQ(wheel.StopTimer(b.value()), TimerError::kNoSuchTimer);
+  EXPECT_EQ(Read(wheel), (CallCounts{6, 3, 1, 2, 1, 1, 0, 2})) << "stop miss";
+  EXPECT_EQ(wheel.DrainSubmissions(), 4u);
+  EXPECT_EQ(Read(wheel), (CallCounts{6, 3, 1, 2, 1, 1, 4, 2})) << "first drain";
+
+  // Table: a, p, c, d: full.
+  const StartResult c = wheel.StartTimer(20, 7);
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(Read(wheel), (CallCounts{7, 4, 1, 2, 1, 1, 4, 3})) << "start c";
+  const StartResult d = wheel.StartTimer(20, 8);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(Read(wheel), (CallCounts{8, 5, 1, 2, 1, 1, 4, 4})) << "start filling the table";
+  EXPECT_EQ(wheel.StartTimer(20, 9).error(), TimerError::kNoCapacity);
+  EXPECT_EQ(Read(wheel), (CallCounts{9, 5, 1, 2, 1, 1, 4, 4})) << "full table";
+  EXPECT_EQ(wheel.StopTimer(c.value()), TimerError::kOk);
+  EXPECT_EQ(Read(wheel), (CallCounts{9, 5, 1, 3, 1, 1, 4, 3})) << "cancel with its command";
+  EXPECT_EQ(wheel.RestartTimer(a.value(), 8), TimerError::kOk);
+  EXPECT_EQ(Read(wheel), (CallCounts{9, 5, 1, 3, 2, 1, 4, 3})) << "restart of a registered timer";
+  EXPECT_EQ(wheel.DrainSubmissions(), 4u);
+  EXPECT_EQ(Read(wheel), (CallCounts{9, 5, 1, 3, 2, 1, 8, 3})) << "second drain";
+
+  // p fires at 5 and 9, a at 1 + 8, d at 1 + 20.
+  EXPECT_EQ(wheel.AdvanceTo(40), 4u);
+  EXPECT_EQ(Read(wheel), (CallCounts{9, 5, 1, 3, 2, 1, 8, 0})) << "after the fires";
+  EXPECT_EQ(log, (FireLog{{2, 5}, {1, 9}, {2, 9}, {8, 21}}));
+  const metrics::OpCounts counts = wheel.counts();
+  EXPECT_EQ(counts.expiries, 3u);
+  EXPECT_EQ(counts.periodic_fires, 1u);
 }
 
 }  // namespace

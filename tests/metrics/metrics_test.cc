@@ -154,7 +154,9 @@ TEST(VaxCostTest, TotalWeightsAllFields) {
   c.decrement_visits = 7;
   c.expiry_dispatches = 11;
   c.comparisons = 13;
-  EXPECT_DOUBLE_EQ(model.Total(c), 2 * 13.0 + 3 * 7.0 + 5 * 4.0 + 7 * 6.0 + 11 * 9.0 + 13.0);
+  c.restart_relink_ops = 17;
+  EXPECT_DOUBLE_EQ(model.Total(c), 2 * 13.0 + 3 * 7.0 + 5 * 4.0 + 7 * 6.0 + 11 * 9.0 +
+                                       13.0 + 17 * (7.0 + 13.0));
 }
 
 }  // namespace

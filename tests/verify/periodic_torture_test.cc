@@ -150,9 +150,9 @@ TEST(PeriodicTortureTest, ManualRaceMpscSpinBackpressureWithPeriodics) {
   }
 }
 
-TEST(PeriodicTortureTest, ManualRaceLockedShardedWithPeriodics) {
-  // Named for the wheel's former locked mode: the eight-shard, 32-slot
-  // geometry, so periods past the table lap the inner wheels mid-race.
+TEST(PeriodicTortureTest, ManualRaceEightShardsWithPeriodics) {
+  // The eight-shard, 32-slot geometry, so periods past the table lap the inner
+  // wheels mid-race.
   const std::size_t episodes = Episodes(2);
   for (std::size_t producers : kProducerCounts) {
     for (std::size_t ep = 0; ep < episodes; ++ep) {
@@ -209,7 +209,7 @@ TEST(PeriodicTortureTest, LockstepOracleMpscReplaysPeriodics) {
   EXPECT_GT(periodic_starts, 0u) << "lockstep never replayed a periodic";
 }
 
-TEST(PeriodicTortureTest, LockstepOracleLockedShardedReplaysPeriodics) {
+TEST(PeriodicTortureTest, LockstepOracleEightShardsReplaysPeriodics) {
   // The lockstep replay at the eight-shard, 32-slot geometry (see above).
   const std::size_t episodes = Episodes(4);
   for (std::size_t producers : kProducerCounts) {

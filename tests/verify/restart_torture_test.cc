@@ -25,6 +25,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/concurrent/sharded_wheel.h"
@@ -89,25 +90,58 @@ TEST(RestartTortureTest, ManualRaceMpscWithRestarts) {
 TEST(RestartTortureTest, ManualRaceMpscRestartFireRaces) {
   // Short fuses and a hot restart mix: most restarts land close to (or racing)
   // the old deadline, so the kOk-vs-kNoSuchTimer referee is exercised
-  // constantly. restart_misses counts the fires that won.
+  // constantly. restart_misses counts the fires that won. Whether any fire
+  // wins depends on the scheduler (a slow build can let the producers finish
+  // before a timer comes due), so after the usual episodes more seeded ones
+  // run, up to kMaxEpisodes per producer count, until one has seen a miss.
+  // RestartAfterTheFinalClaimMisses pins the same race by construction.
+  constexpr std::size_t kMaxEpisodes = 200;
+  const auto run = [](std::size_t producers, std::size_t ep) {
+    concurrent::ShardedWheel wheel(
+        2, 32, Submit(8192, 8192, concurrent::SubmitPolicy::kReject));
+    TortureOptions options = RestartOptions(11000 + ep, producers);
+    options.mode = TortureMode::kManualRace;
+    options.max_interval = 8;  // fires chase the relinks
+    options.restart_probability = 0.5;
+    options.stop_probability = 0.1;
+    return RunTorture(wheel, options);
+  };
   const std::size_t episodes = Episodes(2);
   std::size_t misses = 0;
-  for (std::size_t producers : kProducerCounts) {
-    for (std::size_t ep = 0; ep < episodes; ++ep) {
-      concurrent::ShardedWheel wheel(
-          2, 32, Submit(8192, 8192, concurrent::SubmitPolicy::kReject));
-      TortureOptions options = RestartOptions(11000 + ep, producers);
-      options.mode = TortureMode::kManualRace;
-      options.max_interval = 8;  // fires chase the relinks
-      options.restart_probability = 0.5;
-      options.stop_probability = 0.1;
-      const TortureReport report = RunTorture(wheel, options);
+  for (std::size_t ep = 0;
+       ep < episodes || (misses == 0 && ep < kMaxEpisodes); ++ep) {
+    for (std::size_t producers : kProducerCounts) {
+      const TortureReport report = run(producers, ep);
       ASSERT_TRUE(report.ok) << "producers=" << producers << " episode=" << ep
                              << ": " << report.violation;
       misses += report.restart_misses;
     }
   }
   EXPECT_GT(misses, 0u) << "no restart ever raced a fire";
+}
+
+TEST(RestartTortureTest, RestartAfterTheFinalClaimMisses) {
+  // The race ManualRaceMpscRestartFireRaces samples, taken one step at a time
+  // on one shard: the shard step claims the final fire, a restart that comes
+  // after the claim and before the delivery misses, and the fire is still
+  // delivered exactly once.
+  concurrent::ShardedWheel wheel(
+      1, 32, Submit(64, 64, concurrent::SubmitPolicy::kReject));
+  std::vector<std::pair<RequestId, Tick>> fires;
+  wheel.set_expiry_handler(
+      [&fires](RequestId id, Tick when) { fires.emplace_back(id, when); });
+  const StartResult handle = wheel.StartTimer(4, 77);
+  ASSERT_TRUE(handle.has_value());
+  EXPECT_EQ(wheel.AdvanceShard(0, 4), 1u) << "the step did not claim the fire";
+  EXPECT_EQ(wheel.RestartTimer(handle.value(), 8), TimerError::kNoSuchTimer);
+  EXPECT_TRUE(fires.empty()) << "delivered before DispatchShard";
+  EXPECT_EQ(wheel.DispatchShard(0), 1u);
+  wheel.CommitNow(4);
+  EXPECT_EQ(wheel.AdvanceTo(4 + 16), 0u) << "the missed restart re-armed the timer";
+  ASSERT_EQ(fires.size(), 1u);
+  EXPECT_EQ(fires[0], (std::pair<RequestId, Tick>{77, 4}));
+  EXPECT_EQ(wheel.counts().restart_calls, 0u);
+  EXPECT_EQ(wheel.outstanding(), 0u);
 }
 
 TEST(RestartTortureTest, ManualRaceMpscSpinBackpressureWithRestarts) {
@@ -182,9 +216,9 @@ TEST(RestartTortureTest, RestartCommitVsDrainNeverWedges) {
   }
 }
 
-TEST(RestartTortureTest, ManualRaceLockedShardedWithRestarts) {
-  // Named for the wheel's former locked mode: the eight-shard, 32-slot
-  // geometry, so restarted intervals past the table relink across laps.
+TEST(RestartTortureTest, ManualRaceEightShardsWithRestarts) {
+  // The eight-shard, 32-slot geometry, so restarted intervals past the table
+  // relink across laps.
   const std::size_t episodes = Episodes(2);
   for (std::size_t producers : kProducerCounts) {
     for (std::size_t ep = 0; ep < episodes; ++ep) {
@@ -239,7 +273,7 @@ TEST(RestartTortureTest, LockstepOracleMpscReplaysRestarts) {
   EXPECT_GT(restarts, 0u) << "lockstep never replayed a restart";
 }
 
-TEST(RestartTortureTest, LockstepOracleLockedShardedReplaysRestarts) {
+TEST(RestartTortureTest, LockstepOracleEightShardsReplaysRestarts) {
   // The lockstep replay at the eight-shard, 32-slot geometry (see above).
   const std::size_t episodes = Episodes(4);
   for (std::size_t producers : kProducerCounts) {
