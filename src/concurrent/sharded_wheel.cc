@@ -49,8 +49,8 @@ StartResult ShardedWheel::StartTimer(Duration interval, RequestId request_id) {
 
 StartResult ShardedWheel::StartPeriodic(Duration interval, RequestId request_id,
                                         std::uint64_t repeat_for) {
-  // The cadence and repeat budget travel in the registration entry, and the
-  // word carries the sticky periodic bit (see ShardSubmitQueue::SubmitStart).
+  // The cadence and repeat budget travel in the registration entry (see
+  // ShardSubmitQueue::SubmitStart).
   return Submit(interval, request_id, /*period=*/interval, repeat_for);
 }
 
@@ -180,15 +180,16 @@ void ShardedWheel::StepShard(Shard& shard, Tick target,
   // Claim while still holding the shard mutex: every fire is committed against
   // its registration word before any handler runs or the batch becomes visible
   // to a dispatcher, so a thief can only ever claim a fully-drained,
-  // fully-claimed bucket. One-shots and final periodic fires bump their entry's
-  // generation (StopTimer on them now returns kNoSuchTimer); non-final periodic
-  // fires bump the word's fire epoch, keeping the handle live; entries whose
-  // cancel won the race are suppressed and reclaimed inside ClaimFire.
+  // fully-claimed bucket. Final fires bump their entry's generation (StopTimer
+  // on them now returns kNoSuchTimer); a periodic's non-final lap CASes the
+  // word onto itself, keeping the handle live; entries whose cancel won the
+  // race are suppressed and reclaimed inside ClaimFire, which also stops a
+  // cancelled periodic's re-armed inner record.
   for (const auto& [id, when] : shard.collected) {
-    const std::uint32_t index = ShardSubmitQueue::InnerIdIndex(id);
-    const std::uint32_t generation = ShardSubmitQueue::InnerIdGeneration(id);
     RequestId client_id = 0;
-    switch (shard.submit->ClaimFire(index, generation, &client_id)) {
+    switch (shard.submit->ClaimFire(ShardSubmitQueue::InnerIdIndex(id),
+                                    ShardSubmitQueue::InnerIdGeneration(id), when,
+                                    *shard.wheel, &client_id)) {
       case ShardSubmitQueue::FireResolution::kDeliver:
         fires.emplace_back(client_id, when);
         ++shard.fired_laps;
@@ -196,13 +197,6 @@ void ShardedWheel::StepShard(Shard& shard, Tick target,
       case ShardSubmitQueue::FireResolution::kDeliverFinal:
         fires.emplace_back(client_id, when);
         ++shard.expiries;
-        break;
-      case ShardSubmitQueue::FireResolution::kStopInner:
-        // Rare path (a cancel whose prompt-removal command was dropped, caught
-        // at the cancelled periodic's next fire): stop the ghost inner record
-        // under the mutex this step holds. The cancel's commit already counted
-        // the timer's end.
-        shard.submit->ReclaimCancelledPeriodic(index, generation, *shard.wheel);
         break;
       case ShardSubmitQueue::FireResolution::kSuppress:
         break;

@@ -56,12 +56,13 @@ class ShardedWheel final : public TimerService {
   // as the absolute deadline, and enqueues a start command; kNoCapacity under
   // SubmitPolicy::kReject when the shard's ring or table is full.
   StartResult StartTimer(Duration interval, RequestId request_id) final;
-  // Periodic registration, lock-free: the registration entry carries a sticky
-  // periodic bit plus the cadence, the inner wheel is registered with the true
-  // repeat budget at drain, and each collected fire resolves against the entry
-  // word: non-final fires claim by bumping the word's fire-epoch bits (handle
-  // and generation preserved), the final fire claims and reclaims like a
-  // one-shot expiry.
+  // Periodic registration, lock-free: the registration entry carries the
+  // cadence and repeat budget, the inner wheel is registered with them at
+  // drain, and each collected fire resolves against the entry word: a
+  // non-final fire claims by a CAS of the word onto itself (handle and
+  // generation preserved); the final fire (the budget's last, or one whose
+  // next lap would pass the end of Tick) claims and reclaims like a one-shot
+  // expiry.
   StartResult StartPeriodic(Duration interval, RequestId request_id,
                             std::uint64_t repeat_for = kRepeatForever) final;
   // Lock-free: commits the cancel with one CAS (the result is authoritative:

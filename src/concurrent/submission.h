@@ -13,22 +13,37 @@
 // carries the absolute deadline minted at enqueue time.
 //
 // Handles are minted at enqueue time from a per-shard registration table: a
-// fixed slab of entries with a lock-free (tagged Treiber) free list and a
-// packed atomic {restarts, state, generation} word per entry. The word is the
-// single linearization point for every race in the system:
+// fixed slab of entries with a lock-free (tagged Treiber) free list and one
+// atomic registration word per entry:
 //
-//             StartTimer            drain(start cmd)        inner expiry
-//   kFree ──────────────► kPending ───────────────► kRegistered ─────► kFree
-//                            │                          │     (gen+1, dispatch)
-//                  StopTimer │                StopTimer │
-//                            ▼                          ▼
-//                   kCancelledPending          kCancelledRegistered
-//                            │ drain(start cmd)         │ drain(cancel cmd)
-//                            ▼                          ▼  or suppressed expiry
-//                     kFree (gen+1)               kFree (gen+1)
+//   bit 63        48 47        40 39        32 31                        0
+//      [    zero    |  restarts  |   state    |        generation         ]
 //
-// RestartTimer adds no state — it rides a saturating in-flight counter packed
-// into the word's high bits. SubmitRestart is reserve-commit-publish: it
+// The word is the single linearization point for every race in the system,
+// and registration::Transition defines the protocol. It is a pure constexpr
+// function of (word, the caller's generation, event) that returns a verdict
+// and, for a write, the next word; it is the only code that builds or reads a
+// word, and every write to one, CAS or store, writes its result. The states
+// (g is the entry's generation):
+//
+//                publish           drain start            final claim
+//   kFree(g) ──────────► kPending ───────────► kRegistered ──────────► kFree(g+1)
+//                 rollback │ │ ↺ restart          │ ↺ restart, drain restart,
+//     kFree(g+1) ◄─────────┘ │                    │   lap claim
+//                     cancel │             cancel │
+//                            ▼                    ▼
+//                 kCancelledPending     kCancelledRegistered
+//                            │ reclaim            │ reclaim
+//                            ▼                    ▼
+//                       kFree(g+1)           kFree(g+1)
+//
+// A rollback also leaves kCancelledPending. A cancel zeroes the restart count;
+// a drain or claim that finds the cancel returns Verdict::kReclaim, and the
+// driver then runs the reclaim: the start's drain on kCancelledPending, the
+// drain of a cancel or restart and either claim on kCancelledRegistered.
+//
+// RestartTimer adds no state — it rides a saturating in-flight counter, the
+// word's restarts byte. SubmitRestart is reserve-commit-publish: it
 // reserves a ring ticket (unpublished, so the drainer parks before it), then
 // *commits* with one CAS that increments the counter while the state is still
 // kPending or kRegistered, and only then publishes the kRestart command into
@@ -40,11 +55,11 @@
 // so it can never be dropped with an orphaned suppression ticket left behind.
 // The commit CAS is the restart-vs-fire-vs-cancel referee:
 //
-//   * Fire claims the word only when the counter is zero; a nonzero counter
-//     suppresses the dispatch WITHOUT reclaiming (the queued restart command
-//     re-registers the timer at its new deadline, minting a fresh inner record
-//     if the old one was consumed by the suppressed expiry). So a committed
-//     restart can never fire at the old deadline.
+//   * A final claim takes the word only when the counter is zero; a nonzero
+//     counter suppresses the dispatch WITHOUT reclaiming (the queued restart
+//     command re-registers the timer at its new deadline, minting a fresh inner
+//     record if the old one was consumed by the suppressed expiry). So a
+//     committed restart can never fire at the old deadline.
 //   * If the fire's claim CAS wins first, the restarter's commit CAS observes
 //     the bumped generation and returns kNoSuchTimer — exactly one of
 //     {old-deadline fire, restart} happens, never both.
@@ -76,24 +91,31 @@
 // reclamation); kSpin waits for the drainer, trading wait-freedom for
 // lossless submission.
 //
-// Periodic timers ride the same word. A periodic registration sets a sticky
-// periodic bit (bit 48) at publish; the inner wheel is registered with the true
-// cadence and repeat budget, so its own expiry path re-arms the inner record in
-// place and every fire — final and non-final — surfaces through ClaimFire. A
-// non-final fire must NOT retire the entry (the client handle survives between
-// fires), so its claim is an *epoch bump*: a CAS that increments the word's
-// fire-epoch bits (49..63) while generation, state, and the restart counter
-// stay put. The bump is a real write, so it serializes against the cancel and
-// restart CASes exactly like the one-shot claim does — a cancel that commits
-// first suppresses the dispatch; a cancel that commits after only stops future
-// fires. The final fire of a finite periodic claims kRegistered -> kFree like a
-// one-shot. A committed restart re-phases the NEXT lap: the in-flight restart
-// counter suppresses (defers to the moved deadline) only a one-shot's fire or
-// the final lap, whose inner record the expiry consumed — a non-final lap has
+// Periodic timers ride the same word, and nothing in it marks them. An entry's
+// client id, period and remaining-fire budget are plain fields, like its
+// deadline: the producer writes them before the release store that publishes
+// kPending, and they are read only under the shard mutex after a generation
+// match. Every later write of that generation is a read-modify-write, so each
+// such read lies in the publish's release sequence; and an entry whose
+// generation matched cannot be recycled underneath the reader, because every
+// reclaim holds the same mutex. The inner wheel is registered with the true
+// cadence and budget, so its own expiry path re-arms the inner record in place
+// and every fire, final or not, surfaces through ClaimFire. A fire is final
+// when the entry is a one-shot, its budget is down to this fire, or its next
+// lap would pass the end of Tick — the inner wheel drops that lap, the rule
+// TimerServiceBase applies to every scheme. A final claim moves kRegistered
+// to kFree(g+1) like a one-shot's. A lap claim must keep the entry (the
+// handle survives between fires), so it CASes the word onto itself. A
+// successful same-value CAS is still a read-modify-write in the word's
+// modification order: a cancel or restart that commits first makes the claim
+// fail and re-resolve, and one that commits after is ordered after the lap.
+// No ABA fits between the claim's load and its CAS: a word returns to an
+// earlier value only by a drain lowering its restart count, and drains hold
+// the claim's mutex. A committed restart re-phases the NEXT lap: the
+// in-flight restart counter suppresses (defers to the moved deadline) only a
+// final fire, whose inner record the expiry consumed — a non-final lap has
 // already consumed budget via the inner re-arm and is delivered at the old
-// cadence, so the series never under-delivers its budget. Bits 48..63 are
-// "sticky": every live-state transition preserves them, and only reclaim
-// (generation bump to kFree) clears them.
+// cadence, so the series never under-delivers its budget.
 //
 // An accepted producer call touches no counter. A start pays the free-list CAS
 // and the ring ticket, a stop the word CAS and the ticket, a restart the ticket
@@ -106,10 +128,10 @@
 // cancels whose command a full ring dropped, stop misses and CAS retries.
 //
 // The driver side holds the shard mutex throughout — Drain, ClaimFire,
-// ReclaimCancelledPeriodic, ReturnFreed and Count all require it — so reclaim
-// needs no CAS: producers CAS only from kPending or kRegistered, so a release
-// store moves a word out of a cancelled state, and the entries one shard step
-// reclaims go back to the free list as one chain with one CAS (ReturnFreed).
+// ReturnFreed and Count all require it — so reclaim needs no CAS: producers
+// CAS only from kPending or kRegistered, so a release store moves a word out
+// of a cancelled state, and the entries one shard step reclaims go back to the
+// free list as one chain with one CAS (ReturnFreed).
 
 #ifndef TWHEEL_SRC_CONCURRENT_SUBMISSION_H_
 #define TWHEEL_SRC_CONCURRENT_SUBMISSION_H_
@@ -130,6 +152,128 @@
 
 namespace twheel::concurrent {
 
+// The registration word's protocol (see the file comment).
+namespace registration {
+
+enum class State : std::uint8_t {
+  kFree = 0,
+  kPending = 1,              // start command enqueued, not yet drained
+  kRegistered = 2,           // live in the inner wheel
+  kCancelledPending = 3,     // cancelled before the start command drained
+  kCancelledRegistered = 4,  // cancelled while live in the inner wheel
+};
+
+enum class Event : std::uint8_t {
+  // Producers.
+  kPublish,   // a start publishes a free entry (a store)
+  kRollback,  // the start's ring refused its command (a store)
+  kCancel,    // StopTimer commits
+  kRestart,   // RestartTimer commits
+  // The driver, under the shard mutex.
+  kDrainStart,    // the start's command registers the timer
+  kDrainRestart,  // a restart's command has relinked; release its count
+  kDrainCancel,   // a cancel's command asks for prompt removal
+  kLapClaim,      // a periodic's non-final fire
+  kFinalClaim,    // a one-shot's fire, or a periodic's final one
+  kReclaim,       // a cancelled entry goes back to the free list (a store)
+};
+
+enum class Verdict : std::uint8_t {
+  kWrite,      // write Step::next
+  kCoalesce,   // kRestart onto a start still in the ring: write Step::next
+  kRefuse,     // a stale generation, or a state the event cannot leave
+  kSaturated,  // kRestart with 255 restarts in flight; nothing to write
+  kReclaim,    // a cancel won: the driver reclaims (Event::kReclaim)
+};
+
+struct Step {
+  Verdict verdict = Verdict::kRefuse;
+  std::uint64_t next = 0;        // kWrite and kCoalesce: the word to write
+  std::uint32_t generation = 0;  // kPublish: the generation the handle carries
+};
+
+// The protocol's one transition: what `event` does to `word` for a caller
+// holding `generation`. A publish takes the free entry's own generation and
+// ignores `generation`; every other event refuses a word of another one.
+constexpr Step Transition(std::uint64_t word, std::uint32_t generation,
+                          Event event) {
+  const auto pack = [](std::uint32_t gen, State state, std::uint64_t restarts) {
+    return restarts << 40 | static_cast<std::uint64_t>(state) << 32 | gen;
+  };
+  const State state = static_cast<State>(word >> 32 & 0xff);
+  const std::uint64_t restarts = word >> 40 & 0xff;
+  const bool live = state == State::kPending || state == State::kRegistered;
+  if (event == Event::kPublish) {
+    generation = static_cast<std::uint32_t>(word);
+  } else if (static_cast<std::uint32_t>(word) != generation) {
+    return Step{};
+  }
+  const Step freed{Verdict::kWrite, pack(generation + 1, State::kFree, 0)};
+  switch (event) {
+    case Event::kPublish:
+      return state == State::kFree
+                 ? Step{Verdict::kWrite, pack(generation, State::kPending, 0),
+                        generation}
+                 : Step{};
+    case Event::kRollback:
+      return state == State::kPending || state == State::kCancelledPending
+                 ? freed
+                 : Step{};
+    case Event::kCancel:
+      return live ? Step{Verdict::kWrite,
+                         pack(generation,
+                              state == State::kPending
+                                  ? State::kCancelledPending
+                                  : State::kCancelledRegistered,
+                              0)}
+                  : Step{};
+    case Event::kRestart:
+      if (!live || restarts == 0xff) {
+        return Step{live ? Verdict::kSaturated : Verdict::kRefuse};
+      }
+      return Step{state == State::kPending ? Verdict::kCoalesce : Verdict::kWrite,
+                  pack(generation, state, restarts + 1)};
+    case Event::kDrainStart:
+      // A restart coalesced onto the pending start keeps its count: its
+      // relink command drains right behind this one.
+      if (state != State::kPending) {
+        return Step{state == State::kCancelledPending ? Verdict::kReclaim
+                                                      : Verdict::kRefuse};
+      }
+      return Step{Verdict::kWrite, pack(generation, State::kRegistered, restarts)};
+    case Event::kReclaim:
+      return state == State::kCancelledPending ||
+                     state == State::kCancelledRegistered
+                 ? freed
+                 : Step{};
+    case Event::kDrainRestart:
+      if (state == State::kRegistered && restarts != 0) {
+        return Step{Verdict::kWrite,
+                    pack(generation, State::kRegistered, restarts - 1)};
+      }
+      break;
+    case Event::kFinalClaim:
+      // A nonzero count defers the fire: a committed restart moves it.
+      if (state == State::kRegistered && restarts == 0) {
+        return freed;
+      }
+      break;
+    case Event::kLapClaim:
+      if (state == State::kRegistered) {
+        return Step{Verdict::kWrite, word};
+      }
+      break;
+    case Event::kDrainCancel:
+      break;
+  }
+  // The drain of a cancel or restart, or a claim: a cancel that won while the
+  // timer was registered hands the entry over to the reclaim.
+  return Step{state == State::kCancelledRegistered ? Verdict::kReclaim
+                                                   : Verdict::kRefuse};
+}
+
+}  // namespace registration
+
 // What a producer does when a submission ring (or the registration table) is
 // full: reject the operation upward, or spin until the tick driver drains.
 enum class SubmitPolicy : std::uint8_t { kReject, kSpin };
@@ -146,9 +290,8 @@ struct SubmitOptions {
 
 // One shard's submission state: command ring + registration table. All methods
 // prefixed Submit*/Earliest, CountRefusedStart and the atomic counters are
-// producer-safe (lock-free); the driver side (Drain, ClaimFire,
-// ReclaimCancelledPeriodic, ReturnFreed, Count, drained_commands) must run
-// under the shard mutex.
+// producer-safe (lock-free); the driver side (Drain, ClaimFire, ReturnFreed,
+// Count, drained_commands) must run under the shard mutex.
 class ShardSubmitQueue {
  public:
   explicit ShardSubmitQueue(const SubmitOptions& options)
@@ -163,7 +306,7 @@ class ShardSubmitQueue {
       next_[i].store(i + 1 == capacity_ ? kNilIndex : i + 1,
                      std::memory_order_relaxed);
     }
-    free_head_.store(PackHead(0, 0), std::memory_order_relaxed);
+    free_head_.store(FreeHead(0, 0), std::memory_order_relaxed);
   }
 
   // ---- Producer side -------------------------------------------------------
@@ -173,9 +316,8 @@ class ShardSubmitQueue {
   // slot is the *local* entry index; the wheel ORs in its shard bits. A
   // nonzero `period` starts a periodic: the first fire is at `deadline`,
   // subsequent fires every `period` ticks, `repeats` times in total (0 =
-  // forever). Its entry's word carries the sticky periodic bit from publish
-  // on; the cadence and budget travel in entry fields written before the
-  // publish.
+  // forever). The cadence and budget travel in entry fields written before
+  // the publish.
   StartResult SubmitStart(RequestId client_id, Tick deadline, Duration period = 0,
                           std::uint64_t repeats = 0) {
     std::uint64_t retries = 0;
@@ -190,16 +332,15 @@ class ShardSubmitQueue {
       ++retries;
     }
     Entry& entry = entries_[index];
-    const std::uint32_t generation =
-        GenerationOf(entry.word.load(std::memory_order_relaxed));
-    entry.client_id.store(client_id, std::memory_order_relaxed);
+    const Step publish = registration::Transition(
+        entry.word.load(std::memory_order_relaxed), 0, Event::kPublish);
+    const std::uint32_t generation = publish.generation;
+    entry.client_id = client_id;
     entry.deadline = deadline;
     entry.inner = kInvalidHandle;
-    entry.period.store(period, std::memory_order_relaxed);
-    entry.repeats.store(repeats, std::memory_order_relaxed);
-    entry.word.store(Pack(generation, State::kPending) |
-                         (period != 0 ? kPeriodicBit : 0),
-                     std::memory_order_release);
+    entry.period = period;
+    entry.repeats = repeats;
+    entry.word.store(publish.next, std::memory_order_release);
     // Record the deadline for NextExpiryHint *before* publishing the command,
     // so a hint computed after a completed submission is never later than this
     // timer's expiry (see EarliestPending for the reset protocol).
@@ -208,8 +349,9 @@ class ShardSubmitQueue {
               &retries)) {
       // Ring full under kReject. Nobody else holds the handle yet, so the
       // rollback is private: retire the generation and free the entry.
-      entry.word.store(Pack(generation + 1, State::kFree),
-                       std::memory_order_release);
+      entry.word.store(
+          registration::Transition(publish.next, generation, Event::kRollback).next,
+          std::memory_order_release);
       PushFree(index, index);
       FlushRetries(retries);
       CountRefusedStart();
@@ -236,36 +378,16 @@ class ShardSubmitQueue {
     }
     Entry& entry = entries_[index];
     std::uint64_t word = entry.word.load(std::memory_order_acquire);
-    for (;;) {
-      if (GenerationOf(word) != generation) {
-        return StopMiss();  // fired, reclaimed, or fabricated
-      }
-      State desired;
-      switch (StateOf(word)) {
-        case State::kPending:
-          desired = State::kCancelledPending;
-          break;
-        case State::kRegistered:
-          desired = State::kCancelledRegistered;
-          break;
-        default:
-          return StopMiss();  // already cancelled
-      }
-      // Zeroing the restart counter is deliberate: committed-but-undrained
-      // restart commands observe the cancelled state at drain and help
-      // reclaim. The sticky bits (periodic flag, fire epoch) survive — the
-      // suppression passes still need to know the entry was periodic.
-      if (entry.word.compare_exchange_weak(
-              word, (word & kStickyMask) | Pack(generation, desired),
-              std::memory_order_acq_rel, std::memory_order_acquire)) {
-        break;
-      }
-      submit_retries_.fetch_add(1, std::memory_order_relaxed);
-      // `word` was reloaded; states only move forward, so this terminates.
+    std::uint64_t retries = 0;
+    // Zeroing the restart counter is deliberate: committed-but-undrained
+    // restart commands observe the cancelled state at drain and help reclaim.
+    if (Cas(entry, &word, generation, Event::kCancel, &retries).verdict !=
+        Verdict::kWrite) {
+      FlushRetries(retries);
+      return StopMiss();  // fired, reclaimed, fabricated or already cancelled
     }
     // The published command is what counts this cancel; one the full ring
     // drops is counted here instead, after the commit (see dropped_cancels()).
-    std::uint64_t retries = 0;
     if (!Push(Command{Command::Kind::kCancel, false, index, generation},
               &retries)) {
       dropped_cancels_.fetch_add(1, std::memory_order_release);
@@ -297,90 +419,53 @@ class ShardSubmitQueue {
     std::uint64_t retries = 0;
     for (;;) {
       std::uint64_t word = entry.word.load(std::memory_order_acquire);
-      if (GenerationOf(word) != generation) {
+      const Verdict check =
+          registration::Transition(word, generation, Event::kRestart).verdict;
+      if (check == Verdict::kRefuse) {
         FlushRetries(retries);
-        return TimerError::kNoSuchTimer;  // fired, reclaimed, or fabricated
+        return TimerError::kNoSuchTimer;  // fired, reclaimed, fabricated or cancelled
       }
-      {
-        const State s = StateOf(word);
-        if (s != State::kPending && s != State::kRegistered) {
+      if (check != Verdict::kSaturated) {
+        // Record the (possibly earlier) deadline for NextExpiryHint before the
+        // command can become drainable — same protocol as SubmitStart. A
+        // failed commit leaves the hint stale-early, which the contract allows.
+        UpdateEarliest(new_deadline);
+        std::uint64_t ticket;
+        if (!Reserve(&ticket, &retries)) {
           FlushRetries(retries);
-          return TimerError::kNoSuchTimer;  // already cancelled
+          return TimerError::kNoCapacity;  // nothing changed; old deadline stands
         }
-        if (RestartsOf(word) == kMaxRestarts) {
-          if (policy_ == SubmitPolicy::kReject) {
-            FlushRetries(retries);
-            return TimerError::kNoCapacity;  // drainer stalled; nothing changed
-          }
-          // kSpin: wait for the drainer to retire in-flight restarts. Safe to
-          // wait here — no ring ticket is held, so the drainer is not parked
-          // behind this producer.
-          std::this_thread::yield();
-          ++retries;
-          continue;
+        const Step commit = Cas(entry, &word, generation, Event::kRestart, &retries);
+        // Publish the reserved cell whatever the commit's outcome — the
+        // drainer (and every later ticket) is parked behind it. A failed
+        // commit must not publish the kRestart command: a matching-generation
+        // live-state drain would steal a committed restart's decrement. kNoop
+        // is inert. A commit that found the counter saturated (255 OTHER
+        // commits landed since the check above) abandons its ticket too:
+        // waiting for a decrement while holding it would deadlock, since the
+        // commands that decrement may sit behind the unpublished cell.
+        const bool committed = commit.verdict == Verdict::kWrite ||
+                               commit.verdict == Verdict::kCoalesce;
+        ring_.Publish(ticket, committed
+                                  ? Command{Command::Kind::kRestart,
+                                            commit.verdict == Verdict::kCoalesce,
+                                            index, generation, new_deadline}
+                                  : Command{Command::Kind::kNoop});
+        if (commit.verdict != Verdict::kSaturated) {
+          FlushRetries(retries);
+          return committed ? TimerError::kOk : TimerError::kNoSuchTimer;
         }
       }
-      // Record the (possibly earlier) deadline for NextExpiryHint before the
-      // command can become drainable — same protocol as SubmitStart. A failed
-      // commit leaves the hint stale-early, which the contract allows.
-      UpdateEarliest(new_deadline);
-      std::uint64_t ticket;
-      if (!Reserve(&ticket, &retries)) {
+      // 255 undrained restarts: the drainer has stalled.
+      if (policy_ == SubmitPolicy::kReject) {
         FlushRetries(retries);
-        return TimerError::kNoCapacity;  // nothing changed; old deadline stands
+        return TimerError::kNoCapacity;  // nothing changed
       }
-      TimerError result;
-      bool saturated = false;
-      bool coalesced = false;
-      for (;;) {
-        if (GenerationOf(word) != generation) {
-          result = TimerError::kNoSuchTimer;  // the fire won
-          break;
-        }
-        const State s = StateOf(word);
-        if (s != State::kPending && s != State::kRegistered) {
-          result = TimerError::kNoSuchTimer;  // a cancel won
-          break;
-        }
-        if (RestartsOf(word) == kMaxRestarts) {
-          // 255 OTHER commits landed between the pre-reserve check and this
-          // CAS. Waiting for a decrement here would deadlock: the commands
-          // that decrement may hold tickets parked behind our unpublished
-          // cell. Abandon the ticket and (under kSpin) retry from the top.
-          saturated = true;
-          break;
-        }
-        if (entry.word.compare_exchange_weak(
-                word,
-                (word & kStickyMask) |
-                    PackFull(generation, s, RestartsOf(word) + 1),
-                std::memory_order_acq_rel, std::memory_order_acquire)) {
-          coalesced = s == State::kPending;
-          result = TimerError::kOk;
-          break;
-        }
-        ++retries;
-      }
-      if (saturated) {
-        ring_.Publish(ticket, Command{Command::Kind::kNoop});
-        if (policy_ == SubmitPolicy::kReject) {
-          FlushRetries(retries);
-          return TimerError::kNoCapacity;
-        }
-        std::this_thread::yield();
-        ++retries;
-        continue;
-      }
-      // Publish the reserved cell regardless of the commit's outcome — the
-      // drainer (and every later ticket) is parked behind it. A failed commit
-      // must not publish the kRestart command: a matching-generation live-state
-      // drain would steal a committed restart's decrement. kNoop is inert.
-      ring_.Publish(ticket, result == TimerError::kOk
-                                ? Command{Command::Kind::kRestart, coalesced,
-                                          index, generation, new_deadline}
-                                : Command{Command::Kind::kNoop});
-      FlushRetries(retries);
-      return result;
+      // kSpin: wait for the drainer to retire in-flight restarts. Safe to
+      // wait here — no ring ticket is held, so the drainer is not parked
+      // behind this producer.
+      std::this_thread::yield();
+      ++retries;
     }
   }
 
@@ -443,118 +528,59 @@ class ShardSubmitQueue {
     kSuppress,      // nothing to dispatch; any reclaim already happened here
     kDeliver,       // dispatch; the entry stays live (non-final periodic fire)
     kDeliverFinal,  // dispatch; the entry was claimed and reclaimed
-    kStopInner,     // a cancel won, but the periodic's re-armed inner record is
-                    // still live — the caller must resolve it under the shard
-                    // mutex via ReclaimCancelledPeriodic
   };
 
-  // Resolve an inner-wheel expiry for entry (index, generation); fills
-  // `client_id` on the kDeliver* outcomes. One-shots and final periodic fires
-  // claim the word (generation bump, entry reclaimed); non-final periodic fires
-  // claim by bumping the sticky fire-epoch bits so the handle survives — either
-  // way the claim is a CAS, so a racing cancel or restart resolves exactly
-  // once. Thread-safe against producers, but MUST run under the shard mutex:
-  // it reclaims (a plain store, see Reclaim) and decrements the lap-budget
-  // mirror with a plain store, both of which the mutex serializes against the
-  // drain. The wheel calls it for every collected expiry *before* dispatching
-  // any client handler, which is what commits a tick's expiry set at the start
-  // of the tick.
+  // Resolve the inner-wheel expiry of entry (index, generation) at tick `when`
+  // from `wheel`; fills `client_id` on the kDeliver* outcomes. A final fire
+  // claims the word (generation bump, entry reclaimed); a lap claims it by a
+  // CAS onto itself, so the handle survives — either way the claim is a CAS,
+  // so a racing cancel or restart resolves exactly once. A cancelled entry is
+  // reclaimed here, after its re-armed inner record, if a lap left one, is
+  // stopped in `wheel`. Thread-safe against producers, but MUST run under the
+  // shard mutex: it reads the entry's plain fields, reclaims (a plain store,
+  // see Reclaim) and decrements the lap budget, all of which the mutex
+  // serializes against the drain. The wheel calls it for every collected
+  // expiry *before* dispatching any client handler, which is what commits a
+  // tick's expiry set at the start of the tick.
   FireResolution ClaimFire(std::uint32_t index, std::uint32_t generation,
-                           RequestId* client_id) {
+                           Tick when, TimerService& wheel, RequestId* client_id) {
     Entry& entry = entries_[index];
     std::uint64_t word = entry.word.load(std::memory_order_acquire);
-    for (;;) {
-      if (GenerationOf(word) != generation) {
-        // A drained cancel command already reclaimed the entry.
-        return FireResolution::kSuppress;
-      }
-      const bool periodic = (word & kPeriodicBit) != 0;
-      // Mirrors the inner record's remaining-fire budget (decremented by the
-      // lap claim below); 1 means the fire being resolved was the final one.
-      const std::uint64_t repeats =
-          periodic ? entry.repeats.load(std::memory_order_relaxed) : 1;
-      switch (StateOf(word)) {
-        case State::kRegistered: {
-          if (RestartsOf(word) != 0 && !(periodic && repeats != 1)) {
-            // A committed restart is awaiting its drain: suppress this
-            // (old-deadline) dispatch but do NOT reclaim — the inner record
-            // was consumed by this expiry (a one-shot's only fire or a
-            // periodic's final lap), so the restart command re-registers it
-            // at the moved deadline and the deferred fire still arrives:
-            // the budget is conserved, just re-phased.
-            //
-            // A non-final periodic lap is NOT suppressed: the inner wheel's
-            // re-arm already consumed one lap of the budget, so swallowing
-            // the dispatch here would under-deliver the series (the client
-            // was promised exactly `repeats` laps). The lap is delivered at
-            // the old cadence and the pending restart re-phases the NEXT lap
-            // when its command drains and relinks the live inner record.
-            return FireResolution::kSuppress;
-          }
-          // Relaxed read ordered by the word acquire; a stale value (the entry
-          // recycled between the load above and here) dies with the failed CAS.
-          const RequestId id = entry.client_id.load(std::memory_order_relaxed);
-          if (periodic && repeats != 1) {
-            // Non-final periodic fire: the claim is an epoch bump. The word
-            // changes — so the cancel/restart CASes serialize against it — but
-            // generation, state, and the client's handle all survive.
-            if (entry.word.compare_exchange_weak(
-                    word, word + kEpochIncrement, std::memory_order_acq_rel,
-                    std::memory_order_acquire)) {
-              // Lockstep with the inner record's own budget; 0 (forever)
-              // never moves. Only claims write it after publish, and they
-              // hold the shard mutex.
-              if (repeats > 1) {
-                entry.repeats.store(repeats - 1, std::memory_order_relaxed);
-              }
-              *client_id = id;
-              return FireResolution::kDeliver;
-            }
-            continue;  // a canceller or restarter intervened; re-resolve
-          }
-          if (entry.word.compare_exchange_weak(
-                  word, Pack(generation + 1, State::kFree),
-                  std::memory_order_acq_rel, std::memory_order_acquire)) {
-            *client_id = id;
-            Retire(index);
-            return FireResolution::kDeliverFinal;
-          }
-          continue;  // a canceller or restarter intervened between load and CAS
-        }
-        case State::kCancelledRegistered:
-          if (periodic && repeats != 1) {
-            // Cancel won, but this non-final fire already re-armed the inner
-            // record — it must be stopped under the shard mutex before the
-            // entry can be reclaimed, or it would fire as a ghost forever.
-            return FireResolution::kStopInner;
-          }
-          // Cancel won after the inner record was consumed by this expiry.
-          // Reclaim (the cancel command, if any, sees the bumped generation
-          // and no-ops).
-          Reclaim(index, generation, State::kCancelledRegistered);
-          return FireResolution::kSuppress;
-        default:
-          // kPending/kCancelledPending cannot reach the inner wheel; kFree with
-          // a matching generation cannot exist (reclaim bumps it). Defensive:
-          return FireResolution::kSuppress;
-      }
+    if (registration::Transition(word, generation, Event::kLapClaim).verdict ==
+        Verdict::kRefuse) {
+      return FireResolution::kSuppress;  // a drained cancel already reclaimed it
     }
-  }
-
-  // Driver-side, MUST run under the shard mutex: stop the still-armed inner
-  // record of a cancelled periodic entry and reclaim the entry. The mutex
-  // serializes this against the cancel command's own drain (Apply), so exactly
-  // one of them stops the inner record and reclaims.
-  void ReclaimCancelledPeriodic(std::uint32_t index, std::uint32_t generation,
-                                TimerService& wheel) {
-    Entry& entry = entries_[index];
-    const std::uint64_t word = entry.word.load(std::memory_order_acquire);
-    if (GenerationOf(word) != generation ||
-        StateOf(word) != State::kCancelledRegistered) {
-      return;  // already resolved by the cancel command
+    // The budget mirrors the inner record's, and 1 means this fire was the
+    // last; a lap past the end of Tick is one the inner wheel dropped.
+    const bool final_fire = entry.period == 0 || entry.repeats == 1 ||
+                            when > std::numeric_limits<Tick>::max() - entry.period;
+    const Step claim = Cas(entry, &word, generation,
+                           final_fire ? Event::kFinalClaim : Event::kLapClaim);
+    if (claim.verdict == Verdict::kReclaim) {
+      // A cancel won. A final fire consumed the inner record; a lap re-armed
+      // it, and it must be stopped, or it would fire as a ghost forever.
+      Reclaim(index, word, generation, final_fire ? nullptr : &wheel);
+      return FireResolution::kSuppress;
     }
-    (void)wheel.StopTimer(entry.inner);
-    Reclaim(index, generation, State::kCancelledRegistered);
+    if (claim.verdict != Verdict::kWrite) {
+      // A committed restart is awaiting its drain: suppress this
+      // (old-deadline) final dispatch but do NOT reclaim — the expiry consumed
+      // the inner record, so the restart command re-registers it at the moved
+      // deadline and the deferred fire still arrives: the budget is
+      // conserved, just re-phased. A lap is never refused: the inner re-arm
+      // already consumed its share of the budget, so it is delivered at the
+      // old cadence and the restart re-phases the next one.
+      return FireResolution::kSuppress;
+    }
+    *client_id = entry.client_id;
+    if (final_fire) {
+      Retire(index);
+      return FireResolution::kDeliverFinal;
+    }
+    if (entry.repeats > 1) {
+      --entry.repeats;  // lockstep with the inner record; 0 (forever) stays
+    }
+    return FireResolution::kDeliver;
   }
 
   // ---- Accounting ----------------------------------------------------------
@@ -618,14 +644,24 @@ class ShardSubmitQueue {
            capacity_ * (sizeof(Entry) + sizeof(std::atomic<std::uint32_t>));
   }
 
+  // The inner wheel's RequestId for a registration carries the entry identity;
+  // the wheel's collected expiries come back through ClaimFire with it. The
+  // shard index rides in bits the wheel adds (see ShardedWheel).
+  static constexpr RequestId InnerId(std::uint32_t index,
+                                     std::uint32_t generation) {
+    return (static_cast<RequestId>(generation) << 32) | index;
+  }
+  static constexpr std::uint32_t InnerIdIndex(RequestId id) {
+    return static_cast<std::uint32_t>(id) & 0x00ffffffu;
+  }
+  static constexpr std::uint32_t InnerIdGeneration(RequestId id) {
+    return static_cast<std::uint32_t>(id >> 32);
+  }
+
  private:
-  enum class State : std::uint8_t {
-    kFree = 0,
-    kPending = 1,              // start command enqueued, not yet drained
-    kRegistered = 2,           // live in the inner wheel
-    kCancelledPending = 3,     // cancelled before the start command drained
-    kCancelledRegistered = 4,  // cancelled while live in the inner wheel
-  };
+  using Event = registration::Event;
+  using Verdict = registration::Verdict;
+  using Step = registration::Step;
 
   struct Command {
     // kNoop fills a reserved-then-abandoned cell (a restart whose commit CAS
@@ -644,63 +680,27 @@ class ShardSubmitQueue {
   };
 
   struct Entry {
-    // {epoch:15 | periodic:1 | restarts:8 | state:8 | generation:32} — the
-    // linearization point (see file comment).
+    // {restarts:8 | state:8 | generation:32}, written only with
+    // registration::Transition's Step::next — the linearization point (see
+    // the file comment).
     std::atomic<std::uint64_t> word{0};
-    // Atomic because ClaimFire reads it outside the shard mutex and may race a
-    // producer re-initializing a recycled entry; the generation CAS discards
-    // any stale read. deadline/inner need no atomicity: deadline is written
-    // before the kPending release-publish and read only at drain (under the
-    // shard mutex, while kPending pins the entry); inner is driver-only.
-    std::atomic<RequestId> client_id{0};
+    // Written by the producer before the release store that publishes
+    // kPending, and read afterwards only under the shard mutex after a
+    // generation match (see the file comment). Only a lap claim writes one
+    // later: it counts `repeats` down in lockstep with the inner record's own
+    // budget (0 = forever).
+    RequestId client_id = 0;
     Tick deadline = 0;
+    Duration period = 0;
+    std::uint64_t repeats = 0;
     TimerHandle inner = kInvalidHandle;  // driver-only, valid in *Registered
-    // Periodic cadence and remaining-fire mirror. Written by the producer
-    // before the kPending publish; thereafter period is read-only and repeats
-    // is decremented only by claim passes, in lockstep with the inner record's
-    // own budget. Atomic (relaxed) because claim passes run outside the shard
-    // mutex while a producer may be re-initializing a recycled entry.
-    std::atomic<Duration> period{0};
-    std::atomic<std::uint64_t> repeats{0};
   };
 
   static constexpr std::uint32_t kNilIndex =
       std::numeric_limits<std::uint32_t>::max();
   static constexpr Tick kNoPending = std::numeric_limits<Tick>::max();
-  // In-flight (committed, not yet drained) restarts per entry saturate here;
-  // 255 undrained restarts of one timer means the drainer has stalled and the
-  // producer gets kNoCapacity, same as a full ring.
-  static constexpr std::uint64_t kMaxRestarts = 0xff;
 
-  // Word layout: {epoch:15 | periodic:1 | restarts:8 | state:8 | generation:32}.
-  // Bits 48..63 are sticky: preserved by every live-state transition (cancel,
-  // restart commit, registration, restart-counter decrement), cleared only by
-  // reclaim. The periodic bit marks the entry's kind for the claim passes; the
-  // epoch is a wrapping counter whose only job is to make a non-final periodic
-  // fire's claim a *distinct word value*, so it is a real CAS that cancels and
-  // restarts serialize against.
-  static constexpr std::uint64_t kPeriodicBit = 1ull << 48;
-  static constexpr std::uint64_t kEpochIncrement = 1ull << 49;
-  static constexpr std::uint64_t kStickyMask = 0xFFFF000000000000ull;
-
-  static constexpr std::uint64_t Pack(std::uint32_t generation, State state) {
-    return (static_cast<std::uint64_t>(state) << 32) | generation;
-  }
-  static constexpr std::uint64_t PackFull(std::uint32_t generation, State state,
-                                          std::uint64_t restarts) {
-    return (restarts << 40) | (static_cast<std::uint64_t>(state) << 32) |
-           generation;
-  }
-  static constexpr std::uint32_t GenerationOf(std::uint64_t word) {
-    return static_cast<std::uint32_t>(word);
-  }
-  static constexpr State StateOf(std::uint64_t word) {
-    return static_cast<State>((word >> 32) & 0xff);
-  }
-  static constexpr std::uint64_t RestartsOf(std::uint64_t word) {
-    return (word >> 40) & 0xff;
-  }
-  static constexpr std::uint64_t PackHead(std::uint32_t tag, std::uint32_t index) {
+  static constexpr std::uint64_t FreeHead(std::uint32_t tag, std::uint32_t index) {
     return (static_cast<std::uint64_t>(tag) << 32) | index;
   }
 
@@ -744,7 +744,7 @@ class ShardSubmitQueue {
       }
       const std::uint32_t next = next_[idx].load(std::memory_order_relaxed);
       const std::uint64_t desired =
-          PackHead(static_cast<std::uint32_t>(head >> 32) + 1, next);
+          FreeHead(static_cast<std::uint32_t>(head >> 32) + 1, next);
       if (free_head_.compare_exchange_weak(head, desired,
                                            std::memory_order_acq_rel,
                                            std::memory_order_acquire)) {
@@ -763,7 +763,7 @@ class ShardSubmitQueue {
       next_[last].store(static_cast<std::uint32_t>(head),
                         std::memory_order_relaxed);
       const std::uint64_t desired =
-          PackHead(static_cast<std::uint32_t>(head >> 32) + 1, first);
+          FreeHead(static_cast<std::uint32_t>(head >> 32) + 1, first);
       if (free_head_.compare_exchange_weak(head, desired,
                                            std::memory_order_acq_rel,
                                            std::memory_order_relaxed)) {
@@ -781,34 +781,53 @@ class ShardSubmitQueue {
     freed_head_ = index;
   }
 
-  // Under the shard mutex: reclaim a cancelled entry, if it is still (index,
-  // generation) in state `from`. The cancel command's drain and a suppressed
-  // fire's claim may both try; the mutex makes the second see the bumped
-  // generation. Producers CAS only from kPending or kRegistered, so no CAS can
-  // race the word out of a cancelled state, and a release store suffices; it
-  // clears the sticky bits.
-  void Reclaim(std::uint32_t index, std::uint32_t generation, State from) {
-    Entry& entry = entries_[index];
-    const std::uint64_t word = entry.word.load(std::memory_order_acquire);
-    if (GenerationOf(word) != generation || StateOf(word) != from) {
-      return;  // already reclaimed
+  // The one CAS loop on a word: moves `entry`'s word by `event` from `*word`,
+  // the value the caller last saw, and re-resolves against the value each
+  // lost CAS reloads (counted in `retries`, when given). Returns the last
+  // step; a write verdict (kWrite, kCoalesce) means its CAS landed.
+  static Step Cas(Entry& entry, std::uint64_t* word, std::uint32_t generation,
+                  Event event, std::uint64_t* retries = nullptr) {
+    for (;;) {
+      const Step step = registration::Transition(*word, generation, event);
+      if ((step.verdict != Verdict::kWrite && step.verdict != Verdict::kCoalesce) ||
+          entry.word.compare_exchange_weak(*word, step.next,
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_acquire)) {
+        return step;
+      }
+      if (retries != nullptr) {
+        ++*retries;
+      }
     }
-    entry.word.store(Pack(generation + 1, State::kFree),
-                     std::memory_order_release);
+  }
+
+  // Under the shard mutex, once a drain or claim got Verdict::kReclaim for
+  // `word`: stop the entry's inner record in `wheel`, when a wheel still holds
+  // one (nullptr when the record never registered or its expiry consumed it),
+  // and free the entry. The mutex makes a second reclaim of the same entry see
+  // the bumped generation. Producers CAS only from kPending or kRegistered, so
+  // no CAS can move `word` out of its cancelled state, and a release store
+  // suffices.
+  void Reclaim(std::uint32_t index, std::uint64_t word, std::uint32_t generation,
+               TimerService* wheel) {
+    Entry& entry = entries_[index];
+    if (wheel != nullptr) {
+      (void)wheel->StopTimer(entry.inner);
+    }
+    entry.word.store(
+        registration::Transition(word, generation, Event::kReclaim).next,
+        std::memory_order_release);
     Retire(index);
   }
 
+  // Enqueue `cmd`; false when the ring is full under kReject.
   bool Push(const Command& cmd, std::uint64_t* retries) {
-    for (;;) {
-      if (ring_.TryPush(cmd, retries)) {
-        return true;
-      }
-      if (policy_ == SubmitPolicy::kReject) {
-        return false;
-      }
-      std::this_thread::yield();  // kSpin: bounded by the drainer's progress
-      ++*retries;
+    std::uint64_t ticket;
+    if (!Reserve(&ticket, retries)) {
+      return false;
     }
+    ring_.Publish(ticket, cmd);
+    return true;
   }
 
   // Policy-aware ticket reservation (first half of a two-phase push — the
@@ -840,21 +859,18 @@ class ShardSubmitQueue {
   // when the entry is periodic. Runs under the shard mutex.
   void RegisterInner(Entry& entry, std::uint32_t index, std::uint32_t generation,
                      Duration remaining, TimerService& wheel) {
-    const Duration period = entry.period.load(std::memory_order_relaxed);
-    const RequestId inner_id = PackInnerId(index, generation);
+    const RequestId inner_id = InnerId(index, generation);
     // The inner record carries the true cadence and budget, so the inner
     // wheel's own expiry path re-arms it in place between fires. When the
     // first fire is off-cadence (remaining != period), the in-place relink
     // moves just that first deadline; the record's period is untouched.
     StartResult result =
-        period != 0
-            ? wheel.StartPeriodic(
-                  period, inner_id,
-                  entry.repeats.load(std::memory_order_relaxed))
+        entry.period != 0
+            ? wheel.StartPeriodic(entry.period, inner_id, entry.repeats)
             : wheel.StartTimer(remaining, inner_id);
     TWHEEL_ASSERT_MSG(result.has_value(),
                       "inner wheel rejected a drained registration");
-    if (period != 0 && remaining != period) {
+    if (entry.period != 0 && remaining != entry.period) {
       (void)wheel.RestartTimer(result.value(), remaining);
     }
     entry.inner = result.value();
@@ -867,36 +883,19 @@ class ShardSubmitQueue {
     }
     Entry& entry = entries_[cmd.index];
     std::uint64_t word = entry.word.load(std::memory_order_acquire);
-    if (GenerationOf(word) != cmd.generation) {
-      return;  // a previous incarnation's command; the entry moved on
-    }
+    // A previous incarnation's command refuses every event: the entry moved on.
     if (cmd.kind == Command::Kind::kStart) {
-      while (StateOf(word) == State::kPending) {
-        // Preserve the restart counter (and sticky bits): a restart committed
-        // against the pending entry (coalesced) carries across the
-        // registration, and its relink command drains right behind this one.
-        if (entry.word.compare_exchange_weak(
-                word,
-                (word & kStickyMask) |
-                    PackFull(cmd.generation, State::kRegistered,
-                             RestartsOf(word)),
-                std::memory_order_acq_rel, std::memory_order_acquire)) {
-          const Tick now = wheel.now();
-          const Duration remaining =
-              entry.deadline > now ? entry.deadline - now : 1;
-          RegisterInner(entry, cmd.index, cmd.generation, remaining, wheel);
-          return;
-        }
-        if (GenerationOf(word) != cmd.generation) {
-          return;
-        }
-        // CAS lost to a canceller (terminal) or a coalescing restarter
-        // (counter bump — retry the registration with the new counter).
-      }
-      if (StateOf(word) == State::kCancelledPending) {
+      // A CAS lost to a coalescing restarter (count bump) retries with the new
+      // count; one lost to a canceller turns into the reclaim below.
+      const Step step = Cas(entry, &word, cmd.generation, Event::kDrainStart);
+      if (step.verdict == Verdict::kWrite) {
+        const Tick now = wheel.now();
+        const Duration remaining = entry.deadline > now ? entry.deadline - now : 1;
+        RegisterInner(entry, cmd.index, cmd.generation, remaining, wheel);
+      } else if (step.verdict == Verdict::kReclaim) {
         // The pending-cancel reconciliation: cancel committed before this start
         // drained, so the timer is never registered at all.
-        Reclaim(cmd.index, cmd.generation, State::kCancelledPending);
+        Reclaim(cmd.index, word, cmd.generation, nullptr);
       }
       // kRegistered/kCancelledRegistered with a matching generation would mean
       // a double drain of the same start; the FIFO ring makes that impossible.
@@ -909,71 +908,45 @@ class ShardSubmitQueue {
       // consumed — a nonzero counter is guaranteed here, and the relink
       // happens exactly once per commit, in ring FIFO order — the
       // last-drained deadline wins.
-      if (StateOf(word) == State::kRegistered && RestartsOf(word) != 0) {
-        const Tick now = wheel.now();
-        const Duration remaining =
-            cmd.deadline > now ? cmd.deadline - now : 1;
-        // A non-final periodic's inner record survived its (suppressed or
-        // delivered) fires — the relink just moves its next deadline and the
-        // cadence rides along untouched.
-        if (wheel.RestartTimer(entry.inner, remaining) != TimerError::kOk) {
-          // The old inner record was consumed by a suppressed (counter > 0)
-          // expiry — a one-shot's only fire or a periodic's final fire;
-          // re-register under the same entry identity (periodic entries
-          // resume with their mirrored remaining budget).
-          RegisterInner(entry, cmd.index, cmd.generation, remaining, wheel);
-        }
-        entry.deadline = cmd.deadline;
-        // Release this commit's suppression ticket. Stop if a cancel slips in
-        // concurrently — it zeroes the counter itself.
-        while (!entry.word.compare_exchange_weak(
-            word,
-            (word & kStickyMask) | PackFull(cmd.generation, State::kRegistered,
-                                            RestartsOf(word) - 1),
-            std::memory_order_acq_rel, std::memory_order_acquire)) {
-          if (GenerationOf(word) != cmd.generation ||
-              StateOf(word) != State::kRegistered) {
-            break;
-          }
-        }
-      } else if (StateOf(word) == State::kCancelledRegistered) {
+      const Step step =
+          registration::Transition(word, cmd.generation, Event::kDrainRestart);
+      if (step.verdict == Verdict::kReclaim) {
         // A cancel won after this restart committed; help reclaim (covers a
         // dropped cancel command when the suppressed expiry already passed).
-        (void)wheel.StopTimer(entry.inner);
-        Reclaim(cmd.index, cmd.generation, State::kCancelledRegistered);
+        Reclaim(cmd.index, word, cmd.generation, &wheel);
       }
-      // kPending is unreachable (this entry's start precedes every restart in
-      // the FIFO ring); kCancelledPending means the start never registered.
-    } else {  // kCancel
-      if (StateOf(word) == State::kCancelledRegistered) {
-        // Prompt removal. May return kNoSuchTimer when the inner record was
-        // already collected by a concurrent driver's tick — the suppressed
-        // claim pass reclaims in that interleaving.
-        (void)wheel.StopTimer(entry.inner);
-        Reclaim(cmd.index, cmd.generation, State::kCancelledRegistered);
+      if (step.verdict != Verdict::kWrite) {
+        // kPending is unreachable (this entry's start precedes every restart
+        // in the FIFO ring); kCancelledPending means the start never
+        // registered.
+        return;
       }
+      const Tick now = wheel.now();
+      const Duration remaining = cmd.deadline > now ? cmd.deadline - now : 1;
+      // A non-final periodic's inner record survived its (suppressed or
+      // delivered) fires — the relink just moves its next deadline and the
+      // cadence rides along untouched.
+      if (wheel.RestartTimer(entry.inner, remaining) != TimerError::kOk) {
+        // The old inner record was consumed by a suppressed (counter > 0)
+        // final expiry — a one-shot's only fire or a periodic's final fire;
+        // re-register under the same entry identity (periodic entries resume
+        // with their mirrored remaining budget).
+        RegisterInner(entry, cmd.index, cmd.generation, remaining, wheel);
+      }
+      // Release this commit's suppression ticket. Stop if a cancel slips in
+      // concurrently — it zeroes the counter itself.
+      Cas(entry, &word, cmd.generation, Event::kDrainRestart);
+    } else if (registration::Transition(word, cmd.generation, Event::kDrainCancel)
+                   .verdict == Verdict::kReclaim) {
+      // Prompt removal. The StopTimer misses when a final fire that a pending
+      // restart deferred already consumed the inner record; the reclaim stands.
       // kCancelledPending: unreachable while the ring is FIFO (the start
       // command precedes its cancel); if it ever surfaces, the start command's
       // drain reclaims. Other states: the entry was already resolved.
+      Reclaim(cmd.index, word, cmd.generation, &wheel);
     }
   }
 
- public:
-  // The inner wheel's RequestId for a registration carries the entry identity;
-  // the wheel's collected expiries come back through ClaimFire with it. The
-  // shard index rides in bits the wheel adds (see ShardedWheel).
-  static constexpr RequestId PackInnerId(std::uint32_t index,
-                                         std::uint32_t generation) {
-    return (static_cast<RequestId>(generation) << 32) | index;
-  }
-  static constexpr std::uint32_t InnerIdIndex(RequestId id) {
-    return static_cast<std::uint32_t>(id) & 0x00ffffffu;
-  }
-  static constexpr std::uint32_t InnerIdGeneration(RequestId id) {
-    return static_cast<std::uint32_t>(id >> 32);
-  }
-
- private:
   const SubmitPolicy policy_;
   const std::uint32_t capacity_;
   std::unique_ptr<Entry[]> entries_;

@@ -169,6 +169,56 @@ TEST(MpscSubmitTest, RegistrationTableExhaustionRejects) {
   EXPECT_TRUE(wheel.StartTimer(10, 4).has_value());
 }
 
+// A cancel whose command the full ring drops leaves a periodic's inner record
+// armed. The claim of its next lap finds the cancel: it suppresses the fire and
+// stops the re-armed inner record, so the inner wheel dispatches no later lap.
+TEST(MpscSubmitTest, DroppedCancelStopsAPeriodicAtItsNextLap) {
+  SubmitOptions submit;
+  submit.ring_capacity = 2;
+  submit.registration_capacity = 8;
+  submit.on_full = SubmitPolicy::kReject;
+  ShardedWheel wheel(1, 64, submit);
+  FireLog log;
+  Capture(wheel, log);
+
+  auto periodic = wheel.StartPeriodic(4, 1);
+  ASSERT_TRUE(periodic.has_value());
+  wheel.PerTickBookkeeping();  // registered; laps due at 4, 8, 12, ...
+  auto a = wheel.StartTimer(20, 2);
+  auto b = wheel.StartTimer(20, 3);
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
+  // The ring holds the two starts, so this cancel's command is dropped.
+  EXPECT_EQ(wheel.StopTimer(periodic.value()), TimerError::kOk);
+  while (wheel.now() < 16) {
+    wheel.PerTickBookkeeping();  // one tick per step: each lap is claimed alone
+  }
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(wheel.counts().periodic_fires, 0u);
+  EXPECT_EQ(wheel.counts().expiry_dispatches, 1u);  // the inner lap at 4 only
+  EXPECT_EQ(wheel.outstanding(), 2u);
+}
+
+// At most 255 restarts of one timer may await a drain: the next is refused
+// with nothing changed, and the timer then fires once, at the deadline of the
+// last restart accepted.
+TEST(MpscSubmitTest, RestartsSaturateAt255InFlight) {
+  ShardedWheel wheel(1, 64, Generous());
+  FireLog log;
+  Capture(wheel, log);
+
+  auto timer = wheel.StartTimer(5, 7);
+  ASSERT_TRUE(timer.has_value());
+  for (Duration i = 1; i <= 255; ++i) {
+    ASSERT_EQ(wheel.RestartTimer(timer.value(), 10 + i), TimerError::kOk);
+  }
+  EXPECT_EQ(wheel.RestartTimer(timer.value(), 1000), TimerError::kNoCapacity);
+  EXPECT_EQ(wheel.counts().restart_calls, 255u);
+  wheel.AdvanceTo(300);
+  EXPECT_EQ(log, (FireLog{{7, 265}}));
+  EXPECT_EQ(wheel.outstanding(), 0u);
+}
+
 TEST(MpscSubmitTest, CountsExposeSubmissionTraffic) {
   ShardedWheel wheel(1, 64, Generous());
   FireLog log;

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <numeric>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,16 @@ struct GeometryCase {
   std::string label;
   std::vector<std::size_t> sizes;
 };
+
+// Names the geometry in each test ID ("paper_like {64, 60, 24}") instead of
+// the parameter's bytes, which hold heap pointers that change between builds.
+void PrintTo(const GeometryCase& geometry, std::ostream* os) {
+  *os << geometry.label << " {";
+  for (std::size_t i = 0; i < geometry.sizes.size(); ++i) {
+    *os << (i == 0 ? "" : ", ") << geometry.sizes[i];
+  }
+  *os << "}";
+}
 
 std::vector<GeometryCase> Geometries() {
   return {

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "src/baselines/heap_timers.h"
+#include "src/concurrent/sharded_wheel.h"
 #include "src/core/hashed_wheel_unsorted.h"
 #include "src/core/timer_service.h"
 #include "src/hw/timer_chip.h"
@@ -64,6 +65,39 @@ TEST(PeriodicRegressionTest, LapPastTheEndOfTickIsDropped) {
   EXPECT_EQ(heap.counts().periodic_drops, 1u);
   EXPECT_EQ(heap.counts().expiries, 1u);
   EXPECT_EQ(heap.outstanding(), 0u);
+}
+
+// The same drop for a forever periodic, one tick at a time, on a hashed wheel,
+// the heap and a one-shard ShardedWheel. Started at last - 10 with period 6, it
+// fires at last - 4, and the lap after that would be due past the end of Tick,
+// so that fire is the final one: nothing stays outstanding and the handle is
+// stale. ShardedWheel used to claim it as a lap, because a forever periodic's
+// budget never reads "last", and kept the entry live with no inner record.
+TEST(PeriodicRegressionTest, ForeverLapPastTheEndOfTickEndsTheSeries) {
+  const Tick last = std::numeric_limits<Tick>::max();
+  std::vector<std::unique_ptr<TimerService>> services;
+  services.push_back(std::make_unique<HashedWheelUnsorted>(64));
+  services.push_back(std::make_unique<HeapTimers>());
+  services.push_back(std::make_unique<concurrent::ShardedWheel>(
+      1, 64, concurrent::SubmitOptions{}));
+  for (const auto& service : services) {
+    SCOPED_TRACE(service->name());
+    std::vector<Tick> fired;
+    service->set_expiry_handler(
+        [&fired](RequestId, Tick when) { fired.push_back(when); });
+    ASSERT_TRUE(service->FastForward(last - 10));
+    const StartResult started = service->StartPeriodic(6, 1);
+    ASSERT_TRUE(started.has_value());
+    for (int i = 0; i < 9; ++i) {
+      service->PerTickBookkeeping();
+    }
+    EXPECT_EQ(fired, (std::vector<Tick>{last - 4}));
+    EXPECT_EQ(service->outstanding(), 0u);
+    EXPECT_EQ(service->counts().expiries, 1u);
+    EXPECT_EQ(service->counts().periodic_fires, 0u);
+    EXPECT_EQ(service->counts().periodic_drops, 1u);
+    EXPECT_EQ(service->StopTimer(started.value()), TimerError::kNoSuchTimer);
+  }
 }
 
 // ---------------------------------------------------------------------------
