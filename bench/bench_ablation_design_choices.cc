@@ -103,7 +103,7 @@ void AblateMigrationPolicy() {
 
     // Measure expiry error directly: request ids encode the exact expiry.
     metrics::RunningStats error;
-    wheel.set_expiry_handler([&](RequestId id, Tick when) {
+    wheel.set_expiry_handler([&](RequestId id, Tick when, bool) {
       const Tick exact = id;  // id == start + interval, set below
       error.Add(static_cast<double>(when > exact ? when - exact : exact - when));
     });

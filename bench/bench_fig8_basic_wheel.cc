@@ -43,7 +43,7 @@ void BM_WheelTickThroughPopulation(benchmark::State& state) {
   // are immediately re-armed by the handler so the population stays at n.
   auto wheel = std::make_unique<BasicWheel>(kWheelSize);
   rng::Xoshiro256 gen(9);
-  wheel->set_expiry_handler([&](RequestId id, Tick) {
+  wheel->set_expiry_handler([&](RequestId id, Tick, bool) {
     (void)wheel->StartTimer(1 + gen.NextBounded(kWheelSize - 1), id);
   });
   const std::size_t n = static_cast<std::size_t>(state.range(0));

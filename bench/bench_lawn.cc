@@ -99,7 +99,7 @@ void BM_LawnTick(benchmark::State& state, const std::string& label) {
 
   std::uint64_t fired = 0;
   TimerService* raw = service.get();
-  service->set_expiry_handler([&fired, raw, &ttls](RequestId id, Tick) {
+  service->set_expiry_handler([&fired, raw, &ttls](RequestId id, Tick, bool) {
     ++fired;
     benchmark::DoNotOptimize(raw->StartTimer(ttls[id], id));
   });

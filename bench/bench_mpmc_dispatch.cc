@@ -73,7 +73,7 @@ void BM_MpmcDispatch(benchmark::State& state) {
   ShardedWheel wheel(shards, kWheelSize, submit);
 
   std::atomic<std::uint64_t> sink{0};
-  wheel.set_expiry_handler([&sink](RequestId id, twheel::Tick) {
+  wheel.set_expiry_handler([&sink](RequestId id, twheel::Tick, bool) {
     sink.fetch_add(id, std::memory_order_relaxed);
   });
 

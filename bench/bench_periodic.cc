@@ -78,7 +78,7 @@ struct PeriodicPopulation {
 PeriodicPopulation PreloadPeriodic(SchemeId id) {
   PeriodicPopulation p;
   p.service = MakeTimerService(BenchConfig(id));
-  p.service->set_expiry_handler([](RequestId, Tick) {});
+  p.service->set_expiry_handler([](RequestId, Tick, bool) {});
   rng::Xoshiro256 gen(7);
   p.handles.reserve(kPopulation);
   for (std::size_t i = 0; i < kPopulation; ++i) {
@@ -127,7 +127,7 @@ constexpr Duration kBatch = 64;  // AdvanceTo stride per iteration
 
 void BM_LapRelink(benchmark::State& state) {
   auto service = MakeTimerService(BenchConfig(static_cast<SchemeId>(state.range(0))));
-  service->set_expiry_handler([](RequestId, Tick) {});
+  service->set_expiry_handler([](RequestId, Tick, bool) {});
   rng::Xoshiro256 gen(7);
   for (std::size_t i = 0; i < kPopulation; ++i) {
     (void)service
@@ -149,7 +149,7 @@ void BM_LapStopStart(benchmark::State& state) {
   TimerService* raw = service.get();
   std::vector<Duration> periods(kPopulation);
   std::vector<TimerHandle> handles(kPopulation);
-  service->set_expiry_handler([raw, &periods, &handles](RequestId id, Tick) {
+  service->set_expiry_handler([raw, &periods, &handles](RequestId id, Tick, bool) {
     handles[id] = raw->StartTimer(periods[id], id).value();
   });
   rng::Xoshiro256 gen(7);

@@ -76,7 +76,7 @@ struct Population {
 Population Preload(SchemeId id) {
   Population p;
   p.service = MakeTimerService(BenchConfig(id));
-  p.service->set_expiry_handler([](RequestId, Tick) {});
+  p.service->set_expiry_handler([](RequestId, Tick, bool) {});
   rng::Xoshiro256 gen(7);
   p.handles.reserve(kPopulation);
   for (std::size_t i = 0; i < kPopulation; ++i) {

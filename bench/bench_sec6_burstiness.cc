@@ -53,7 +53,7 @@ int main() {
     rng::Xoshiro256 gen(6);
     // Self-sustaining population: every expiry re-arms with the pattern's interval,
     // holding n constant forever.
-    wheel.set_expiry_handler([&](RequestId id, Tick) {
+    wheel.set_expiry_handler([&](RequestId id, Tick, bool) {
       (void)wheel.StartTimer(pattern.next(gen), id);
     });
     for (std::size_t i = 0; i < kTimers; ++i) {

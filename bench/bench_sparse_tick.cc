@@ -39,7 +39,7 @@ void RunSparseSpan(benchmark::State& state, MakeFn make, bool batched) {
   auto service = make();
   rng::Xoshiro256 gen(123);
   std::uint64_t fired = 0;
-  service->set_expiry_handler([&fired](RequestId, Tick) { ++fired; });
+  service->set_expiry_handler([&fired](RequestId, Tick, bool) { ++fired; });
   RequestId id = 0;
   for (auto _ : state) {
     for (std::size_t i = 0; i < kTimers; ++i) {

@@ -123,7 +123,7 @@ void RestartBody(benchmark::State& state, Service& service) {
 
 template <typename Service>
 void TickBody(benchmark::State& state, Service& service) {
-  service.set_expiry_handler([](RequestId, Tick) {});
+  service.set_expiry_handler([](RequestId, Tick, bool) {});
   rng::Xoshiro256 gen(7);
   for (std::size_t i = 0; i < kPopulation; ++i) {
     benchmark::DoNotOptimize(

@@ -20,8 +20,9 @@ int main() {
   config.wheel_size = 256;  // power of two: the hash is a single AND
   auto timers = MakeTimerService(config);
 
-  // EXPIRY_PROCESSING: one handler per service; each timer carries a cookie.
-  timers->set_expiry_handler([](RequestId id, Tick now) {
+  // EXPIRY_PROCESSING: one handler per service; each timer carries a cookie,
+  // and `last` says whether the fire ends the timer (always, for a one-shot).
+  timers->set_expiry_handler([](RequestId id, Tick now, bool /*last*/) {
     std::printf("  tick %4llu: timer %llu expired\n",
                 static_cast<unsigned long long>(now),
                 static_cast<unsigned long long>(id));

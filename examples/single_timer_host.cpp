@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
 
   // Each expiry re-arms, so the list stays populated: a steady drizzle of work
   // separated by long dead stretches — the worst case for per-tick interrupts.
-  timers.set_expiry_handler([&](RequestId id, Tick) {
+  timers.set_expiry_handler([&](RequestId id, Tick, bool) {
     ++fired;
     (void)timers.StartTimer(think.Draw(gen), id);
   });

@@ -117,25 +117,22 @@ class MpscRing {
   // Single-consumer drain, in ticket order, of at most `limit` published
   // values. Callers must serialize drains externally (the shard mutex). Stops
   // early at the first unpublished cell. When `emptied` is non-null it is set
-  // to true iff the drain ended because nothing further was published (rather
-  // than because `limit` was reached) — the submission layer uses this to
-  // decide whether its pending-deadline hint may be reset.
+  // to true iff nothing further was published when the drain ended: at the
+  // cut, or, for a drain that stopped at `limit`, at one more load of the next
+  // cell — the submission layer uses this to decide whether its
+  // pending-deadline hint may be reset.
   template <typename Fn>
   std::size_t Drain(std::size_t limit, Fn&& fn, bool* emptied = nullptr) {
     std::size_t drained = 0;
-    if (emptied != nullptr) {
-      *emptied = false;
-    }
+    bool cut = false;
     while (drained < limit) {
       Cell& cell = cells_[dequeue_pos_ & mask_];
       const std::uint64_t seq = cell.sequence.load(std::memory_order_acquire);
       if (seq != dequeue_pos_ + 1) {
         // Empty, or the ticket holder has not published yet; either way the
         // FIFO cut ends here.
-        if (emptied != nullptr) {
-          *emptied = true;
-        }
-        return drained;
+        cut = true;
+        break;
       }
       T value = std::move(cell.value);
       // Recycle the cell for the producer one lap ahead.
@@ -143,6 +140,9 @@ class MpscRing {
       ++dequeue_pos_;
       ++drained;
       fn(std::as_const(value));
+    }
+    if (emptied != nullptr) {
+      *emptied = cut || EmptyFromConsumer();
     }
     return drained;
   }

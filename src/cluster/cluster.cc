@@ -466,7 +466,7 @@ void TimerCluster::OnCoordMessage(const net::Packet& packet) {
 void TimerCluster::MakeHost(NodeId node) {
   nodes_[node].host = MakeTimerService(config_.node_scheme);
   nodes_[node].host->set_expiry_handler(
-      [this, node](RequestId key, Tick /*host_now*/) {
+      [this, node](RequestId key, Tick /*host_now*/, bool /*last*/) {
         OnHostPop(node, key);
       });
 }

@@ -63,8 +63,9 @@ class ClusterFacadeService final : public TimerService {
           ++counts_.expiries;
           ++counts_.expiry_dispatches;
           ++tick_expiries_;
+          // Every fire is last: the facade starts no periodics.
           if (handler_) {
-            handler_(request_id, cluster_->now());
+            handler_(request_id, cluster_->now(), /*last=*/true);
           }
         });
   }

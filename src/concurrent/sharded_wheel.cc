@@ -36,8 +36,8 @@ ShardedWheel::ShardedWheel(std::size_t shards, std::size_t table_size,
     // tick) would then write through a dead stack frame. Shard::collected is only
     // touched under Shard::mutex, which every wheel call already holds.
     Shard* raw = shard.get();
-    raw->wheel->set_expiry_handler([raw](RequestId id, Tick when) {
-      raw->collected.emplace_back(id, when);
+    raw->wheel->set_expiry_handler([raw](RequestId id, Tick when, bool last) {
+      raw->collected.push_back(Fire{id, when, last});
     });
     shards_.push_back(std::move(shard));
   }
@@ -141,7 +141,7 @@ std::size_t ShardedWheel::AdvanceTo(Tick target) {
   // shard whose cursor already passed `target` is skipped rather than
   // over-advanced — driving the wheel afterwards re-converges every shard onto
   // `target`.
-  std::vector<std::pair<RequestId, Tick>> fires = std::move(fires_);
+  std::vector<Fire> fires = std::move(fires_);
   fires.clear();
   for (const auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
@@ -157,7 +157,7 @@ std::size_t ShardedWheel::AdvanceTo(Tick target) {
   // all carry `target` and need no merge.
   if (target - base > 1) {
     std::stable_sort(fires.begin(), fires.end(),
-                     [](const auto& a, const auto& b) { return a.second < b.second; });
+                     [](const Fire& a, const Fire& b) { return a.when < b.when; });
   }
   const std::size_t dispatched = Dispatch(fires);
   fires.clear();
@@ -165,8 +165,7 @@ std::size_t ShardedWheel::AdvanceTo(Tick target) {
   return dispatched;
 }
 
-void ShardedWheel::StepShard(Shard& shard, Tick target,
-                             std::vector<std::pair<RequestId, Tick>>& fires) {
+void ShardedWheel::StepShard(Shard& shard, Tick target, std::vector<Fire>& fires) {
   // Drain before advancing: a start whose enqueue completed before this step
   // is registered before any slot it could land in is crossed, which is what
   // makes the NextExpiryHint contract sound for callers that jump.
@@ -180,26 +179,18 @@ void ShardedWheel::StepShard(Shard& shard, Tick target,
   // Claim while still holding the shard mutex: every fire is committed against
   // its registration word before any handler runs or the batch becomes visible
   // to a dispatcher, so a thief can only ever claim a fully-drained,
-  // fully-claimed bucket. Final fires bump their entry's generation (StopTimer
-  // on them now returns kNoSuchTimer); a periodic's non-final lap CASes the
-  // word onto itself, keeping the handle live; entries whose cancel won the
-  // race are suppressed and reclaimed inside ClaimFire, which also stops a
-  // cancelled periodic's re-armed inner record.
-  for (const auto& [id, when] : shard.collected) {
+  // fully-claimed bucket. Last fires bump their entry's generation (StopTimer
+  // on them now returns kNoSuchTimer); a periodic's lap CASes the word onto
+  // itself, keeping the handle live; entries whose cancel won the race are
+  // suppressed and reclaimed inside ClaimFire, which also stops a cancelled
+  // periodic's re-armed inner record.
+  for (const Fire& fire : shard.collected) {
     RequestId client_id = 0;
-    switch (shard.submit->ClaimFire(ShardSubmitQueue::InnerIdIndex(id),
-                                    ShardSubmitQueue::InnerIdGeneration(id), when,
-                                    *shard.wheel, &client_id)) {
-      case ShardSubmitQueue::FireResolution::kDeliver:
-        fires.emplace_back(client_id, when);
-        ++shard.fired_laps;
-        break;
-      case ShardSubmitQueue::FireResolution::kDeliverFinal:
-        fires.emplace_back(client_id, when);
-        ++shard.expiries;
-        break;
-      case ShardSubmitQueue::FireResolution::kSuppress:
-        break;
+    if (shard.submit->ClaimFire(ShardSubmitQueue::InnerIdIndex(fire.id),
+                                ShardSubmitQueue::InnerIdGeneration(fire.id),
+                                fire.last, *shard.wheel, &client_id)) {
+      fires.push_back(Fire{client_id, fire.when, fire.last});
+      ++(fire.last ? shard.expiries : shard.fired_laps);
     }
   }
   shard.collected.clear();
@@ -211,7 +202,7 @@ void ShardedWheel::StepShard(Shard& shard, Tick target,
 std::size_t ShardedWheel::AdvanceShard(std::uint32_t shard_index, Tick target) {
   TWHEEL_ASSERT_MSG(shard_index < shards_.size(), "AdvanceShard: no such shard");
   Shard& shard = *shards_[shard_index];
-  std::vector<std::pair<RequestId, Tick>> fires;
+  std::vector<Fire> fires;
   std::lock_guard<std::mutex> lock(shard.mutex);
   StepShard(shard, target, fires);
   const std::size_t claimed = fires.size();
@@ -264,12 +255,12 @@ std::size_t ShardedWheel::DispatchShard(std::uint32_t shard_index, bool owner) {
       // dense), and expiry ticks never run backwards within a shard.
       if (fifo->seq != shard.dispatched_seq + 1 ||
           (!fifo->fires.empty() &&
-           fifo->fires.front().second < shard.last_dispatched_when)) {
+           fifo->fires.front().when < shard.last_dispatched_when)) {
         dispatch_order_violations_.fetch_add(1, std::memory_order_relaxed);
       }
       shard.dispatched_seq = fifo->seq;
       if (!fifo->fires.empty()) {
-        shard.last_dispatched_when = fifo->fires.back().second;
+        shard.last_dispatched_when = fifo->fires.back().when;
       }
       if (!owner) {
         dispatch_steals_.fetch_add(1, std::memory_order_relaxed);
@@ -311,16 +302,15 @@ bool ShardedWheel::HasPendingBatches(std::uint32_t shard_index) const {
   return shard.dispatch_busy.load(std::memory_order_acquire);
 }
 
-std::size_t ShardedWheel::Dispatch(
-    const std::vector<std::pair<RequestId, Tick>>& fires) {
+std::size_t ShardedWheel::Dispatch(const std::vector<Fire>& fires) {
   ExpiryHandler handler;
   {
     std::lock_guard<std::mutex> lock(handler_mutex_);
     handler = handler_;
   }
   if (handler) {
-    for (const auto& [id, when] : fires) {
-      handler(id, when);
+    for (const Fire& fire : fires) {
+      handler(fire.id, fire.when, fire.last);
     }
   }
   return fires.size();

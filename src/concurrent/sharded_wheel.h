@@ -58,11 +58,12 @@ class ShardedWheel final : public TimerService {
   StartResult StartTimer(Duration interval, RequestId request_id) final;
   // Periodic registration, lock-free: the registration entry carries the
   // cadence and repeat budget, the inner wheel is registered with them at
-  // drain, and each collected fire resolves against the entry word: a
-  // non-final fire claims by a CAS of the word onto itself (handle and
-  // generation preserved); the final fire (the budget's last, or one whose
-  // next lap would pass the end of Tick) claims and reclaims like a one-shot
-  // expiry.
+  // drain, and each collected fire resolves against the entry word by the
+  // inner wheel's `last` flag: a lap claims by a CAS of the word onto itself
+  // (handle and generation preserved); a last fire (the budget's last, or one
+  // whose next lap the inner wheel dropped at the end of Tick) claims and
+  // reclaims like a one-shot expiry. The client's handler gets the inner
+  // wheel's `last` unchanged.
   StartResult StartPeriodic(Duration interval, RequestId request_id,
                             std::uint64_t repeat_for = kRepeatForever) final;
   // Lock-free: commits the cancel with one CAS (the result is authoritative:
@@ -182,13 +183,21 @@ class ShardedWheel final : public TimerService {
   static constexpr std::uint32_t kShardShift = 24;
   static constexpr std::uint32_t kSlotMask = (1u << kShardShift) - 1;
 
+  // One fire as a handler receives it: the inner wheel's, collected under the
+  // shard mutex, and the client's, after the claim.
+  struct Fire {
+    RequestId id;
+    Tick when;
+    bool last;
+  };
+
   // One shard advance's worth of claimed, dispatch-ready expiries. Built and
   // sequenced under the shard mutex, then published onto the shard's batch
   // stack with a release CAS; consumed whole (atomic exchange of the stack
   // head) by whichever drainer holds the shard's dispatch rights.
   struct FireBatch {
     std::uint64_t seq;  // per-shard publication order, 1-based
-    std::vector<std::pair<RequestId, Tick>> fires;
+    std::vector<Fire> fires;
     FireBatch* next;
   };
 
@@ -204,7 +213,7 @@ class ShardedWheel final : public TimerService {
     // step claims them for dispatch outside all locks. Declared before `wheel`
     // so it outlives the wheel (whose permanently installed expiry handler
     // appends here) during shard destruction.
-    std::vector<std::pair<RequestId, Tick>> collected;
+    std::vector<Fire> collected;
     std::unique_ptr<HashedWheelUnsorted> wheel;
     // The shard's command ring and registration table.
     std::unique_ptr<ShardSubmitQueue> submit;
@@ -226,8 +235,8 @@ class ShardedWheel final : public TimerService {
     std::uint64_t dispatched_seq = 0;
     Tick last_dispatched_when = 0;
     // Client-view deliveries claimed by this shard's step, written under
-    // `mutex` only: final fires (one-shots and final periodic laps) and
-    // non-final laps. The inner wheel's own expiries also count ghost fires
+    // `mutex` only: last fires (one-shots and final periodic laps) and
+    // laps. The inner wheel's own expiries also count ghost fires
     // (a cancelled timer whose prompt removal lost the race to its own
     // expiry), which the claim suppresses; these count what the client got.
     std::uint64_t expiries = 0;
@@ -245,9 +254,8 @@ class ShardedWheel final : public TimerService {
   // the tick begins (a handler stopping a same-tick sibling gets kNoSuchTimer,
   // matching the oracle). Never dispatches; the caller publishes the shard
   // cursor.
-  void StepShard(Shard& shard, Tick target,
-                 std::vector<std::pair<RequestId, Tick>>& fires);
-  std::size_t Dispatch(const std::vector<std::pair<RequestId, Tick>>& fires);
+  void StepShard(Shard& shard, Tick target, std::vector<Fire>& fires);
+  std::size_t Dispatch(const std::vector<Fire>& fires);
   // StartTimer (period 0) and StartPeriodic (period = interval).
   StartResult Submit(Duration interval, RequestId request_id, Duration period,
                      std::uint64_t repeat_for);
@@ -259,7 +267,7 @@ class ShardedWheel final : public TimerService {
   // AdvanceTo's batch of claimed fires, kept between calls so a warm tick
   // allocates nothing. A call moves it out for its whole run, so a handler's
   // nested AdvanceTo finds it empty and builds its own.
-  std::vector<std::pair<RequestId, Tick>> fires_;
+  std::vector<Fire> fires_;
   // DispatchPool accounting (see OpCounts::dispatch_batches/dispatch_steals).
   std::atomic<std::uint64_t> dispatch_batches_{0};
   std::atomic<std::uint64_t> dispatch_steals_{0};

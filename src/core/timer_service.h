@@ -57,8 +57,12 @@ enum class OverflowPolicy : std::uint8_t {
 };
 
 // EXPIRY_PROCESSING: invoked synchronously from within PerTickBookkeeping for each
-// expired timer, with the client's cookie and the current tick.
-using ExpiryHandler = std::function<void(RequestId, Tick)>;
+// expired timer, with the client's cookie, the current tick and whether this
+// fire ends the timer. `last` is true for a one-shot's fire, a periodic's final
+// budgeted lap, and a lap whose re-arm the scheme dropped (periodic_drops); from
+// then on the timer's handle is stale. A handler that keeps per-timer state frees
+// it on `last` rather than working the rule out again.
+using ExpiryHandler = std::function<void(RequestId, Tick, bool last)>;
 
 class TimerService {
  public:
@@ -240,9 +244,10 @@ class TimerService {
 //                 start nor a stop, so the conservation law stays start_calls
 //                 == expiries + cancels + outstanding).
 //   TryFirePeriodic  Admit the next phase-stable delay and check its deadline
-//                 the same way (a refusal is a periodic_drop); re-stamp and
-//                 Relink the same record; periodic_rearm_relinks — then
-//                 dispatch.
+//                 the same way (a refusal is a periodic_drop, and its fire
+//                 goes on to Expire); re-stamp and Relink the same record;
+//                 periodic_rearm_relinks — then dispatch, not `last`.
+//   Expire        expiries; release; dispatch with `last`.
 //   PerTickBookkeeping  ticks; step now_ by one; Visit.
 //   AdvanceTo     a scheme with NextVisit: target >= now_; batch_advances;
 //                 then hop from visit to visit (below). Otherwise
@@ -368,12 +373,12 @@ class TimerServiceBase : public TimerService {
   // loop on a due record BEFORE unlinking it. A non-final periodic fire moves
   // the still-live record to the next phase-stable deadline with the same
   // Reschedule a restart uses — the arena is never touched, the handle and
-  // generation survive — then dispatches the handler. Dispatch happens AFTER
-  // the re-arm, so a handler cancelling its own timer (StopTimer on the
-  // just-fired handle) finds it live and gets kOk. Returns true when the fire
-  // was fully handled here; false sends the record down the normal Expire path
-  // (one-shot, final fire, or a re-arm Admit rejected — then accounted as a
-  // periodic_drop and degraded to a final expiry).
+  // generation survive — then dispatches the handler with `last` false.
+  // Dispatch happens AFTER the re-arm, so a handler cancelling its own timer
+  // (StopTimer on the just-fired handle) finds it live and gets kOk. Returns
+  // true when the fire was fully handled here; false sends the record down the
+  // normal Expire path (one-shot, final fire, or a re-arm Admit rejected — then
+  // accounted as a periodic_drop and degraded to a final expiry).
   bool TryFirePeriodic(TimerRecord* rec) {
     ColdTimerRecord& c = cold(rec);
     if (c.period == 0 || c.repeats_left == 1) {
@@ -394,15 +399,15 @@ class TimerServiceBase : public TimerService {
     ++counts_.periodic_rearm_relinks;
     ++counts_.expiry_dispatches;
     if (handler_) {
-      handler_(id, now_);
+      handler_(id, now_, /*last=*/false);
     }
     return true;
   }
 
-  // Dispatch EXPIRY_PROCESSING for `rec` and release it. The record must already
-  // be unlinked from the scheme's structures, and the drain loop must have
-  // offered it to TryFirePeriodic first: what reaches here is a one-shot, a
-  // periodic's final fire, or a dropped re-arm.
+  // Dispatch EXPIRY_PROCESSING for `rec` with `last` true and release it. The
+  // record must already be unlinked from the scheme's structures, and the drain
+  // loop must have offered it to TryFirePeriodic first: what reaches here is a
+  // one-shot, a periodic's final fire, or a dropped re-arm.
   void Expire(TimerRecord* rec) {
     const ColdTimerRecord& c = cold(rec);
     TWHEEL_ASSERT_MSG(c.period == 0 || c.repeats_left == 1,
@@ -412,7 +417,7 @@ class TimerServiceBase : public TimerService {
     ++counts_.expiry_dispatches;
     ReleaseRecord(rec);
     if (handler_) {
-      handler_(id, now_);
+      handler_(id, now_, /*last=*/true);
     }
   }
 

@@ -12,8 +12,9 @@ namespace twheel::net {
 
 TimerServer::TimerServer(std::unique_ptr<TimerService> host, Channel& to_client)
     : host_(std::move(host)), to_client_(to_client) {
-  host_->set_expiry_handler(
-      [this](RequestId id, twheel::Tick now) { OnExpiry(id, now); });
+  host_->set_expiry_handler([this](RequestId id, twheel::Tick now, bool last) {
+    OnExpiry(id, now, last);
+  });
 }
 
 TimerServer::~TimerServer() { StopDispatchPool(); }
@@ -73,8 +74,7 @@ void TimerServer::Register(RequestId cookie, const Packet& request) {
     }
     const bool periodic = request.type == PacketType::kTimerSetPeriodic;
     const Duration interval = static_cast<Duration>(request.arg0);
-    const SlabRef ref =
-        stripe.armed.Allocate(Armed{cookie, periodic ? request.arg1 : 1}).second;
+    const SlabRef ref = stripe.armed.Allocate(cookie).second;
     bool accepted = false;
     if (ref.valid()) {
       const RequestId id = ArmedId(stripe, ref);
@@ -199,24 +199,21 @@ bool TimerServer::OnWire(const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
-void TimerServer::OnExpiry(RequestId id, twheel::Tick when) {
+void TimerServer::OnExpiry(RequestId id, twheel::Tick when, bool last) {
   RequestId cookie = 0;
   twheel::Tick fired_at = when;
   {
     Stripe& stripe = stripes_[id & (kStripes - 1)];
     const SlabRef ref = ArmedRef(id);
     std::lock_guard<std::mutex> lock(stripe.mutex);
-    Armed* armed = stripe.armed.Get(ref);
+    const RequestId* armed = stripe.armed.Get(ref);
     if (armed == nullptr) {
       // A lap claimed before a committed stop, or a check-in claimed before a
       // cancel or set; that request resolved it.
       return;
     }
-    cookie = armed->cookie;
-    if (armed->remaining == TimerService::kRepeatForever || armed->remaining > 1) {
-      if (armed->remaining > 1) {
-        --armed->remaining;
-      }
+    cookie = *armed;
+    if (!last) {
       ++stripe.stats.periodic_laps;
     } else {
       // The cookie names a newer registration, or none, if a stop missed

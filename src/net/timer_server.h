@@ -42,6 +42,12 @@
 // cancelled or replaced. A periodic lap claimed before a committed stop finds
 // its expiry record freed and is dropped.
 //
+// Laps. The host says whether a fire ends its timer (ExpiryHandler's `last`),
+// so the server keeps no copy of a periodic's lap budget: a fire that is not
+// last is a lap and leaves the registration armed; a last fire — a one-shot's,
+// a periodic's final lap, or one whose next lap the host dropped at the end of
+// Tick — resolves it.
+//
 // Restarts. Section 2's retransmission timer is restarted by nearly every ACK
 // and almost never expires, so a kTimerRestart of a live one-shot is lazy when
 // it can be: if the new deadline (now() + interval) is no earlier than the one
@@ -212,15 +218,6 @@ class TimerServer {
     // check-in.
     bool checkin = false;
   };
-  // The expiry side of a registration. It outlives the Registration when a
-  // stop misses, until the fire the host already claimed is delivered.
-  struct Armed {
-    RequestId cookie = 0;
-    // Laps still owed, mirroring the host's repeat budget: 0 = forever,
-    // 1 = next fire is final. One-shots store 1.
-    std::uint64_t remaining = 1;
-  };
-
   // The striped session table. A cookie's stripe is a function of its session
   // id, so one session's set/cancel/fire traffic serializes on one stripe
   // while different sessions proceed in parallel on different drainers.
@@ -234,9 +231,11 @@ class TimerServer {
   struct alignas(64) Stripe {
     mutable std::mutex mutex;
     FlatMap<Registration> timers;  // by cookie
-    // At most 2^kSlotBits records, so every slot fits its id; a set past
-    // that is rejected like one the host refuses.
-    SlabArena<Armed> armed{std::size_t{1} << kSlotBits};
+    // The expiry side of each registration: its cookie. A record outlives the
+    // Registration when a stop misses, until the fire the host already
+    // claimed is delivered. At most 2^kSlotBits records, so every slot fits
+    // its id; a set past that is rejected like one the host refuses.
+    SlabArena<RequestId> armed{std::size_t{1} << kSlotBits};
     // decode_rejects stays 0 here: a reject has no stripe (see
     // decode_rejects_).
     TimerServerStats stats;
@@ -267,7 +266,7 @@ class TimerServer {
                  // the caller sends the fire
   };
 
-  void OnExpiry(RequestId id, twheel::Tick when);
+  void OnExpiry(RequestId id, twheel::Tick when, bool last);
   void Register(RequestId cookie, const Packet& request);
   // A kTimerRestart of a live registration, under its stripe's mutex; false
   // is a miss.

@@ -19,39 +19,37 @@ SlabRef UnpackRef(RequestId id) {
 Simulator::Simulator(std::unique_ptr<TimerService> service)
     : service_(std::move(service)) {
   TWHEEL_ASSERT(service_ != nullptr);
-  service_->set_expiry_handler([this](RequestId id, Tick) {
+  service_->set_expiry_handler([this](RequestId id, Tick, bool last) {
     const SlabRef ref = UnpackRef(id);
     Entry* entry = entries_.Get(ref);
     TWHEEL_ASSERT_MSG(entry != nullptr, "expiry for unknown simulator event");
-    if (entry->period == 0) {
-      // One-shot: move the action out and release the entry *before* running it —
-      // the action may itself schedule or cancel events (touching the arena).
+    if (last) {
+      // A one-shot's fire, or a periodic's whose next run the service dropped
+      // (OpCounts::periodic_drops): move the action out and release the entry
+      // *before* running it — the action may itself schedule or cancel events
+      // (touching the arena).
       Action action = std::move(entry->action);
       entries_.Free(ref);
       action();
       return;
     }
-    // Periodic: the service already re-armed the record in place before
+    // A periodic lap: the service already re-armed the record in place before
     // dispatching (StartPeriodic's expiry-path relink — the handle and
     // generation survive, so the token still cancels future runs; no arena
-    // allocation happens, so a full arena can no longer reject the re-arm
-    // mid-dispatch). An earlier version re-armed here with StartTimer and
-    // *aborted* when the service rejected it; the rare re-arm a service does
-    // drop (OpCounts::periodic_drops) now just ends the series, leaving the
-    // token cancellable. Invoke a copy in case the action cancels its own
-    // token (freeing the entry, and with it the stored std::function,
-    // mid-run).
+    // allocation happens, so a full arena cannot reject the re-arm
+    // mid-dispatch). Invoke a copy in case the action cancels its own token
+    // (freeing the entry, and with it the stored std::function, mid-run).
     Action run = entry->action;
     run();
   });
 }
 
-EventToken Simulator::Arm(Entry& entry, SlabRef ref, Duration delay) {
+EventToken Simulator::Arm(Entry& entry, SlabRef ref, Duration interval,
+                          bool periodic) {
   StartResult result =
-      entry.period != 0
-          ? service_->StartPeriodic(delay, PackRef(ref),
-                                    TimerService::kRepeatForever)
-          : service_->StartTimer(delay, PackRef(ref));
+      periodic ? service_->StartPeriodic(interval, PackRef(ref),
+                                         TimerService::kRepeatForever)
+               : service_->StartTimer(interval, PackRef(ref));
   if (!result.has_value()) {
     entries_.Free(ref);
     return EventToken{};
@@ -61,8 +59,8 @@ EventToken Simulator::Arm(Entry& entry, SlabRef ref, Duration delay) {
 }
 
 EventToken Simulator::Every(Duration period, Action action) {
-  auto [entry, ref] = entries_.Allocate(std::move(action), period);
-  return entry == nullptr ? EventToken{} : Arm(*entry, ref, period);
+  auto [entry, ref] = entries_.Allocate(std::move(action));
+  return entry == nullptr ? EventToken{} : Arm(*entry, ref, period, /*periodic=*/true);
 }
 
 bool Simulator::Cancel(EventToken token) {
@@ -70,18 +68,12 @@ bool Simulator::Cancel(EventToken token) {
   if (entry == nullptr) {
     return false;  // already ran or already cancelled
   }
+  // The expiry handler frees the entry on the timer's last fire, before
+  // running the action, so a live entry implies a live timer.
   const TimerError err = service_->StopTimer(entry->handle);
-  if (entry->period == 0) {
-    // One-shots keep the hard invariant: the expiry handler frees the entry
-    // before running the action, so a live entry implies a live timer.
-    TWHEEL_ASSERT_MSG(err == TimerError::kOk,
-                      "simulator entry alive but timer dead");
-  }
-  // A periodic whose re-arm the service dropped (periodic_drops) has a dead
-  // timer behind a live entry; cancelling it just reclaims the entry and
-  // reports that nothing was still scheduled.
+  TWHEEL_ASSERT_MSG(err == TimerError::kOk, "simulator entry alive but timer dead");
   entries_.Free(token.ref);
-  return err == TimerError::kOk;
+  return true;
 }
 
 std::size_t Simulator::Step() { return service_->PerTickBookkeeping(); }

@@ -55,7 +55,7 @@ class Simulator {
   template <typename F>
   EventToken After(Duration delay, F&& action) {
     auto [entry, ref] = entries_.Allocate(std::forward<F>(action));
-    return entry == nullptr ? EventToken{} : Arm(*entry, ref, delay);
+    return entry == nullptr ? EventToken{} : Arm(*entry, ref, delay, /*periodic=*/false);
   }
 
   // Schedule `action` to run every `period` ticks (first run one period from now),
@@ -66,11 +66,13 @@ class Simulator {
   // TimerServiceBase scheme relinks this way, the Section 4.2 TegasWheel
   // included. Returns an invalid token if the service rejects the interval
   // (range/capacity) or does not support periodic registration
-  // (TimerError::kNotSupported).
+  // (TimerError::kNotSupported). A run whose next one the service drops
+  // (OpCounts::periodic_drops) is the last, and its token is spent like a
+  // one-shot's.
   EventToken Every(Duration period, Action action);
 
-  // Cancel a pending event. Returns false if it already ran (one-shots) or was
-  // cancelled. Cancelling a periodic event stops all future runs.
+  // Cancel a pending event. Returns false if it already ran its last time or
+  // was cancelled. Cancelling a periodic event stops all future runs.
   bool Cancel(EventToken token);
 
   // Advance one tick, running due actions. Returns the number of actions run.
@@ -97,20 +99,20 @@ class Simulator {
   const TimerService& service() const { return *service_; }
 
  private:
+  // Live exactly while its timer is: the expiry handler frees it on the last
+  // fire.
   struct Entry {
     template <typename F>
-    explicit Entry(F&& f, Duration every = 0)
-        : action(std::forward<F>(f)), period(every) {}
+    explicit Entry(F&& f) : action(std::forward<F>(f)) {}
 
     Action action;
-    TimerHandle handle;   // for cancellation
-    Duration period;  // 0 = one-shot; otherwise the Every() re-arm interval
+    TimerHandle handle;  // for cancellation
   };
 
-  // Starts the timer for a freshly allocated entry: `delay` ticks out, and
-  // periodic when entry.period is set. If the service refuses, frees the
-  // entry and returns an invalid token.
-  EventToken Arm(Entry& entry, SlabRef ref, Duration delay);
+  // Starts the timer for a freshly allocated entry: `interval` ticks out, and
+  // every `interval` ticks after that when `periodic`. If the service refuses,
+  // frees the entry and returns an invalid token.
+  EventToken Arm(Entry& entry, SlabRef ref, Duration interval, bool periodic);
 
   std::unique_ptr<TimerService> service_;
   SlabArena<Entry> entries_;

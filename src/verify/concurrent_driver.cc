@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
+#include <compare>
 #include <cstdarg>
 #include <cstdio>
 #include <mutex>
@@ -27,6 +28,14 @@ namespace {
 constexpr RequestId MakeCookie(std::size_t producer, std::uint64_t seq) {
   return (static_cast<RequestId>(producer) << 48) | seq;
 }
+
+// One dispatch as the handler received it.
+struct Fire {
+  Tick when;
+  RequestId cookie;
+  bool last;
+  friend auto operator<=>(const Fire&, const Fire&) = default;
+};
 
 std::string Format(const char* fmt, ...) {
   char buf[512];
@@ -84,13 +93,14 @@ struct ProducerLog {
 // the wheel instead (dispatch_order_violations, checked at episode end).
 struct FireLog {
   std::mutex mutex;
-  std::vector<std::pair<RequestId, Tick>> fires;
+  std::vector<Fire> fires;
   bool have_last = false;
   Tick last_when = 0;
   bool concurrent_dispatch = false;
   std::string violation;  // first in-handler violation (monotonicity)
 
-  void Record(RequestId cookie, Tick when, Tick service_now) {
+  void Record(const Fire& fire, Tick service_now) {
+    const Tick when = fire.when;
     std::lock_guard<std::mutex> lock(mutex);
     if (violation.empty() && !concurrent_dispatch) {
       if (have_last && when < last_when) {
@@ -105,7 +115,7 @@ struct FireLog {
     }
     have_last = true;
     last_when = when;
-    fires.emplace_back(cookie, when);
+    fires.push_back(fire);
   }
 };
 
@@ -227,12 +237,12 @@ void CheckRaceLogs(const std::vector<ProducerLog>& logs, const FireLog& fire_log
   if (!fire_log.violation.empty()) {
     fail(fire_log.violation);
   }
-  // cookie -> every dispatch tick, in dispatch order (periodics fire once per
-  // lap, so a cookie may legally appear several times).
-  std::unordered_map<RequestId, std::vector<Tick>> fired;
+  // cookie -> every dispatch, in dispatch order (periodics fire once per lap,
+  // so a cookie may legally appear several times).
+  std::unordered_map<RequestId, std::vector<Fire>> fired;
   fired.reserve(fire_log.fires.size());
-  for (const auto& [cookie, when] : fire_log.fires) {
-    fired[cookie].push_back(when);
+  for (const Fire& fire : fire_log.fires) {
+    fired[fire.cookie].push_back(fire);
   }
   std::size_t starts = 0;
   std::size_t cancels = 0;
@@ -254,6 +264,12 @@ void CheckRaceLogs(const std::vector<ProducerLog>& logs, const FireLog& fire_log
       const RequestId cookie = MakeCookie(producer, seq);
       const auto it = fired.find(cookie);
       const std::size_t count = it == fired.end() ? 0 : it->second.size();
+      const std::size_t lasts =
+          it == fired.end()
+              ? 0
+              : static_cast<std::size_t>(std::count_if(
+                    it->second.begin(), it->second.end(),
+                    [](const Fire& fire) { return fire.last; }));
       const std::size_t budget = op.periodic ? op.repeats : 1;
       attributed += count;
       if (op.periodic) {
@@ -265,12 +281,13 @@ void CheckRaceLogs(const std::vector<ProducerLog>& logs, const FireLog& fire_log
         // laps delivered BEFORE the cancel committed are legal (a cancel racing
         // an already-collected non-final lap may even see that one lap arrive
         // after kOk), but the FINAL lap claims the registration — it can never
-        // coexist with a kOk cancel — so the series must be a strict prefix.
-        if (count >= budget) {
-          fail(Format("timer %zu/%llu fired %zu times (budget %zu) despite "
-                      "StopTimer returning kOk",
+        // coexist with a kOk cancel — so the series must be a strict prefix,
+        // with no fire marked last.
+        if (count >= budget || lasts != 0) {
+          fail(Format("timer %zu/%llu fired %zu times (budget %zu, %zu last) "
+                      "despite StopTimer returning kOk",
                       producer, static_cast<unsigned long long>(seq), count,
-                      budget));
+                      budget, lasts));
         }
         continue;
       }
@@ -285,13 +302,20 @@ void CheckRaceLogs(const std::vector<ProducerLog>& logs, const FireLog& fire_log
                     op.periodic ? ", periodic" : "", count, budget));
         continue;
       }
+      // The series ends exactly once, at its last delivered fire.
+      if (lasts != 1 || !it->second.back().last) {
+        fail(Format("timer %zu/%llu fired %zu times with %zu marked last%s",
+                    producer, static_cast<unsigned long long>(seq), count, lasts,
+                    it->second.back().last ? "" : ", not the final one"));
+        continue;
+      }
       // A committed restart supersedes the original deadline — and, for a
       // periodic, re-phases every later lap — so the deadline arithmetic below
       // only binds never-restarted timers plus the one-shot restart bound.
       const Tick bound = op.restarted
                              ? op.restart_observed_now + op.restart_interval
                              : op.observed_now + op.interval;
-      const Tick first = it->second.front();
+      const Tick first = it->second.front().when;
       if (!op.periodic || !op.restarted) {
         if (first < bound) {
           fail(Format("timer %zu/%llu fired early: at %llu, but observed now "
@@ -313,13 +337,13 @@ void CheckRaceLogs(const std::vector<ProducerLog>& logs, const FireLog& fire_log
         // periodic are spaced exactly one period apart — no drift, no
         // compression, regardless of how the clock was advanced.
         for (std::size_t lap = 1; lap < it->second.size(); ++lap) {
-          if (it->second[lap] - it->second[lap - 1] != op.interval) {
+          const Tick gap = it->second[lap].when - it->second[lap - 1].when;
+          if (gap != op.interval) {
             fail(Format("periodic %zu/%llu lap %zu fired at %llu, %llu ticks "
                         "after the previous lap instead of its period %llu",
                         producer, static_cast<unsigned long long>(seq), lap,
-                        static_cast<unsigned long long>(it->second[lap]),
-                        static_cast<unsigned long long>(it->second[lap] -
-                                                        it->second[lap - 1]),
+                        static_cast<unsigned long long>(it->second[lap].when),
+                        static_cast<unsigned long long>(gap),
                         static_cast<unsigned long long>(op.interval)));
             break;
           }
@@ -364,8 +388,8 @@ TortureReport RunRace(TimerService& sut, const TortureOptions& options) {
   const Tick base = sut.now();
   FireLog fire_log;
   fire_log.concurrent_dispatch = pool_mode;
-  sut.set_expiry_handler([&fire_log, &sut](RequestId cookie, Tick when) {
-    fire_log.Record(cookie, when, sut.now());
+  sut.set_expiry_handler([&fire_log, &sut](RequestId cookie, Tick when, bool last) {
+    fire_log.Record(Fire{when, cookie, last}, sut.now());
   });
 
   std::vector<ProducerLog> logs(options.producers);
@@ -547,14 +571,14 @@ TortureReport RunLockstep(TimerService& sut, const TortureOptions& options) {
   TortureReport report;
   const Tick base = sut.now();
 
-  std::vector<std::pair<RequestId, Tick>> sut_fires;
-  std::vector<std::pair<RequestId, Tick>> oracle_fires;
-  sut.set_expiry_handler([&sut_fires](RequestId cookie, Tick when) {
-    sut_fires.emplace_back(cookie, when);
+  std::vector<Fire> sut_fires;
+  std::vector<Fire> oracle_fires;
+  sut.set_expiry_handler([&sut_fires](RequestId cookie, Tick when, bool last) {
+    sut_fires.push_back(Fire{when, cookie, last});
   });
   OracleTimers oracle;
-  oracle.set_expiry_handler([&oracle_fires](RequestId cookie, Tick when) {
-    oracle_fires.emplace_back(cookie, when);
+  oracle.set_expiry_handler([&oracle_fires](RequestId cookie, Tick when, bool last) {
+    oracle_fires.push_back(Fire{when, cookie, last});
   });
   std::unordered_map<RequestId, TimerHandle> oracle_handles;
 
@@ -638,25 +662,18 @@ TortureReport RunLockstep(TimerService& sut, const TortureOptions& options) {
 
   // Advances both worlds by `delta` and compares the dispatch multisets per
   // tick, final clocks, and populations. Fire order within a tick is
-  // unspecified on both sides, so compare sorted (when, cookie) sequences.
+  // unspecified on both sides, so compare sorted (when, cookie, last)
+  // sequences.
   auto advance_and_compare = [&](Duration delta) {
     sut_fires.clear();
     oracle_fires.clear();
     sut.AdvanceTo(sut.now() + delta);
     oracle.AdvanceTo(oracle.now() + delta);
-    for (auto& [cookie, when] : sut_fires) {
-      when -= base;
+    for (Fire& fire : sut_fires) {
+      fire.when -= base;
     }
-    std::sort(sut_fires.begin(), sut_fires.end(),
-              [](const auto& a, const auto& b) {
-                return a.second != b.second ? a.second < b.second
-                                            : a.first < b.first;
-              });
-    std::sort(oracle_fires.begin(), oracle_fires.end(),
-              [](const auto& a, const auto& b) {
-                return a.second != b.second ? a.second < b.second
-                                            : a.first < b.first;
-              });
+    std::sort(sut_fires.begin(), sut_fires.end());
+    std::sort(oracle_fires.begin(), oracle_fires.end());
     report.fires += sut_fires.size();
     if (sut_fires != oracle_fires) {
       const std::size_t n = std::min(sut_fires.size(), oracle_fires.size());
@@ -664,22 +681,18 @@ TortureReport RunLockstep(TimerService& sut, const TortureOptions& options) {
       while (i < n && sut_fires[i] == oracle_fires[i]) {
         ++i;
       }
-      fail(Format(
-          "lockstep: dispatch divergence at index %zu (sut %zu fires, oracle "
-          "%zu): sut=(%llu@%llu) oracle=(%llu@%llu)",
-          i, sut_fires.size(), oracle_fires.size(),
-          i < sut_fires.size()
-              ? static_cast<unsigned long long>(sut_fires[i].first)
-              : 0ULL,
-          i < sut_fires.size()
-              ? static_cast<unsigned long long>(sut_fires[i].second)
-              : 0ULL,
-          i < oracle_fires.size()
-              ? static_cast<unsigned long long>(oracle_fires[i].first)
-              : 0ULL,
-          i < oracle_fires.size()
-              ? static_cast<unsigned long long>(oracle_fires[i].second)
-              : 0ULL));
+      const auto describe = [i](const std::vector<Fire>& fires) {
+        return i < fires.size()
+                   ? Format("%llu@%llu%s",
+                            static_cast<unsigned long long>(fires[i].cookie),
+                            static_cast<unsigned long long>(fires[i].when),
+                            fires[i].last ? " last" : "")
+                   : std::string("none");
+      };
+      fail(Format("lockstep: dispatch divergence at index %zu (sut %zu fires, "
+                  "oracle %zu): sut=(%s) oracle=(%s)",
+                  i, sut_fires.size(), oracle_fires.size(),
+                  describe(sut_fires).c_str(), describe(oracle_fires).c_str()));
     }
     if (sut.now() - base != oracle.now()) {
       fail(Format("lockstep: clock divergence: sut %llu vs oracle %llu",

@@ -16,7 +16,11 @@
 //     interval`, where observed-now is read by the producer before its call (a
 //     lower bound on the now the service captured);
 //   * no fire after cancel: a StopTimer that returned kOk is authoritative even
-//     when it raced the expiry — the fire log must not contain that cookie;
+//     when it raced the expiry — the fire log must not contain that cookie
+//     (a periodic's laps that were claimed before the cancel may), and never a
+//     fire marked `last`;
+//   * one last fire: a timer that was not cancelled gets exactly one fire
+//     marked `last` (ExpiryHandler), and it is the final one delivered;
 //   * monotone dispatch: expiry `when` values are nondecreasing within each
 //     driver thread's dispatch stream, and every `when` is <= the service's now
 //     at dispatch;
@@ -34,8 +38,8 @@
 //     deadline is minted at a known now), then the batch is replayed into
 //     OracleTimers and both worlds advance in lockstep, comparing per-tick
 //     expiry multisets, call results, now(), and outstanding() *exactly* — the
-//     full differential guarantee, with genuine MPSC contention inside each
-//     enqueue phase;
+//     full differential guarantee, `last` flags included, with genuine MPSC
+//     contention inside each enqueue phase;
 //   * kMultiTicker — the SUT must be a concurrent::ShardedWheel: a TickerThread
 //     drives a DispatchPool from the wall clock, so every catch-up chunk is
 //     advanced and delivered by N drainer threads concurrently (with

@@ -1,6 +1,7 @@
 #include "src/verify/differential_driver.h"
 
 #include <algorithm>
+#include <compare>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -21,12 +22,19 @@ struct Entry {
   TimerHandle oracle;
   Tick expiry = 0;
   std::size_t index = 0;  // position in the live-id vector (swap-remove)
-  // Periodic registrations: the cadence and the REMAINING fire budget (0 =
-  // forever — the driver never starts those; 1 = the next fire is final). A
-  // non-final fire keeps the entry, advances expiry by period, and decrements
-  // repeats, so the same handle pair is re-verified on every lap.
+  // Periodic registrations: the cadence. A fire that is not `last` keeps the
+  // entry and advances expiry by period, so the same handle pair is
+  // re-verified on every lap; the oracle's `last` is compared with the SUT's.
   Duration period = 0;
-  std::uint64_t repeats = 0;
+};
+
+// One dispatch, compared between the two sides as a set member: intra-tick
+// order is unspecified.
+struct Fire {
+  Tick when;
+  RequestId id;
+  bool last;
+  friend auto operator<=>(const Fire&, const Fire&) = default;
 };
 
 // Everything a SUT-side handler decided, for oracle-side replay.
@@ -58,9 +66,10 @@ class Episode {
 
   DriverReport Run() {
     sut_.set_expiry_handler(
-        [this](RequestId id, Tick when) { OnSutFire(id, when); });
-    oracle_.set_expiry_handler(
-        [this](RequestId id, Tick when) { OnOracleFire(id, when); });
+        [this](RequestId id, Tick when, bool last) { OnSutFire(id, when, last); });
+    oracle_.set_expiry_handler([this](RequestId id, Tick when, bool last) {
+      OnOracleFire(id, when, last);
+    });
 
     const Tick start_now = sut_.now();
     if (oracle_.now() != 0 || start_now != 0) {
@@ -325,7 +334,7 @@ class Episode {
     // Predictions use the quantized period for both the first deadline and the
     // stored cadence: StartPeriodic's effective interval IS the cadence, and
     // QuantizeIntervalUp is idempotent, so every lap stays grain-aligned.
-    AddLive(id, rs.value(), ro.value(), now_ + Q(period), Q(period), repeats);
+    AddLive(id, rs.value(), ro.value(), now_ + Q(period), Q(period));
     ++report_.starts;
     ++report_.periodic_starts;
   }
@@ -388,18 +397,7 @@ class Episode {
       Diverge(current_tick_, os.str());
       return;
     }
-    std::sort(sut_fired_.begin(), sut_fired_.end());
-    std::sort(oracle_fired_.begin(), oracle_fired_.end());
-    if (sut_fired_ != oracle_fired_) {
-      std::size_t i = 0;
-      while (i < sut_fired_.size() && sut_fired_[i] == oracle_fired_[i]) {
-        ++i;
-      }
-      std::ostringstream os;
-      os << "expiry sets differ; first mismatch at position " << i << ": sut id "
-         << (i < sut_fired_.size() ? sut_fired_[i] : 0) << " vs oracle id "
-         << (i < oracle_fired_.size() ? oracle_fired_[i] : 0);
-      Diverge(current_tick_, os.str());
+    if (!SameFires("expiry sets", current_tick_)) {
       return;
     }
     // Non-final periodic dispatches are fires, not expiries: the registration
@@ -484,8 +482,8 @@ class Episode {
       delta = 1 + rng_.NextBounded(options_.max_jump);
     }
     jump_target_ = now_ + delta;
-    sut_jump_fired_.clear();
-    oracle_jump_fired_.clear();
+    sut_fired_.clear();
+    oracle_fired_.clear();
     fired_handles_.clear();
     periodic_refires_this_tick_ = 0;
 
@@ -497,43 +495,24 @@ class Episode {
       return;
     }
 
-    if (ns != sut_jump_fired_.size() || no != oracle_jump_fired_.size() ||
-        ns != no) {
+    if (ns != sut_fired_.size() || no != oracle_fired_.size() || ns != no) {
       std::ostringstream os;
       os << "jump(+" << delta << ") expiry count mismatch: sut returned " << ns
-         << " (dispatched " << sut_jump_fired_.size() << "), oracle returned "
-         << no << " (dispatched " << oracle_jump_fired_.size() << ")";
+         << " (dispatched " << sut_fired_.size() << "), oracle returned " << no
+         << " (dispatched " << oracle_fired_.size() << ")";
       Diverge(jump_target_, os.str());
       return;
     }
-    const auto by_tick = [](const std::pair<Tick, RequestId>& a,
-                            const std::pair<Tick, RequestId>& b) {
-      return a.first < b.first;
-    };
-    if (!std::is_sorted(sut_jump_fired_.begin(), sut_jump_fired_.end(), by_tick)) {
+    const auto by_tick = [](const Fire& a, const Fire& b) { return a.when < b.when; };
+    if (!std::is_sorted(sut_fired_.begin(), sut_fired_.end(), by_tick)) {
       Diverge(jump_target_, "sut dispatched jump expiries out of tick order");
       return;
     }
-    if (!std::is_sorted(oracle_jump_fired_.begin(), oracle_jump_fired_.end(),
-                        by_tick)) {
+    if (!std::is_sorted(oracle_fired_.begin(), oracle_fired_.end(), by_tick)) {
       Diverge(jump_target_, "oracle dispatched jump expiries out of tick order");
       return;
     }
-    std::sort(sut_jump_fired_.begin(), sut_jump_fired_.end());
-    std::sort(oracle_jump_fired_.begin(), oracle_jump_fired_.end());
-    if (sut_jump_fired_ != oracle_jump_fired_) {
-      std::size_t i = 0;
-      while (i < sut_jump_fired_.size() &&
-             sut_jump_fired_[i] == oracle_jump_fired_[i]) {
-        ++i;
-      }
-      std::ostringstream os;
-      os << "jump(+" << delta << ") expiry sets differ at position " << i
-         << ": sut (tick " << sut_jump_fired_[i].first << ", id "
-         << sut_jump_fired_[i].second << ") vs oracle (tick "
-         << oracle_jump_fired_[i].first << ", id " << oracle_jump_fired_[i].second
-         << ")";
-      Diverge(jump_target_, os.str());
+    if (!SameFires("jump expiry sets", jump_target_)) {
       return;
     }
     report_.expiries += ns - periodic_refires_this_tick_;
@@ -569,12 +548,12 @@ class Episode {
 
   // ---- expiry handlers ------------------------------------------------------
 
-  void OnSutFire(RequestId id, Tick when) {
+  void OnSutFire(RequestId id, Tick when, bool last) {
     if (!report_.ok) {
       return;
     }
+    sut_fired_.push_back(Fire{when, id, last});
     if (jumping_) {
-      sut_jump_fired_.emplace_back(when, id);
       auto it = live_.find(id);
       if (it == live_.end()) {
         std::ostringstream os;
@@ -591,15 +570,12 @@ class Episode {
         Diverge(when, os.str());
         return;
       }
-      if (e.period != 0 && e.repeats != 1) {
-        // Non-final periodic fire inside the jumped window: the timer stays
-        // live and may legally fire again — at when + period — before the
-        // window closes. Advancing the prediction in place makes the same
-        // when-vs-expiry check above pin each successive lap.
+      if (!last) {
+        // A lap inside the jumped window: the timer stays live and may legally
+        // fire again — at when + period — before the window closes. Advancing
+        // the prediction in place makes the same when-vs-expiry check above
+        // pin each successive lap.
         it->second.expiry = when + e.period;
-        if (it->second.repeats > 1) {
-          --it->second.repeats;
-        }
         ++periodic_refires_this_tick_;
         return;
       }
@@ -607,7 +583,6 @@ class Episode {
       fired_handles_.emplace_back(e.sut, e.oracle);
       return;  // handlers are passive across a jump
     }
-    sut_fired_.push_back(id);
     auto it = live_.find(id);
     if (it == live_.end()) {
       std::ostringstream os;
@@ -623,18 +598,15 @@ class Episode {
       Diverge(current_tick_, os.str());
       return;
     }
-    if (e.period != 0 && e.repeats != 1) {
-      // Non-final periodic fire: the registration stays live — re-armed in
-      // place by the SUT's expiry path, re-inserted by the oracle — so the
-      // entry is kept with its prediction advanced one period (phase-stable:
-      // the k-th fire lands at start + k*period regardless of dispatch
-      // latency). It is CLAIMED for the rest of the tick: whether the SUT's
-      // sweep has re-armed it yet when some other handler runs is
-      // order-dependent, so same-tick siblings must not stop/restart it.
+    if (!last) {
+      // A periodic lap: the registration stays live — re-armed in place by
+      // the SUT's expiry path, re-inserted by the oracle — so the entry is
+      // kept with its prediction advanced one period (phase-stable: the k-th
+      // fire lands at start + k*period regardless of dispatch latency). It is
+      // CLAIMED for the rest of the tick: whether the SUT's sweep has re-armed
+      // it yet when some other handler runs is order-dependent, so same-tick
+      // siblings must not stop/restart it.
       it->second.expiry = when + e.period;
-      if (it->second.repeats > 1) {
-        --it->second.repeats;
-      }
       claimed_siblings_.push_back(id);
       ++periodic_refires_this_tick_;
       if (draining_) {
@@ -793,14 +765,14 @@ class Episode {
     return id;
   }
 
-  void OnOracleFire(RequestId id, Tick when) {
+  void OnOracleFire(RequestId id, Tick when, bool last) {
     if (!report_.ok) {
       return;
     }
+    oracle_fired_.push_back(Fire{when, id, last});
     if (jumping_) {
       // The SUT's pass already removed this id from live_; only the window is
       // checkable here. Set equality is established after both sides return.
-      oracle_jump_fired_.emplace_back(when, id);
       if (when <= now_ || when > jump_target_) {
         std::ostringstream os;
         os << "oracle fired id " << id << " at tick " << when
@@ -809,7 +781,6 @@ class Episode {
       }
       return;
     }
-    oracle_fired_.push_back(id);
     if (when != current_tick_) {
       std::ostringstream os;
       os << "oracle fired id " << id << " at tick " << when
@@ -897,8 +868,8 @@ class Episode {
   // ---- bookkeeping helpers --------------------------------------------------
 
   void AddLive(RequestId id, TimerHandle sut, TimerHandle oracle, Tick expiry,
-               Duration period = 0, std::uint64_t repeats = 0) {
-    Entry e{sut, oracle, expiry, live_ids_.size(), period, repeats};
+               Duration period = 0) {
+    Entry e{sut, oracle, expiry, live_ids_.size(), period};
     live_ids_.push_back(id);
     live_.emplace(id, e);
   }
@@ -925,6 +896,36 @@ class Episode {
   // The driver's expiry predictions mirror the schemes' effective intervals.
   Duration Q(Duration interval) const {
     return QuantizeIntervalUp(interval, options_.slop_bits);
+  }
+
+  // Compares the (tick, id, last) sets the two sides dispatched since the
+  // scratch vectors were cleared; false after reporting a divergence.
+  bool SameFires(const char* what, Tick at) {
+    std::sort(sut_fired_.begin(), sut_fired_.end());
+    std::sort(oracle_fired_.begin(), oracle_fired_.end());
+    if (sut_fired_ == oracle_fired_) {
+      return true;
+    }
+    std::size_t i = 0;
+    while (i < sut_fired_.size() && i < oracle_fired_.size() &&
+           sut_fired_[i] == oracle_fired_[i]) {
+      ++i;
+    }
+    const auto describe = [i](const std::vector<Fire>& fires) {
+      std::ostringstream os;
+      if (i < fires.size()) {
+        os << "(tick " << fires[i].when << ", id " << fires[i].id
+           << (fires[i].last ? ", last)" : ", lap)");
+      } else {
+        os << "nothing";
+      }
+      return os.str();
+    };
+    std::ostringstream os;
+    os << what << " differ at position " << i << ": sut " << describe(sut_fired_)
+       << " vs oracle " << describe(oracle_fired_);
+    Diverge(at, os.str());
+    return false;
   }
 
   bool SiblingClaimed(RequestId id) const {
@@ -969,24 +970,20 @@ class Episode {
   std::vector<RequestId> live_ids_;
   std::vector<std::pair<TimerHandle, TimerHandle>> retired_;
 
-  // Per-tick scratch.
-  std::vector<RequestId> sut_fired_;
-  std::vector<RequestId> oracle_fired_;
+  // Per-tick (and per-jump) scratch: every dispatch of each side.
+  std::vector<Fire> sut_fired_;
+  std::vector<Fire> oracle_fired_;
   std::unordered_map<RequestId, TickAction> actions_;
   // Siblings stopped or restarted from inside a handler this tick. Each may be
   // targeted by at most ONE in-handler action: a restarted sibling stays live,
   // so two handlers hitting it in SUT dispatch order could see call results the
   // oracle's replay order cannot reproduce.
   std::vector<RequestId> claimed_siblings_;
-  // Non-final periodic dispatches seen in the current Step()/Jump(): subtracted
-  // from the tick's dispatch total when crediting report_.expiries.
+  // Laps (fires that are not `last`) seen in the current Step()/Jump():
+  // subtracted from the tick's dispatch total when crediting report_.expiries.
   std::size_t periodic_refires_this_tick_ = 0;
   std::vector<std::pair<TimerHandle, TimerHandle>> fired_handles_;
   std::vector<Pending> pending_;
-  // Per-jump scratch: (tick, id) so set comparison covers *which tick inside the
-  // jumped window* each timer fired at, not merely that it fired.
-  std::vector<std::pair<Tick, RequestId>> sut_jump_fired_;
-  std::vector<std::pair<Tick, RequestId>> oracle_jump_fired_;
 };
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/assert.h"
 #include "src/core/slop.h"
 
 namespace twheel::verify {
@@ -99,9 +100,19 @@ std::size_t OracleTimers::PerTickBookkeeping() {
 
   // Re-arm every non-final periodic in place — same slot, key expiry + period —
   // BEFORE any handler runs, matching the schemes' relink-then-dispatch order:
-  // a handler cancelling the just-fired periodic finds it live.
+  // a handler cancelling the just-fired periodic finds it live. A lap due past
+  // the end of Tick is dropped, and the fire that reached it is the last.
+  std::vector<std::pair<RequestId, bool>> fires;
+  fires.reserve(due.size());
   for (const Pending& p : due) {
-    if (p.period != 0 && p.repeats != 1) {
+    bool last = p.period == 0 || p.repeats == 1;
+    if (!last && p.period > std::numeric_limits<Tick>::max() - now_) {
+      ++counts_.periodic_drops;
+      last = true;
+    }
+    if (last) {
+      ++counts_.expiries;
+    } else {
       Pending next = p;
       if (next.repeats > 1) {
         --next.repeats;
@@ -110,18 +121,24 @@ std::size_t OracleTimers::PerTickBookkeeping() {
       live_.emplace(next.slot, it);
       ++counts_.periodic_fires;
       ++counts_.periodic_rearm_relinks;
-      ++counts_.expiry_dispatches;
-    } else {
-      ++counts_.expiries;
-      ++counts_.expiry_dispatches;
     }
+    ++counts_.expiry_dispatches;
+    fires.emplace_back(p.request_id, last);
   }
   if (handler_) {
-    for (const Pending& p : due) {
-      handler_(p.request_id, now_);
+    for (const auto& [id, last] : fires) {
+      handler_(id, now_, last);
     }
   }
-  return due.size();
+  return fires.size();
+}
+
+bool OracleTimers::FastForward(Tick target) {
+  TWHEEL_ASSERT(target >= now_);
+  TWHEEL_ASSERT_MSG(by_expiry_.empty() || target < by_expiry_.begin()->first,
+                    "FastForward would skip an expiry");
+  now_ = target;
+  return true;
 }
 
 }  // namespace twheel::verify

@@ -51,7 +51,10 @@ class OracleTimers final : public TimerService {
   // before any of the tick's handlers run (a handler cancelling the just-fired
   // periodic gets kOk); the final fire of a finite registration retires the
   // slot like a one-shot expiry. Non-final fires count periodic_fires, never
-  // expiries, so the conservation law is shared with the schemes.
+  // expiries, so the conservation law is shared with the schemes. A lap whose
+  // next deadline would pass the end of Tick is a periodic_drop that retires
+  // the slot too. The oracle decides this with its own rule, so the drivers
+  // can check every scheme's `last` flag against it.
   StartResult StartPeriodic(Duration interval, RequestId request_id,
                             std::uint64_t repeat_for = kRepeatForever) final;
   TimerError StopTimer(TimerHandle handle) final;
@@ -77,6 +80,9 @@ class OracleTimers final : public TimerService {
     }
     return by_expiry_.begin()->first;
   }
+  // Exact: requires now() <= target < the next expiry, as TimerServiceBase
+  // does, and moves the clock without counting the ticks crossed.
+  bool FastForward(Tick target) final;
 
   // Not a contender in the paper's space comparison; report the honest shape of
   // the model (two node-based maps per outstanding timer).

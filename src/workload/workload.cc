@@ -108,7 +108,7 @@ WorkloadResult Run(TimerService& service, const WorkloadSpec& spec) {
     }
   }
 
-  service.set_expiry_handler([&result](RequestId id, Tick when) {
+  service.set_expiry_handler([&result](RequestId id, Tick when, bool) {
     result.trace.push_back(ExpiryEvent{when, id});
     ++result.expiries;
   });
@@ -205,7 +205,7 @@ RetransmitResult RunRetransmit(TimerService& service, const RetransmitSpec& spec
   // bookkeeping call returns: no in-handler mutation, so the workload runs on
   // every scheme including LockedService.
   std::vector<RequestId> expired;
-  service.set_expiry_handler([&expired](RequestId id, Tick /*when*/) {
+  service.set_expiry_handler([&expired](RequestId id, Tick /*when*/, bool) {
     expired.push_back(id);
   });
 

@@ -84,6 +84,26 @@ TEST(MpscRingTest, DrainHonorsLimit) {
   EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
+// A drain that stops at its limit reads the next cell once more, so it still
+// reports empty when nothing follows: the submission layer drains at most one
+// ring's worth, and a drain that emptied a full ring must clear its
+// pending-deadline hint.
+TEST(MpscRingTest, DrainOfExactlyTheLimitSeesWhetherMoreFollows) {
+  MpscRing<int> ring(4);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(ring.TryPush(i));
+  }
+  std::vector<int> out;
+  bool emptied = false;
+  EXPECT_EQ(ring.Drain(4, [&](const int& v) { out.push_back(v); }, &emptied), 4u);
+  EXPECT_TRUE(emptied) << "nothing follows the limit";
+  ASSERT_TRUE(ring.TryPush(4));
+  ASSERT_TRUE(ring.TryPush(5));
+  EXPECT_EQ(ring.Drain(1, [&](const int& v) { out.push_back(v); }, &emptied), 1u);
+  EXPECT_FALSE(emptied) << "a published value follows the limit";
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
 TEST(MpscRingTest, ReservedTicketParksDrainUntilPublish) {
   // Two-phase push: a reserved-but-unpublished cell is a hard FIFO cut — the
   // consumer must not drain it or anything behind it. ShardSubmitQueue's

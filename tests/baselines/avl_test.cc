@@ -98,7 +98,7 @@ TEST(AvlTimersTest, DeletionsTriggerRebalancing) {
 TEST(AvlTimersTest, ExpiryOrderFifoAmongEqual) {
   AvlTimers avl;
   std::vector<RequestId> fired;
-  avl.set_expiry_handler([&](RequestId id, Tick) { fired.push_back(id); });
+  avl.set_expiry_handler([&](RequestId id, Tick, bool) { fired.push_back(id); });
   for (RequestId id = 0; id < 32; ++id) {
     ASSERT_TRUE(avl.StartTimer(5, id).has_value());
   }

@@ -52,8 +52,8 @@ TEST(UnorderedTimersTest, CompareModeEquivalentToDecrementMode) {
   EXPECT_EQ(compare.name(), "scheme1-unordered-compare");
 
   std::vector<std::pair<Tick, RequestId>> fired_a, fired_b;
-  decrement.set_expiry_handler([&](RequestId id, Tick t) { fired_a.push_back({t, id}); });
-  compare.set_expiry_handler([&](RequestId id, Tick t) { fired_b.push_back({t, id}); });
+  decrement.set_expiry_handler([&](RequestId id, Tick t, bool) { fired_a.push_back({t, id}); });
+  compare.set_expiry_handler([&](RequestId id, Tick t, bool) { fired_b.push_back({t, id}); });
 
   rng::Xoshiro256 gen(23);
   std::vector<TimerHandle> ha, hb;
@@ -179,7 +179,7 @@ TEST(BstTimersTest, ConstantIntervalsDegenerateToList) {
 TEST(BstTimersTest, ExpiryDrainsInOrderAfterDegeneration) {
   BstTimers bst;
   std::vector<RequestId> fired;
-  bst.set_expiry_handler([&](RequestId id, Tick) { fired.push_back(id); });
+  bst.set_expiry_handler([&](RequestId id, Tick, bool) { fired.push_back(id); });
   for (RequestId id = 0; id < 64; ++id) {
     ASSERT_TRUE(bst.StartTimer(5, id).has_value());
   }
@@ -214,7 +214,7 @@ TEST(LeftistHeapTimersTest, LazyCancellationRetainsMemory) {
 TEST(LeftistHeapTimersTest, CancelledTimersNeverFire) {
   LeftistHeapTimers leftist;
   std::size_t fired = 0;
-  leftist.set_expiry_handler([&](RequestId, Tick) { ++fired; });
+  leftist.set_expiry_handler([&](RequestId, Tick, bool) { ++fired; });
   auto a = leftist.StartTimer(5, 1);
   auto b = leftist.StartTimer(5, 2);
   auto c = leftist.StartTimer(5, 3);
@@ -229,7 +229,7 @@ TEST(LeftistHeapTimersTest, CancelledTimersNeverFire) {
 TEST(LeftistHeapTimersTest, MergeKeepsFifoForEqualKeys) {
   LeftistHeapTimers leftist;
   std::vector<RequestId> fired;
-  leftist.set_expiry_handler([&](RequestId id, Tick) { fired.push_back(id); });
+  leftist.set_expiry_handler([&](RequestId id, Tick, bool) { fired.push_back(id); });
   for (RequestId id = 0; id < 8; ++id) {
     ASSERT_TRUE(leftist.StartTimer(3, id).has_value());
   }

@@ -15,7 +15,7 @@ TEST(SortedListTest, Figure2OrderingAndHeadExpiry) {
   // a new 10:24:01 timer belongs between the second and third elements.
   SortedListTimers timers;
   std::vector<std::pair<Tick, RequestId>> fired;
-  timers.set_expiry_handler([&](RequestId id, Tick when) { fired.push_back({when, id}); });
+  timers.set_expiry_handler([&](RequestId id, Tick when, bool) { fired.push_back({when, id}); });
 
   ASSERT_TRUE(timers.StartTimer(12, 1).has_value());
   ASSERT_TRUE(timers.StartTimer(24, 2).has_value());
@@ -35,7 +35,7 @@ TEST(SortedListTest, FrontAndRearSearchesProduceSameOrder) {
   for (auto direction : {SearchDirection::kFromFront, SearchDirection::kFromRear}) {
     SortedListTimers timers(direction);
     std::vector<RequestId> fired;
-    timers.set_expiry_handler([&](RequestId id, Tick) { fired.push_back(id); });
+    timers.set_expiry_handler([&](RequestId id, Tick, bool) { fired.push_back(id); });
     const Duration intervals[] = {50, 10, 30, 10, 70, 30};
     for (RequestId id = 0; id < 6; ++id) {
       ASSERT_TRUE(timers.StartTimer(intervals[id], id).has_value());

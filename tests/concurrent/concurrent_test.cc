@@ -27,7 +27,7 @@ SubmitOptions Roomy() {
 TEST(LockedServiceTest, BehavesLikeInnerService) {
   LockedService service(std::make_unique<SortedListTimers>());
   std::vector<std::pair<Tick, RequestId>> fired;
-  service.set_expiry_handler([&](RequestId id, Tick when) { fired.push_back({when, id}); });
+  service.set_expiry_handler([&](RequestId id, Tick when, bool) { fired.push_back({when, id}); });
   auto a = service.StartTimer(5, 1);
   auto b = service.StartTimer(10, 2);
   ASSERT_TRUE(a.has_value() && b.has_value());
@@ -43,7 +43,7 @@ TEST(LockedServiceTest, BehavesLikeInnerService) {
 TEST(ShardedWheelTest, SingleThreadedContract) {
   ShardedWheel wheel(4, 64, Roomy());
   std::vector<std::pair<Tick, RequestId>> fired;
-  wheel.set_expiry_handler([&](RequestId id, Tick when) { fired.push_back({when, id}); });
+  wheel.set_expiry_handler([&](RequestId id, Tick when, bool) { fired.push_back({when, id}); });
   auto a = wheel.StartTimer(5, 1);
   auto b = wheel.StartTimer(5, 2);
   auto c = wheel.StartTimer(200, 3);  // beyond table size: rounds logic
@@ -80,7 +80,7 @@ TEST(ShardedWheelTest, ExpiryHandlerMayReArm) {
   // Dispatch happens outside shard locks, so handlers can start timers.
   ShardedWheel wheel(2, 16, Roomy());
   int fires = 0;
-  wheel.set_expiry_handler([&](RequestId id, Tick) {
+  wheel.set_expiry_handler([&](RequestId id, Tick, bool) {
     if (++fires < 5) {
       ASSERT_TRUE(wheel.StartTimer(3, id + 1).has_value());
     }
@@ -172,7 +172,7 @@ TEST(ConcurrencyChurnTest, StartsDuringTicks) {
   // One thread ticks continuously while others start/stop; counts must balance.
   ShardedWheel wheel(8, 64, Roomy());
   std::atomic<std::uint64_t> fired{0};
-  wheel.set_expiry_handler([&](RequestId, Tick) { fired.fetch_add(1); });
+  wheel.set_expiry_handler([&](RequestId, Tick, bool) { fired.fetch_add(1); });
   std::atomic<bool> stop_ticking{false};
   std::atomic<std::uint64_t> started{0}, cancelled{0};
 

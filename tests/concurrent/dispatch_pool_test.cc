@@ -38,7 +38,7 @@ struct SafeLog {
   std::mutex mutex;
   FireLog fires;
   void Install(ShardedWheel& wheel) {
-    wheel.set_expiry_handler([this](RequestId id, Tick when) {
+    wheel.set_expiry_handler([this](RequestId id, Tick when, bool) {
       std::lock_guard<std::mutex> lock(mutex);
       fires.emplace_back(id, when);
     });

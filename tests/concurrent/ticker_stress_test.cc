@@ -34,7 +34,7 @@ TEST(TickerStressTest, SlowExpiryHandlersDoNotHoldStopHostage) {
   // outstanding backlog is worth tens of seconds of handler work.
   constexpr int kPopulation = 32;
   std::atomic<std::uint64_t> fired{0};
-  wheel.set_expiry_handler([&wheel, &fired](RequestId id, Tick) {
+  wheel.set_expiry_handler([&wheel, &fired](RequestId id, Tick, bool) {
     fired.fetch_add(1, std::memory_order_relaxed);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     auto rearm = wheel.StartTimer(1, id);
@@ -124,7 +124,7 @@ TEST(TickerStressTest, NoBookkeepingCallRunsAfterStopReturns) {
   std::atomic<std::uint64_t> fired{0};
   // A mildly slow handler keeps the ticker inside catch-up bursts so Stop() is
   // very likely to interrupt one mid-burst — the interesting case.
-  wheel.set_expiry_handler([&wheel, &fired](RequestId id, Tick) {
+  wheel.set_expiry_handler([&wheel, &fired](RequestId id, Tick, bool) {
     fired.fetch_add(1, std::memory_order_relaxed);
     std::this_thread::sleep_for(std::chrono::microseconds(500));
     (void)wheel.StartTimer(1 + (id % 3), id);

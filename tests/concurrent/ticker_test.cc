@@ -32,7 +32,7 @@ TEST(TickerThreadTest, DeliversTicksAtRoughlyTheConfiguredRate) {
 TEST(TickerThreadTest, TimersFireUnderWallClockDrive) {
   LockedService service(std::make_unique<HashedWheelUnsorted>(64));
   std::atomic<int> fired{0};
-  service.set_expiry_handler([&](RequestId, Tick) { fired.fetch_add(1); });
+  service.set_expiry_handler([&](RequestId, Tick, bool) { fired.fetch_add(1); });
   auto handle = service.StartTimer(10, 1);
   ASSERT_TRUE(handle.has_value());
 
@@ -53,7 +53,7 @@ TEST(TickerThreadTest, ConcurrentStartsWhileTicking) {
                       .registration_capacity = 1024,
                       .on_full = SubmitPolicy::kReject});
   std::atomic<std::uint64_t> fired{0};
-  wheel.set_expiry_handler([&](RequestId, Tick) { fired.fetch_add(1); });
+  wheel.set_expiry_handler([&](RequestId, Tick, bool) { fired.fetch_add(1); });
 
   TickerThread ticker(wheel, std::chrono::microseconds(100));
   std::uint64_t started = 0, cancelled = 0;

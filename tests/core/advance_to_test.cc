@@ -95,7 +95,7 @@ using Fired = std::vector<std::pair<Tick, RequestId>>;
 
 void Collect(TimerService& service, Fired& into) {
   service.set_expiry_handler(
-      [&into](RequestId id, Tick when) { into.emplace_back(when, id); });
+      [&into](RequestId id, Tick when, bool) { into.emplace_back(when, id); });
 }
 
 class AdvanceToTest : public ::testing::TestWithParam<WheelCase> {};
@@ -246,7 +246,7 @@ TEST_P(AdvanceToTest, HandlerRearmInsideJumpWindowFires) {
   auto service = c.make();
   Fired fired;
   TimerService* raw = service.get();
-  service->set_expiry_handler([&fired, raw](RequestId id, Tick when) {
+  service->set_expiry_handler([&fired, raw](RequestId id, Tick when, bool) {
     fired.emplace_back(when, id);
     if (id == 1) {
       ASSERT_TRUE(raw->StartTimer(5, 2).has_value());

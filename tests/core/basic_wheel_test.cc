@@ -24,7 +24,7 @@ TEST(BasicWheelTest, RejectsIntervalAtOrBeyondMaxInterval) {
 TEST(BasicWheelTest, ClampPolicySaturates) {
   BasicWheel wheel(16, OverflowPolicy::kClamp);
   std::vector<Tick> fired;
-  wheel.set_expiry_handler([&](RequestId, Tick when) { fired.push_back(when); });
+  wheel.set_expiry_handler([&](RequestId, Tick when, bool) { fired.push_back(when); });
   ASSERT_TRUE(wheel.StartTimer(1000, 1).has_value());
   wheel.AdvanceBy(15);
   ASSERT_EQ(fired.size(), 1u);
@@ -46,7 +46,7 @@ TEST(BasicWheelTest, ExpiryCorrectAcrossManyRevolutions) {
   // exactly start + interval.
   BasicWheel wheel(32);
   std::vector<std::pair<Tick, RequestId>> fired;
-  wheel.set_expiry_handler([&](RequestId id, Tick when) { fired.push_back({when, id}); });
+  wheel.set_expiry_handler([&](RequestId id, Tick when, bool) { fired.push_back({when, id}); });
 
   Tick expected_expiry[100];
   RequestId id = 0;
@@ -99,7 +99,7 @@ TEST(BasicWheelTest, SameSlotDifferentRevolutionNeverConfused) {
   // occupancy: the first leaves before the second arrives.
   BasicWheel wheel(8);
   std::vector<RequestId> fired;
-  wheel.set_expiry_handler([&](RequestId id, Tick) { fired.push_back(id); });
+  wheel.set_expiry_handler([&](RequestId id, Tick, bool) { fired.push_back(id); });
   ASSERT_TRUE(wheel.StartTimer(7, 1).has_value());
   wheel.AdvanceBy(7);
   ASSERT_TRUE(wheel.StartTimer(7, 2).has_value());
@@ -110,7 +110,7 @@ TEST(BasicWheelTest, SameSlotDifferentRevolutionNeverConfused) {
 TEST(BasicWheelTest, StopFromOccupiedSlotLeavesSiblings) {
   BasicWheel wheel(16);
   std::vector<RequestId> fired;
-  wheel.set_expiry_handler([&](RequestId id, Tick) { fired.push_back(id); });
+  wheel.set_expiry_handler([&](RequestId id, Tick, bool) { fired.push_back(id); });
   auto a = wheel.StartTimer(5, 1);
   auto b = wheel.StartTimer(5, 2);
   auto c = wheel.StartTimer(5, 3);

@@ -26,7 +26,7 @@ TYPED_TEST(HashedWheelTest, TableSizeBoundaryIntervalsExact) {
                             Duration{161}}) {
     TypeParam wheel(16);
     std::vector<Tick> fired;
-    wheel.set_expiry_handler([&](RequestId, Tick when) { fired.push_back(when); });
+    wheel.set_expiry_handler([&](RequestId, Tick when, bool) { fired.push_back(when); });
     ASSERT_TRUE(wheel.StartTimer(interval, 1).has_value());
     wheel.AdvanceBy(interval - 1);
     EXPECT_TRUE(fired.empty()) << "interval " << interval << " fired early";
@@ -42,7 +42,7 @@ TYPED_TEST(HashedWheelTest, BoundaryIntervalsExactFromUnalignedStart) {
     for (Duration interval : {Duration{16}, Duration{17}, Duration{32}, Duration{48}}) {
       TypeParam wheel(16);
       std::vector<Tick> fired;
-      wheel.set_expiry_handler([&](RequestId, Tick when) { fired.push_back(when); });
+      wheel.set_expiry_handler([&](RequestId, Tick when, bool) { fired.push_back(when); });
       wheel.AdvanceBy(offset);
       ASSERT_TRUE(wheel.StartTimer(interval, 1).has_value());
       wheel.AdvanceBy(interval);
@@ -55,7 +55,7 @@ TYPED_TEST(HashedWheelTest, BoundaryIntervalsExactFromUnalignedStart) {
 TYPED_TEST(HashedWheelTest, ArbitrarilyLargeIntervalsSupported) {
   TypeParam wheel(32);
   std::vector<Tick> fired;
-  wheel.set_expiry_handler([&](RequestId, Tick when) { fired.push_back(when); });
+  wheel.set_expiry_handler([&](RequestId, Tick when, bool) { fired.push_back(when); });
   const Duration big = 1000000;
   ASSERT_TRUE(wheel.StartTimer(big, 1).has_value());
   // Fast-forward in bulk; the timer must fire at exactly `big`.
@@ -133,7 +133,7 @@ TEST(HashedWheelUnsortedTest, StartCostConstantRegardlessOfBucketDepth) {
 TEST(HashedWheelSortedTest, FifoAmongEqualExpiries) {
   HashedWheelSorted wheel(8);
   std::vector<RequestId> fired;
-  wheel.set_expiry_handler([&](RequestId id, Tick) { fired.push_back(id); });
+  wheel.set_expiry_handler([&](RequestId id, Tick, bool) { fired.push_back(id); });
   for (RequestId id = 0; id < 4; ++id) {
     ASSERT_TRUE(wheel.StartTimer(20, id).has_value());
   }

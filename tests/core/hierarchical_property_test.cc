@@ -55,7 +55,7 @@ TEST_P(HierarchicalPropertyTest, FullMigrationIsExactUnderRandomChurn) {
   RequestId next_id = 0;
   std::size_t mismatches = 0;
 
-  wheel.set_expiry_handler([&](RequestId id, Tick when) {
+  wheel.set_expiry_handler([&](RequestId id, Tick when, bool) {
     auto it = expected.find(id);
     ASSERT_NE(it, expected.end()) << "unexpected expiry " << id;
     if (it->second != when) {
@@ -103,7 +103,7 @@ TEST_P(HierarchicalPropertyTest, NoMigrationErrorBoundedByHalfGranularity) {
   std::map<RequestId, Tick> exact;
   std::map<RequestId, Duration> granted_bound;
   std::size_t fired = 0;
-  wheel.set_expiry_handler([&](RequestId id, Tick when) {
+  wheel.set_expiry_handler([&](RequestId id, Tick when, bool) {
     ++fired;
     const Tick want = exact.at(id);
     const Duration bound = granted_bound.at(id);
@@ -148,7 +148,7 @@ TEST_P(HierarchicalPropertyTest, SingleStepNeverLateAndErrorUnderAdjacentGranula
 
   std::map<RequestId, std::pair<Tick, Duration>> exact_and_bound;
   std::size_t fired = 0;
-  wheel.set_expiry_handler([&](RequestId id, Tick when) {
+  wheel.set_expiry_handler([&](RequestId id, Tick when, bool) {
     ++fired;
     auto [want, bound] = exact_and_bound.at(id);
     ASSERT_LE(when, want) << "single-step must truncate, never overshoot";

@@ -38,7 +38,7 @@ TEST(HierarchicalWheelTest, Figure10To11WorkedExample) {
   ASSERT_EQ(wheel.now(), start);
 
   std::vector<Tick> fired;
-  wheel.set_expiry_handler([&](RequestId, Tick when) { fired.push_back(when); });
+  wheel.set_expiry_handler([&](RequestId, Tick when, bool) { fired.push_back(when); });
 
   const Duration interval = 50 * 60 + 45;  // 50 minutes 45 seconds
   ASSERT_TRUE(wheel.StartTimer(interval, 1).has_value());
@@ -83,7 +83,7 @@ TEST(HierarchicalWheelTest, ZeroRemainderSkipsLevels) {
   // second array" — and with zero seconds too, expiry happens at the hour visit.
   HierarchicalWheel wheel(kPaperLevels);
   std::vector<Tick> fired;
-  wheel.set_expiry_handler([&](RequestId, Tick when) { fired.push_back(when); });
+  wheel.set_expiry_handler([&](RequestId, Tick when, bool) { fired.push_back(when); });
   wheel.AdvanceBy(3600);  // aligned at an hour boundary
 
   ASSERT_TRUE(wheel.StartTimer(2 * 3600, 1).has_value());  // exactly two hours
@@ -97,7 +97,7 @@ TEST(HierarchicalWheelTest, ZeroRemainderSkipsLevels) {
 TEST(HierarchicalWheelTest, MigrationCountBoundedByLevels) {
   HierarchicalWheel wheel(kPaperLevels);
   std::size_t fired = 0;
-  wheel.set_expiry_handler([&](RequestId, Tick) { ++fired; });
+  wheel.set_expiry_handler([&](RequestId, Tick, bool) { ++fired; });
   // A day-level timer with nonzero day/hour/minute/second digits migrates
   // day -> hour -> minute -> second = m - 1 = 3 times.
   ASSERT_TRUE(wheel.StartTimer(86400 + 3600 + 60 + 1, 1).has_value());
@@ -117,7 +117,7 @@ TEST(HierarchicalWheelTest, RangeRejectAndClamp) {
   options.overflow = OverflowPolicy::kClamp;
   HierarchicalWheel clamp(kPaperLevels, options);
   std::vector<Tick> fired;
-  clamp.set_expiry_handler([&](RequestId, Tick when) { fired.push_back(when); });
+  clamp.set_expiry_handler([&](RequestId, Tick when, bool) { fired.push_back(when); });
   ASSERT_TRUE(clamp.StartTimer(clamp.max_interval() + 12345, 1).has_value());
   clamp.AdvanceBy(clamp.max_interval());
   ASSERT_EQ(fired.size(), 1u);
@@ -130,7 +130,7 @@ TEST(HierarchicalWheelTest, ExactExpiryForBoundaryIntervalsFromUnalignedNow) {
   HierarchicalWheel wheel(std::array<std::size_t, 3>{8, 8, 8});
   wheel.AdvanceBy(123);  // not aligned to anything
   std::vector<std::pair<Tick, RequestId>> fired;
-  wheel.set_expiry_handler([&](RequestId id, Tick when) { fired.push_back({when, id}); });
+  wheel.set_expiry_handler([&](RequestId id, Tick when, bool) { fired.push_back({when, id}); });
 
   std::vector<Tick> expected;
   RequestId id = 0;
@@ -152,7 +152,7 @@ TEST(HierarchicalWheelTest, ExactExpiryForBoundaryIntervalsFromUnalignedNow) {
 TEST(HierarchicalWheelTest, StopDuringAnyResidenceLevel) {
   HierarchicalWheel wheel(kPaperLevels);
   std::size_t fired = 0;
-  wheel.set_expiry_handler([&](RequestId, Tick) { ++fired; });
+  wheel.set_expiry_handler([&](RequestId, Tick, bool) { ++fired; });
 
   auto h = wheel.StartTimer(3 * 3600 + 30 * 60 + 30, 1);  // 3h30m30s
   ASSERT_TRUE(h.has_value());
@@ -177,7 +177,7 @@ TEST(HierarchicalWheelTest, NoMigrationModeRoundsWithinOneUnit) {
   for (Duration interval : {Duration{5}, Duration{20}, Duration{100}, Duration{300},
                             Duration{1000}, Duration{3000}}) {
     std::vector<Tick> fired;
-    wheel.set_expiry_handler([&](RequestId, Tick when) { fired.push_back(when); });
+    wheel.set_expiry_handler([&](RequestId, Tick when, bool) { fired.push_back(when); });
     const Tick exact = wheel.now() + interval;
     ASSERT_TRUE(wheel.StartTimer(interval, 1).has_value());
     wheel.AdvanceBy(2 * interval + 512);
@@ -207,7 +207,7 @@ TEST(HierarchicalWheelTest, SingleStepModeErrorBoundedByAdjacentGranularity) {
 
   for (Duration interval : {Duration{300}, Duration{1000}, Duration{3000}}) {
     std::vector<Tick> fired;
-    wheel.set_expiry_handler([&](RequestId, Tick when) { fired.push_back(when); });
+    wheel.set_expiry_handler([&](RequestId, Tick when, bool) { fired.push_back(when); });
     const Tick exact = wheel.now() + interval;
     ASSERT_TRUE(wheel.StartTimer(interval, 1).has_value());
     wheel.AdvanceBy(2 * interval + 512);

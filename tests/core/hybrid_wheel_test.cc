@@ -22,7 +22,7 @@ TEST(HybridWheelTest, RoutesByIntervalRange) {
 TEST(HybridWheelTest, BothResidencesExpireExactly) {
   HybridWheel hybrid(64);
   std::vector<std::pair<Tick, RequestId>> fired;
-  hybrid.set_expiry_handler([&](RequestId id, Tick when) { fired.push_back({when, id}); });
+  hybrid.set_expiry_handler([&](RequestId id, Tick when, bool) { fired.push_back({when, id}); });
   hybrid.AdvanceBy(11);  // unaligned start
   ASSERT_TRUE(hybrid.StartTimer(30, 1).has_value());
   ASSERT_TRUE(hybrid.StartTimer(64, 2).has_value());
@@ -72,7 +72,7 @@ TEST(HybridWheelTest, PerTickCostIsWheelSlotPlusHeadCheck) {
 TEST(HybridWheelTest, StopWorksInBothResidences) {
   HybridWheel hybrid(64);
   std::size_t fired = 0;
-  hybrid.set_expiry_handler([&](RequestId, Tick) { ++fired; });
+  hybrid.set_expiry_handler([&](RequestId, Tick, bool) { ++fired; });
   auto short_timer = hybrid.StartTimer(10, 1);
   auto long_timer = hybrid.StartTimer(500, 2);
   ASSERT_TRUE(short_timer.has_value() && long_timer.has_value());

@@ -76,9 +76,9 @@ TEST_P(NextExpiryHintPropertyTest, HintMatchesOracleUnderChurn) {
   std::vector<RequestId> sut_fired;
   std::vector<RequestId> oracle_fired;
   sut->set_expiry_handler(
-      [&sut_fired](RequestId id, Tick) { sut_fired.push_back(id); });
+      [&sut_fired](RequestId id, Tick, bool) { sut_fired.push_back(id); });
   oracle.set_expiry_handler(
-      [&oracle_fired](RequestId id, Tick) { oracle_fired.push_back(id); });
+      [&oracle_fired](RequestId id, Tick, bool) { oracle_fired.push_back(id); });
 
   struct Pair {
     TimerHandle sut;

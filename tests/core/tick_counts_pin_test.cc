@@ -210,7 +210,7 @@ Outcome RunScript(TimerService& s, Duration max_start, Duration boundary) {
       handles.push_back(r.value());
     }
   };
-  s.set_expiry_handler([&](RequestId id, Tick tick) {
+  s.set_expiry_handler([&](RequestId id, Tick tick, bool) {
     ++out.fires;
     Fold(&out.fire_digest, id);
     Fold(&out.fire_digest, tick);

@@ -62,7 +62,7 @@ TEST(TimerFacilityTest, MigrationPolicyRouted) {
   config.migration = MigrationPolicy::kNone;
   auto service = MakeTimerService(config);
   std::vector<Tick> fired;
-  service->set_expiry_handler([&](RequestId, Tick when) { fired.push_back(when); });
+  service->set_expiry_handler([&](RequestId, Tick when, bool) { fired.push_back(when); });
   // 100 ticks from an unaligned now: no-migration mode rounds to the minute level.
   service->AdvanceBy(3);
   ASSERT_TRUE(service->StartTimer(100, 1).has_value());

@@ -85,7 +85,7 @@ TEST(ChipAssistedWheelTest, ExpiryDrainSendsFree) {
 TEST(ChipAssistedWheelTest, ReentrantRearmKeepsBusyBitConsistent) {
   ChipAssistedWheel chip(64);
   int fires = 0;
-  chip.set_expiry_handler([&](RequestId id, Tick) {
+  chip.set_expiry_handler([&](RequestId id, Tick, bool) {
     if (++fires < 3) {
       // Re-arm into the same queue (interval a multiple of the table size).
       ASSERT_TRUE(chip.StartTimer(64, id).has_value());

@@ -28,7 +28,7 @@ class ServiceContractTest : public ::testing::TestWithParam<SchemeId> {
  protected:
   void SetUp() override {
     service_ = MakeTimerService(ConfigFor(GetParam()));
-    service_->set_expiry_handler([this](RequestId id, Tick when) {
+    service_->set_expiry_handler([this](RequestId id, Tick when, bool) {
       expiries_.push_back({when, id});
     });
   }
@@ -178,7 +178,7 @@ TEST_P(ServiceContractTest, RestartInsideExpiryHandlerWorks) {
   auto config = ConfigFor(GetParam());
   auto service = MakeTimerService(config);
   int fires = 0;
-  service->set_expiry_handler([&](RequestId id, Tick) {
+  service->set_expiry_handler([&](RequestId id, Tick, bool) {
     ++fires;
     if (fires < 3) {
       ASSERT_TRUE(service->StartTimer(4, id + 1).has_value());
@@ -197,7 +197,7 @@ TEST_P(ServiceContractTest, HandlerMayStopSiblingDueSameTick) {
   auto service = MakeTimerService(config);
   std::vector<RequestId> fired;
   TimerHandle victims[2];
-  service->set_expiry_handler([&](RequestId id, Tick) {
+  service->set_expiry_handler([&](RequestId id, Tick, bool) {
     fired.push_back(id);
     if (id == 0) {
       // Cancel both co-expiring siblings; at least one is still undispatched.
@@ -232,7 +232,7 @@ TEST_P(ServiceContractTest, HandlerRearmRevolutionMultipleNotVisitedTwice) {
   const Duration interval = GetParam() == SchemeId::kScheme4BasicWheel ? 511 : 512;
   std::vector<Tick> fired;
   int rearms = 0;
-  service->set_expiry_handler([&](RequestId id, Tick when) {
+  service->set_expiry_handler([&](RequestId id, Tick when, bool) {
     fired.push_back(when);
     if (++rearms <= 3) {
       ASSERT_TRUE(service->StartTimer(interval, id).has_value());

@@ -27,7 +27,7 @@ TEST_P(StressTest, LargePopulationChurnsAndDrainsExactly) {
   auto service = MakeTimerService(config);
 
   std::uint64_t fired = 0;
-  service->set_expiry_handler([&](RequestId, Tick) { ++fired; });
+  service->set_expiry_handler([&](RequestId, Tick, bool) { ++fired; });
 
   rng::Xoshiro256 gen(77);
   const std::size_t n = GetParam().timers;

@@ -24,7 +24,7 @@ using Fired = std::vector<std::pair<Tick, RequestId>>;
 
 void Collect(TimerService& service, Fired& into) {
   service.set_expiry_handler(
-      [&into](RequestId id, Tick when) { into.emplace_back(when, id); });
+      [&into](RequestId id, Tick when, bool) { into.emplace_back(when, id); });
 }
 
 // Cap 4, eight distinct TTLs: the first four get buckets, the rest land in the

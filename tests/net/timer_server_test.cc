@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <thread>
@@ -532,6 +533,34 @@ TEST(TimerServerPoolTest, CancelAfterLapIsClaimedDropsTheLap) {
   ExpectEachSetResolvedOnce(s);
   EXPECT_EQ(rig.server.registrations(), 0u);
   EXPECT_EQ(rig.server.host().outstanding(), 0u);
+}
+
+// A forever periodic whose next lap would pass the end of Tick ends at the
+// fire that reached it: the host drops that lap and marks the fire last. The
+// server used to count it as a lap, from its own copy of the budget, and kept
+// the registration with no host timer behind it.
+TEST(TimerServerTest, ForeverPeriodicEndsAtTheEndOfTick) {
+  const twheel::Tick last = std::numeric_limits<twheel::Tick>::max();
+  std::vector<std::unique_ptr<TimerService>> hosts;
+  hosts.push_back(MakeTimerService(HostScheme(SchemeId::kScheme6HashedUnsorted)));
+  concurrent::SubmitOptions submit;
+  submit.on_full = concurrent::SubmitPolicy::kReject;
+  hosts.push_back(std::make_unique<concurrent::ShardedWheel>(1, 64, submit));
+  for (auto& host : hosts) {
+    SCOPED_TRACE(host->name());
+    ServerRig rig(std::move(host));
+    rig.AdvanceTo(last - 10);
+    rig.server.OnRequest(ServerRig::Request(PacketType::kTimerSetPeriodic, 4, 2,
+                                            /*interval=*/6, /*repeat_for=*/0));
+    rig.Tick(9);
+    ASSERT_EQ(rig.callbacks.size(), 1u);
+    EXPECT_EQ(rig.callbacks[0].arg0, last - 4);
+    const TimerServerStats s = rig.server.stats();
+    EXPECT_EQ(s.periodic_laps, 0u);
+    ExpectEachSetResolvedOnce(s);
+    EXPECT_EQ(rig.server.registrations(), 0u);
+    EXPECT_EQ(rig.server.host().outstanding(), 0u);
+  }
 }
 
 // --- Lazy restarts: a restart that only records a deadline -----------------

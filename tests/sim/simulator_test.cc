@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
+#include "src/core/hashed_wheel_unsorted.h"
 #include "src/core/timer_facility.h"
 #include "src/sim/simulator.h"
 #include "src/sim/tegas_wheel.h"
@@ -182,6 +184,27 @@ TEST(SimulatorTegasTest, EveryCancelledAfterFirstRunNeverRunsAgain) {
     }
     EXPECT_EQ(runs, 1);
   }
+}
+
+// A periodic whose next run the service drops at the end of Tick has run its
+// last time: the simulator frees its entry, and with it the action, at that
+// fire. It used to keep both until a Cancel found the timer dead.
+TEST(SimulatorPeriodicDropTest, DroppedPeriodicFreesItsEntryAtTheFire) {
+  auto wheel = std::make_unique<HashedWheelUnsorted>(64);
+  ASSERT_TRUE(wheel->FastForward(std::numeric_limits<Tick>::max() - 10));
+  Simulator sim(std::move(wheel));
+  auto held = std::make_shared<int>(0);
+  int runs = 0;
+  const EventToken token = sim.Every(6, [held, &runs] { ++runs; });
+  ASSERT_TRUE(token.valid());
+  for (int i = 0; i < 9; ++i) {
+    sim.Step();
+  }
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(sim.service().counts().periodic_drops, 1u);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(held.use_count(), 1) << "the spent entry still holds its action";
+  EXPECT_FALSE(sim.Cancel(token));
 }
 
 TEST(SimulatorJumpTest, JumpingMatchesSteppingForPeekableSchemes) {

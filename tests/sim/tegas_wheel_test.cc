@@ -14,7 +14,7 @@ namespace {
 TEST(TegasWheelTest, ExactExpiryWithinAndBeyondCycle) {
   TegasWheel wheel(16);
   std::vector<std::pair<Tick, RequestId>> fired;
-  wheel.set_expiry_handler([&](RequestId id, Tick when) { fired.push_back({when, id}); });
+  wheel.set_expiry_handler([&](RequestId id, Tick when, bool) { fired.push_back({when, id}); });
   ASSERT_TRUE(wheel.StartTimer(5, 1).has_value());    // in-cycle
   ASSERT_TRUE(wheel.StartTimer(15, 2).has_value());   // last in-cycle slot
   ASSERT_TRUE(wheel.StartTimer(16, 3).has_value());   // first overflow
@@ -49,8 +49,8 @@ TEST(TegasWheelTest, HalfCycleRotationReducesOverflowInsertions) {
   TegasWheel full(16, RotatePolicy::kFullCycle);
   TegasWheel half(16, RotatePolicy::kHalfCycle);
   std::size_t full_fired = 0, half_fired = 0;
-  full.set_expiry_handler([&](RequestId, Tick) { ++full_fired; });
-  half.set_expiry_handler([&](RequestId, Tick) { ++half_fired; });
+  full.set_expiry_handler([&](RequestId, Tick, bool) { ++full_fired; });
+  half.set_expiry_handler([&](RequestId, Tick, bool) { ++half_fired; });
 
   full.AdvanceBy(10);  // late in cycle 0: full wheel covers only up to tick 15
   half.AdvanceBy(10);  // half wheel drained at tick 8: covered up to tick 23
@@ -85,7 +85,7 @@ TEST(TegasWheelTest, OverflowRescannedEveryRotation) {
 TEST(TegasWheelTest, StopWorksInBothResidences) {
   TegasWheel wheel(16);
   std::size_t fired = 0;
-  wheel.set_expiry_handler([&](RequestId, Tick) { ++fired; });
+  wheel.set_expiry_handler([&](RequestId, Tick, bool) { ++fired; });
   auto in_cycle = wheel.StartTimer(5, 1);
   auto in_overflow = wheel.StartTimer(100, 2);
   ASSERT_TRUE(in_cycle.has_value() && in_overflow.has_value());

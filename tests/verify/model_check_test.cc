@@ -158,7 +158,7 @@ TEST_P(ModelCheckTest, DeadlinesPastTheEndOfTickAreRefused) {
   auto service = c.make();
   std::vector<std::pair<Tick, RequestId>> fired;
   service->set_expiry_handler(
-      [&fired](RequestId id, Tick when) { fired.emplace_back(when, id); });
+      [&fired](RequestId id, Tick when, bool) { fired.emplace_back(when, id); });
   service->AdvanceTo(10);
   const TimerHandle live = service->StartTimer(5, 1).value();
   const Duration huge = std::numeric_limits<Duration>::max() - 2;

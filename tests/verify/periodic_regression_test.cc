@@ -39,6 +39,7 @@
 #include "src/hw/timer_chip.h"
 #include "src/sim/simulator.h"
 #include "src/sim/tegas_wheel.h"
+#include "src/verify/oracle.h"
 #include "tests/verify/all_services.h"
 
 namespace twheel {
@@ -49,30 +50,39 @@ using verify_tests::ServiceCase;
 
 // A periodic lap whose deadline would pass the end of Tick is a periodic_drop:
 // the fire that reached it becomes the final one, and nothing wraps into the
-// past. The heap's O(1) FastForward carries the clock to the end of Tick. With
-// period 3 the lap after last - 2 is due at last + 1; a re-arm delay worked
-// from the wrapped target would come out as 2 and fire it at `last` instead.
+// past. The heap's and the oracle's O(1) FastForward carry the clock to the
+// end of Tick. With period 3 the lap after last - 2 is due at last + 1; a
+// re-arm delay worked from the wrapped target would come out as 2 and fire it
+// at `last` instead, and the oracle, which re-armed at now + period without a
+// range check, filed it at a wrapped tick in the past.
 TEST(PeriodicRegressionTest, LapPastTheEndOfTickIsDropped) {
   const Tick last = std::numeric_limits<Tick>::max();
-  HeapTimers heap;
-  std::vector<Tick> fired;
-  heap.set_expiry_handler([&fired](RequestId, Tick when) { fired.push_back(when); });
-  ASSERT_TRUE(heap.FastForward(last - 8));
-  ASSERT_TRUE(heap.StartPeriodic(3, 1).has_value());
-  heap.AdvanceTo(last);
-  EXPECT_EQ(fired, (std::vector<Tick>{last - 5, last - 2}));
-  EXPECT_EQ(heap.counts().periodic_fires, 1u);
-  EXPECT_EQ(heap.counts().periodic_drops, 1u);
-  EXPECT_EQ(heap.counts().expiries, 1u);
-  EXPECT_EQ(heap.outstanding(), 0u);
+  std::vector<std::unique_ptr<TimerService>> services;
+  services.push_back(std::make_unique<HeapTimers>());
+  services.push_back(std::make_unique<verify::OracleTimers>());
+  for (const auto& service : services) {
+    SCOPED_TRACE(service->name());
+    std::vector<Tick> fired;
+    service->set_expiry_handler(
+        [&fired](RequestId, Tick when, bool) { fired.push_back(when); });
+    ASSERT_TRUE(service->FastForward(last - 8));
+    ASSERT_TRUE(service->StartPeriodic(3, 1).has_value());
+    service->AdvanceTo(last);
+    EXPECT_EQ(fired, (std::vector<Tick>{last - 5, last - 2}));
+    EXPECT_EQ(service->counts().periodic_fires, 1u);
+    EXPECT_EQ(service->counts().periodic_drops, 1u);
+    EXPECT_EQ(service->counts().expiries, 1u);
+    EXPECT_EQ(service->outstanding(), 0u);
+  }
 }
 
 // The same drop for a forever periodic, one tick at a time, on a hashed wheel,
-// the heap and a one-shard ShardedWheel. Started at last - 10 with period 6, it
-// fires at last - 4, and the lap after that would be due past the end of Tick,
-// so that fire is the final one: nothing stays outstanding and the handle is
-// stale. ShardedWheel used to claim it as a lap, because a forever periodic's
-// budget never reads "last", and kept the entry live with no inner record.
+// the heap, a one-shard ShardedWheel and the oracle. Started at last - 10 with
+// period 6, it fires at last - 4, and the lap after that would be due past the
+// end of Tick, so that fire is the final one: nothing stays outstanding and the
+// handle is stale. ShardedWheel used to claim it as a lap, because a forever
+// periodic's budget never reads "last", and kept the entry live with no inner
+// record; the oracle re-filed it at a wrapped tick.
 TEST(PeriodicRegressionTest, ForeverLapPastTheEndOfTickEndsTheSeries) {
   const Tick last = std::numeric_limits<Tick>::max();
   std::vector<std::unique_ptr<TimerService>> services;
@@ -80,11 +90,12 @@ TEST(PeriodicRegressionTest, ForeverLapPastTheEndOfTickEndsTheSeries) {
   services.push_back(std::make_unique<HeapTimers>());
   services.push_back(std::make_unique<concurrent::ShardedWheel>(
       1, 64, concurrent::SubmitOptions{}));
+  services.push_back(std::make_unique<verify::OracleTimers>());
   for (const auto& service : services) {
     SCOPED_TRACE(service->name());
     std::vector<Tick> fired;
     service->set_expiry_handler(
-        [&fired](RequestId, Tick when) { fired.push_back(when); });
+        [&fired](RequestId, Tick when, bool) { fired.push_back(when); });
     ASSERT_TRUE(service->FastForward(last - 10));
     const StartResult started = service->StartPeriodic(6, 1);
     ASSERT_TRUE(started.has_value());
@@ -176,7 +187,7 @@ class MinimalService final : public TimerService {
         due = 0;
         ++fired;
         if (handler_) {
-          handler_(id, now_);
+          handler_(id, now_, /*last=*/true);
         }
       }
     }
@@ -207,7 +218,7 @@ TEST(PeriodicRegressionTest, DefaultRestartRefusesInsteadOfLosingTheCookie) {
   MinimalService service;
   std::vector<RequestId> fired;
   service.set_expiry_handler(
-      [&fired](RequestId id, Tick) { fired.push_back(id); });
+      [&fired](RequestId id, Tick, bool) { fired.push_back(id); });
 
   StartResult started = service.StartTimer(10, /*request_id=*/77);
   ASSERT_TRUE(started.has_value());
@@ -266,7 +277,7 @@ TEST(PeriodicRegressionTest, BaseFallbackRestartPreservesCookieAndCadence) {
   FallbackService service;
   std::vector<std::pair<RequestId, Tick>> fired;
   service.set_expiry_handler(
-      [&fired](RequestId id, Tick when) { fired.emplace_back(id, when); });
+      [&fired](RequestId id, Tick when, bool) { fired.emplace_back(id, when); });
 
   // One-shot: the restart must keep the cookie — the pre-fix default
   // delivered RequestId{0} here — and the handle: the second restart through
@@ -327,7 +338,7 @@ class InPlaceRelinkTest : public ::testing::TestWithParam<ServiceCase> {};
 TEST_P(InPlaceRelinkTest, PeriodicStoppedAfterFirstLapNeverFiresAgain) {
   auto service = GetParam().make();
   std::size_t fires = 0;
-  service->set_expiry_handler([&fires](RequestId, Tick) { ++fires; });
+  service->set_expiry_handler([&fires](RequestId, Tick, bool) { ++fires; });
 
   StartResult started = service->StartPeriodic(5, /*request_id=*/3,
                                                TimerService::kRepeatForever);
@@ -367,7 +378,7 @@ TEST_P(PeriodicCounterPinTest, RearmIsARelinkNotAReallocation) {
   auto service = GetParam().make();
   std::vector<Tick> fired;
   service->set_expiry_handler(
-      [&fired](RequestId, Tick when) { fired.push_back(when); });
+      [&fired](RequestId, Tick when, bool) { fired.push_back(when); });
 
   StartResult started = service->StartPeriodic(7, /*request_id=*/5,
                                                /*repeat_for=*/3);
@@ -405,7 +416,7 @@ TEST_P(PeriodicCounterPinTest, RearmIsARelinkNotAReallocation) {
 TEST_P(PeriodicCounterPinTest, CancelBetweenFiresUsesTheOriginalHandle) {
   auto service = GetParam().make();
   std::size_t fires = 0;
-  service->set_expiry_handler([&fires](RequestId, Tick) { ++fires; });
+  service->set_expiry_handler([&fires](RequestId, Tick, bool) { ++fires; });
 
   StartResult started = service->StartPeriodic(4, /*request_id=*/9,
                                                /*repeat_for=*/TimerService::kRepeatForever);

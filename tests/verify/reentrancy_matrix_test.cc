@@ -42,7 +42,7 @@ TEST_P(ReentrancyMatrixTest, RearmSelfAtTableSizeMultipleFiresExactly) {
   auto service = c.make();
   constexpr Duration kInterval = 64;  // ≡ 0 mod 64, ≡ 0 mod 32 and mod 16 too
   std::vector<Tick> fires;
-  service->set_expiry_handler([&](RequestId id, Tick when) {
+  service->set_expiry_handler([&](RequestId id, Tick when, bool) {
     fires.push_back(when);
     if (fires.size() < 4) {
       ASSERT_TRUE(service->StartTimer(kInterval, id).has_value());
@@ -67,7 +67,7 @@ TEST_P(ReentrancyMatrixTest, HandlerStopsNotYetVisitedSibling) {
   auto victim = service->StartTimer(7, 2);
   ASSERT_TRUE(killer.has_value() && victim.has_value());
   std::vector<RequestId> fired;
-  service->set_expiry_handler([&](RequestId id, Tick) {
+  service->set_expiry_handler([&](RequestId id, Tick, bool) {
     fired.push_back(id);
     if (id == 1) {
       EXPECT_EQ(service->StopTimer(victim.value()), TimerError::kOk) << c.label;
@@ -88,7 +88,7 @@ TEST_P(ReentrancyMatrixTest, HandlerStartsTimerDueNextTick) {
   }
   auto service = c.make();
   std::vector<std::pair<RequestId, Tick>> fired;
-  service->set_expiry_handler([&](RequestId id, Tick when) {
+  service->set_expiry_handler([&](RequestId id, Tick when, bool) {
     fired.push_back({id, when});
     if (id == 1) {
       ASSERT_TRUE(service->StartTimer(1, 2).has_value());

@@ -35,7 +35,7 @@ constexpr SchemeId kWheelSchemes[] = {
 struct Fired {
   std::vector<std::pair<Tick, RequestId>> events;
   void Install(TimerService& s) {
-    s.set_expiry_handler([this](RequestId id, Tick when) {
+    s.set_expiry_handler([this](RequestId id, Tick when, bool) {
       events.emplace_back(when, id);
     });
   }

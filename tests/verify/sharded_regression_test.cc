@@ -51,7 +51,7 @@ TEST(ShardedWheelRegressionTest, DestroyWithLiveTimersAfterTicking) {
   for (std::size_t shards : {1u, 4u, 8u}) {
     ShardedWheel wheel(shards, 64, Roomy());
     std::atomic<int> fired{0};
-    wheel.set_expiry_handler([&](RequestId, Tick) { fired.fetch_add(1); });
+    wheel.set_expiry_handler([&](RequestId, Tick, bool) { fired.fetch_add(1); });
     for (RequestId id = 0; id < 200; ++id) {
       ASSERT_TRUE(wheel.StartTimer(1 + id % 97, id).has_value());
     }
@@ -68,7 +68,7 @@ TEST(ShardedWheelRegressionTest, DestroyWithLiveTimersAfterTicking) {
 TEST(ShardedWheelRegressionTest, DestroyRightAfterExpiryDispatch) {
   ShardedWheel wheel(4, 16, Roomy());
   int fired = 0;
-  wheel.set_expiry_handler([&](RequestId, Tick) { ++fired; });
+  wheel.set_expiry_handler([&](RequestId, Tick, bool) { ++fired; });
   for (RequestId id = 0; id < 16; ++id) {
     ASSERT_TRUE(wheel.StartTimer(1, id).has_value());
     ASSERT_TRUE(wheel.StartTimer(300, 1000 + id).has_value());
@@ -84,7 +84,7 @@ TEST(ShardedWheelRegressionTest, DestroyRightAfterExpiryDispatch) {
 TEST(ShardedWheelRegressionTest, CollectorDoesNotReplayAcrossTicks) {
   ShardedWheel wheel(2, 16, Roomy());
   std::vector<std::pair<RequestId, Tick>> fired;
-  wheel.set_expiry_handler([&](RequestId id, Tick when) { fired.push_back({id, when}); });
+  wheel.set_expiry_handler([&](RequestId id, Tick when, bool) { fired.push_back({id, when}); });
   ASSERT_TRUE(wheel.StartTimer(1, 1).has_value());
   ASSERT_TRUE(wheel.StartTimer(3, 2).has_value());
   EXPECT_EQ(wheel.PerTickBookkeeping(), 1u);
@@ -151,9 +151,9 @@ void ExpectOneTickIsOneTick(std::size_t shards, std::uint64_t seed) {
   std::vector<std::pair<RequestId, Tick>> per_tick_fires;
   std::vector<std::pair<RequestId, Tick>> advance_fires;
   per_tick->set_expiry_handler(
-      [&](RequestId id, Tick when) { per_tick_fires.emplace_back(id, when); });
+      [&](RequestId id, Tick when, bool) { per_tick_fires.emplace_back(id, when); });
   advance->set_expiry_handler(
-      [&](RequestId id, Tick when) { advance_fires.emplace_back(id, when); });
+      [&](RequestId id, Tick when, bool) { advance_fires.emplace_back(id, when); });
 
   rng::Xoshiro256 rng(seed);
   std::vector<TimerHandle> handles;  // fired and stopped ones stay: stale-handle churn

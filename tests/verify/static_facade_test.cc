@@ -71,7 +71,7 @@ template <typename Service>
 LockstepResult RunScript(Service& service, std::uint64_t seed) {
   LockstepResult r;
   service.set_expiry_handler(
-      [&](RequestId id, Tick tick) { r.trace.push_back({tick, id}); });
+      [&](RequestId id, Tick tick, bool) { r.trace.push_back({tick, id}); });
   rng::Xoshiro256 rng(seed);
   std::vector<TimerHandle> handles;
   auto random_handle = [&]() -> TimerHandle {

@@ -37,7 +37,7 @@ TEST(TsanStressTest, ShardedWheelUnderTickerAndMutators) {
                       .registration_capacity = 4096,
                       .on_full = SubmitPolicy::kReject});
   std::atomic<std::uint64_t> fired{0};
-  wheel.set_expiry_handler([&](RequestId, Tick) {
+  wheel.set_expiry_handler([&](RequestId, Tick, bool) {
     fired.fetch_add(1, std::memory_order_relaxed);
   });
 
@@ -111,7 +111,7 @@ TEST(TsanStressTest, ShardedCountsStayCoherentUnderChurn) {
                       .registration_capacity = 128,
                       .on_full = SubmitPolicy::kReject});
   std::atomic<std::uint64_t> fired{0};
-  wheel.set_expiry_handler([&](RequestId, Tick) {
+  wheel.set_expiry_handler([&](RequestId, Tick, bool) {
     fired.fetch_add(1, std::memory_order_relaxed);
   });
   std::atomic<std::uint64_t> refused{0};
@@ -185,7 +185,7 @@ TEST(TsanStressTest, ShardedCountsStayCoherentUnderChurn) {
 TEST(TsanStressTest, LockedServiceUnderTickerAndMutators) {
   LockedService service(std::make_unique<HashedWheelUnsorted>(64));
   std::atomic<std::uint64_t> fired{0};
-  service.set_expiry_handler([&](RequestId, Tick) {
+  service.set_expiry_handler([&](RequestId, Tick, bool) {
     fired.fetch_add(1, std::memory_order_relaxed);
   });
 
